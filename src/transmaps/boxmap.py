@@ -159,8 +159,8 @@ class BoxChain:
     """Construction record for a concatenation of box maps.
 
     Stored as map provenance.  Consumers must not trust it blindly: the
-    certificate code rebuilds each box from its parameters and checks the
-    map agrees before using any of it.
+    certificate code derives each box's vertices from its parameters and
+    checks the map passes through them before using any of it.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]

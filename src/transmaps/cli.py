@@ -104,8 +104,7 @@ def _emit_map(f: CurveMap, out: str | None, svg: str | None) -> None:
 
 
 def _cmd_boxmap(args) -> int:
-    window = args.interval if args.interval is not None else FULL
-    _emit_map(build_box_map(window, args.params), args.out, args.svg)
+    _emit_map(build_box_map(FULL, args.params), args.out, args.svg)
     return 0
 
 
@@ -185,7 +184,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("boxmap", parents=[], help="build a standalone box map")
-    p.add_argument("--interval", type=_interval_arg, default=None)
     p.add_argument("--params", type=_params_arg, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)

@@ -356,9 +356,7 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
 
 def image_set(f: CurveMap, u: IntervalSet) -> IntervalSet:
     """Exact image f(U) of a finite union of closed intervals."""
-    return IntervalSet.from_intervals(
-        Interval(*(lambda r: (r.lo, r.hi))(range_on(f, c))) for c in u.components
-    )
+    return IntervalSet.from_intervals(range_on(f, c) for c in u.components)
 
 
 def sup_distance(f: CurveMap, g: CurveMap) -> Q:

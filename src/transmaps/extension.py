@@ -14,8 +14,9 @@ every cone point in two regimes joined at a computed step size t0:
 
 Both regimes produce concatenations of box maps over the step-t0 window
 tiling (or a finer one below t0), so images can be produced either as
-actual maps or as cheap parameter chains, and transitivity of every
-image with t > 0 is certifiable at the chain level.
+actual maps or as cheap parameter chains.  Transitivity of every image
+with t > 0 is certified from its chain by the package's one box-chain
+certificate, ``transitivity.chain_certified``, re-exported here.
 
 The complex half repeats this simplex by simplex: a finite simplicial
 complex with maps on a subcomplex gets its missing simplices filled in
@@ -27,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .boxmap import BoxChain, BoxParams, concat_box_maps
+from .boxmap import BoxParams, concat_box_maps
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
 from .exact import CurveMap, Interval, sup_distance
 from .homotopy import box_data, family_box_bounds, family_modulus, partition, uniform_modulus
 from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
-from .transitivity import coverage_closure_full
+from .transitivity import chain_certified
 
 __all__ = [
     "SimplexSpec",
@@ -342,7 +343,7 @@ def simplex_extend(
     )
 
 
-# -- chain-level inspection and certification --------------------------------
+# -- chain-level inspection ---------------------------------------------------
 
 
 def chain_bands(items: Items) -> tuple[Interval, ...]:
@@ -354,28 +355,6 @@ def bands_within(inner: Sequence[Interval], outer: Sequence[Interval]) -> bool:
     return len(inner) == len(outer) and all(
         o.contains_interval(i) for i, o in zip(inner, outer)
     )
-
-
-def chain_certified(items: Items) -> bool:
-    """Transitivity certificate for a box-map concatenation, decided
-    from the parameters alone, without building the map.
-
-    The argument is box_chain_certify's: with expansion at least 20
-    every box gets at least 18 full sweeps, so runs of legs that are
-    not full sweeps never exceed 3 (one box's final pair plus the next
-    box's first leg) and a leg-slope floor of 5 = 3 + 2 suffices; the
-    slope of every leg in a box is expansion * height / width, making
-    the floor a per-box inequality.  What remains is exactly the
-    band-coverage closure.  Chain validity (tiling plus junction
-    agreement) is checked first and raises ParameterError if violated.
-    """
-    chain = BoxChain(tuple(items))
-    for w, p in chain.boxes:
-        if p.expansion * p.height <= 5 * w.width:
-            return False
-    windows = [w for w, _ in chain.boxes]
-    bands = [Interval(p.bottom, p.top) for _, p in chain.boxes]
-    return coverage_closure_full(windows, bands)
 
 
 def chain_envelope_height(chains: Sequence[Items]) -> Q:

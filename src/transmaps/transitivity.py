@@ -12,10 +12,12 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   grows under iteration (its largest breakpoint-free part is at least
   half of it and stretches by more than 2) until it swallows a grid cell,
   whose forward images provably reach [0, 1].
-* ``box_chain_certify`` -- for concatenations of box maps built by this
-  package: re-derives the construction from the attached record, verifies
-  it reproduces the map exactly, then certifies via band coverage.  This
-  scales to maps with thousands of laps where grid iteration would not.
+* ``chain_certified`` -- the one certificate for concatenations of box
+  maps, decided from the (window, parameters) chain alone: a slope floor
+  against the longest run of legs that are not full sweeps, plus band
+  coverage.  It builds no map, so it scales to chains with thousands of
+  laps where grid iteration would not.  ``box_chain_certify`` applies it
+  to a map whose attached record reproduces the map vertex for vertex.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 """
@@ -25,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .boxmap import BoxChain, box_vertices
+from .boxmap import BoxChain, BoxParams, box_values, box_vertices
 from .errors import ParameterError, PreconditionError
 from .exact import (
     FULL,
@@ -34,7 +36,6 @@ from .exact import (
     Interval,
     IntervalSet,
     image_set,
-    pl_from_vertices,
     range_on,
 )
 from .rational import ONE, Q, ZERO, as_scalar, ceil_to_grid, floor_to_grid
@@ -46,6 +47,7 @@ __all__ = [
     "invariant_region_refute",
     "ball_refute",
     "box_chain_certify",
+    "chain_certified",
     "coverage_closure_full",
     "PipelineBudget",
     "is_transitive_pipeline",
@@ -242,75 +244,93 @@ def ball_refute(
     return best
 
 
-# -- provenance-backed certificate -----------------------------------------
+# -- the box-chain certificate ------------------------------------------------
 
 
-def _rebuild_chain(f: CurveMap, chain: BoxChain) -> Optional[list[list[tuple[Q, Q]]]]:
-    """Vertices per box if the chain reproduces f exactly, else None."""
-    all_verts: list[tuple[Q, Q]] = []
-    per_box: list[list[tuple[Q, Q]]] = []
+def _longest_partial_run(boxes) -> int:
+    """Longest run of consecutive legs that are not full band sweeps,
+    counted across box junctions, read from the turning-point values."""
+    longest = run = 0
+    for _, p in boxes:
+        values = box_values(p)
+        for a, b in zip(values, values[1:]):
+            if abs(b - a) == p.height:
+                run = 0
+            else:
+                run += 1
+                if run > longest:
+                    longest = run
+    return longest
+
+
+def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
+    """Transitivity certificate for a box-map concatenation, decided
+    from its (window, BoxParams) items alone, without building the map.
+
+    Chain validity (tiling plus junction agreement) is checked first and
+    raises ParameterError if violated.  Certification then needs
+
+    1. slope floor: the least box slope expansion * height / width
+       exceeds M + 2, where M is the longest run of consecutive legs
+       that are not full band sweeps.  An interval without a complete
+       full sweep inside spans at most M complete legs, hence at most
+       M + 2 laps, so its longest lap-free part is |U|/(M+2) and its
+       image grows by slope/(M+2) > 1; growth cannot continue forever,
+       so some forward image contains a full sweep and therefore a
+       whole band.  Expansion at least 20 gives every box at least 18
+       full sweeps, so M <= 3 (one box's final pair plus the next box's
+       first leg) and M is only computed when the floor is at most 5.
+    2. coverage: from every box, repeatedly adding the bands of all boxes
+       whose windows a collected band covers must reach all of [0, 1].
+       Once an image contains band J, later images contain every band
+       collected from J, so the union of forward images is [0, 1].
+    """
+    chain = BoxChain(tuple(items))
+    floor = min(p.expansion * p.height / w.width for w, p in chain.boxes)
+    if floor <= 5 and floor <= _longest_partial_run(chain.boxes) + 2:
+        return False
+    windows = [w for w, _ in chain.boxes]
+    bands = [Interval(p.bottom, p.top) for _, p in chain.boxes]
+    return coverage_closure_full(windows, bands)
+
+
+def _reproduces(f: CurveMap, chain: BoxChain) -> bool:
+    """Whether f is exactly the concatenation the chain describes.
+
+    Both are piecewise linear, so they agree when every breakpoint of f
+    is a chain vertex and f passes through every chain vertex: between
+    consecutive vertices each is then one affine piece with the same end
+    values.  The walk is over vertices; no map is rebuilt.
+    """
+    if not f.is_pl:
+        return False
+    pieces = f.pieces
+    i = 0
+    # A junction vertex is visited twice, as the end of one box and the
+    # start of the next; chain validity gives it one value, so the
+    # second visit only repeats a check that already passed.
     for window, params in chain.boxes:
-        verts = box_vertices(window, params)
-        per_box.append(verts)
-        all_verts.extend(verts if not all_verts else verts[1:])
-    rebuilt = pl_from_vertices(all_verts)
-    if not f.is_pl or rebuilt.pieces != f.pieces:
-        return None
-    return per_box
+        for x, y in box_vertices(window, params):
+            piece = pieces[i]
+            if x > piece.domain.hi or piece.value_at(x) != y:
+                return False
+            if x == piece.domain.hi and i + 1 < len(pieces):
+                i += 1
+    return True
 
 
 def box_chain_certify(f: CurveMap) -> Verdict:
     """Certify a concatenation of box maps from its construction record.
 
-    The record is never trusted: the chain is rebuilt from its parameters
-    and must reproduce the map piece for piece.  Certification then needs
-
-    1. slope floor: every leg's |slope| is at least M + 3, where M is the
-       longest run of consecutive legs that are not full band sweeps.  An
-       interval without a complete full sweep inside spans at most M
-       complete legs, hence at most M + 2 laps, so its longest lap-free
-       part is |U|/(M+2) and its image grows by slope/(M+2) > 1; growth
-       cannot continue forever, so some forward image contains a full
-       sweep and therefore a whole band.
-    2. coverage: from every box, repeatedly adding the bands of all boxes
-       whose windows a collected band covers must reach all of [0, 1].
-       Once an image contains band J, later images contain every band
-       collected from J, so the union of forward images is [0, 1].
-
-    Inconclusive when the record is absent, stale, or the checks fail;
-    never Refuted (this routine has no refutation power).
+    The record is never trusted: its vertices must reproduce the map
+    exactly, and then ``chain_certified`` decides from the record alone.
+    Inconclusive when the record is absent, stale, or the certificate
+    fails; never Refuted (this routine has no refutation power).
     """
     chain = f.provenance
-    if not isinstance(chain, BoxChain):
+    if not isinstance(chain, BoxChain) or not _reproduces(f, chain):
         return Verdict.inconclusive(0)
-    per_box = _rebuild_chain(f, chain)
-    if per_box is None:
-        return Verdict.inconclusive(0)
-
-    windows = [w for w, _ in chain.boxes]
-    bands = [Interval(p.bottom, p.top) for _, p in chain.boxes]
-
-    # classify every leg; track the longest run of partial (non-sweep) legs
-    longest_partial_run = 0
-    run = 0
-    min_slope: Optional[Q] = None
-    for verts, (window, params) in zip(per_box, chain.boxes):
-        height = params.top - params.bottom
-        slope = params.expansion * height / window.width
-        if min_slope is None or slope < min_slope:
-            min_slope = slope
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            full_sweep = abs(y1 - y0) == height
-            if full_sweep:
-                run = 0
-            else:
-                run += 1
-                if run > longest_partial_run:
-                    longest_partial_run = run
-    if min_slope is None or min_slope <= longest_partial_run + 2:
-        return Verdict.inconclusive(0)
-
-    if not coverage_closure_full(windows, bands):
+    if not chain_certified(chain.boxes):
         return Verdict.inconclusive(0)
     return Verdict.certified()
 

@@ -14,7 +14,7 @@ from typing import Callable
 from .boxmap import BoxParams, build_box_map
 from .corpus import perturb_pl, random_curve_map, random_gentle_pl, random_pl_map
 from .errors import ParameterError
-from .exact import FULL, Interval, range_on, sup_distance
+from .exact import FULL, Interval, range_on, sup_distance, total_variation
 from .extension import (
     SimplexSpec,
     chain_certified,
@@ -40,13 +40,6 @@ __all__ = ["SUITES", "run_suite"]
 Check = Callable[[], bool]
 
 
-def _total_variation(f) -> Q:
-    return sum(
-        (abs(p.value_at(p.domain.hi) - p.value_at(p.domain.lo)) for p in f.pieces),
-        ZERO,
-    )
-
-
 # -- boxfit: the window-inside-band inequality --------------------------------
 
 
@@ -57,7 +50,7 @@ def _check_reference_box() -> bool:
         and f.value_at(ZERO) == Q(3, 20)
         and f.value_at(ONE) == Q(1, 10)
         and range_on(f, FULL) == Interval(ZERO, Q(1, 5))
-        and _total_variation(f) == 4
+        and total_variation(f) == 4
     )
 
 

@@ -491,7 +491,7 @@ def test_criterion_13_cli_determinism(tmp_path, report):
         path.write_text(json.dumps(map_to_document(f)))
         files[name] = str(path)
     invocations = [
-        ("boxmap", "--interval", "0,1", "--params", "3/20,1/10,0,1/5,20"),
+        ("boxmap", "--params", "3/20,1/10,0,1/5,20"),
         ("boxmap", "--params", "0,1,0,1,20"),
         ("make", "identity"),
         ("make", "sawtooth", "--n", "4"),

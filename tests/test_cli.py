@@ -30,13 +30,20 @@ def write_map(tmp_path, f, name):
 
 
 def test_boxmap_reference_document(capsys):
-    code, out, err = run_cli(
-        capsys, "boxmap", "--interval", "0,1", "--params", "3/20,1/10,0,1/5,20"
-    )
+    code, out, err = run_cli(capsys, "boxmap", "--params", "3/20,1/10,0,1/5,20")
     assert code == 0 and err == ""
     f = map_from_document(json.loads(out))
     assert f == build_box_map(FULL, BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), Q(20)))
     assert all(abs(p.c1) == 4 for p in f.pieces)
+
+
+def test_boxmap_has_no_interval_option(capsys):
+    # standalone box maps only exist on [0, 1], so there is no window to pick
+    code, out, err = run_cli(
+        capsys, "boxmap", "--interval", "0,1", "--params", "3/20,1/10,0,1/5,20"
+    )
+    assert code == 1 and out == ""
+    assert "--interval" in err
 
 
 def test_boxmap_rejects_degenerate_band(capsys):

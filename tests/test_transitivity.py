@@ -3,8 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transmaps.boxmap import BoxParams, concat_box_maps
-from transmaps.corpus import perturb_pl, random_pl_map, random_surjective_pl
+from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
+from transmaps.corpus import (
+    perturb_pl,
+    random_curve_map,
+    random_pl_map,
+    random_surjective_pl,
+)
 from transmaps.errors import ParameterError, PreconditionError
 from transmaps.exact import (
     FULL,
@@ -16,13 +21,18 @@ from transmaps.exact import (
     pl_from_vertices,
     range_on,
 )
-from transmaps.homotopy import apply_homotopy
+from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
+from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO
+from transmaps.spaces import one_minus, sawtooth
 from transmaps.transitivity import (
     PipelineBudget,
     Verdict,
     ball_refute,
+    _longest_partial_run,
     box_chain_certify,
+    chain_certified,
+    coverage_closure_full,
     invariant_region_refute,
     is_transitive_pipeline,
     leo_certify,
@@ -274,6 +284,195 @@ class TestBoxChainCertify:
                 break
             s = image_set(g, s)
         assert s == FULL_SET
+
+
+# -- the box-chain certificate against the map-rebuilding reference -----------
+
+
+def reference_box_chain_certify(f):
+    """The earlier box_chain_certify: rebuild the whole map from the record,
+    compare it piece for piece, classify every leg and take the longest
+    run of legs that are not full sweeps."""
+    chain = f.provenance
+    if not isinstance(chain, BoxChain):
+        return Verdict.inconclusive(0)
+    per_box = []
+    all_verts = []
+    for window, params in chain.boxes:
+        verts = box_vertices(window, params)
+        per_box.append(verts)
+        all_verts.extend(verts if not all_verts else verts[1:])
+    if not f.is_pl or pl_from_vertices(all_verts).pieces != f.pieces:
+        return Verdict.inconclusive(0)
+    run = longest = 0
+    min_slope = None
+    for verts, (window, params) in zip(per_box, chain.boxes):
+        height = params.top - params.bottom
+        slope = params.expansion * height / window.width
+        if min_slope is None or slope < min_slope:
+            min_slope = slope
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if abs(y1 - y0) == height:
+                run = 0
+            else:
+                run += 1
+                longest = max(longest, run)
+    if min_slope <= longest + 2:
+        return Verdict.inconclusive(0)
+    windows = [w for w, _ in chain.boxes]
+    bands = [Interval(p.bottom, p.top) for _, p in chain.boxes]
+    if not coverage_closure_full(windows, bands):
+        return Verdict.inconclusive(0)
+    return Verdict.certified()
+
+
+def reference_partial_run(boxes):
+    run = longest = 0
+    for window, params in boxes:
+        verts = box_vertices(window, params)
+        for (_, y0), (_, y1) in zip(verts, verts[1:]):
+            run = 0 if abs(y1 - y0) == params.height else run + 1
+            longest = max(longest, run)
+    return longest
+
+
+SIXTEENTHS = st.integers(0, 16).map(lambda k: Q(k, 16))
+BAND_SLACK = st.sampled_from([ZERO, Q(1, 64), Q(1, 16), Q(1, 4), ONE, ONE, ONE])
+
+
+@st.composite
+def valid_chains(draw):
+    """Tiling, bands and shared junction values; slopes range from far
+    below the certificate's floor to far above it."""
+    n = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, 15), min_size=n - 1, max_size=n - 1)))
+    xs = [ZERO] + [Q(c, 16) for c in cuts] + [ONE]
+    junctions = [draw(SIXTEENTHS) for _ in range(n + 1)]
+    boxes = []
+    for i in range(n):
+        lo, hi = sorted(junctions[i : i + 2])
+        bottom = max(ZERO, lo - draw(BAND_SLACK))
+        top = min(ONE, hi + draw(BAND_SLACK))
+        if bottom == top:
+            if top < ONE:
+                top += Q(1, 64)
+            else:
+                bottom -= Q(1, 64)
+        expansion = draw(st.sampled_from([Q(20), Q(41, 2), Q(21), Q(30)]))
+        params = BoxParams(junctions[i], junctions[i + 1], bottom, top, expansion)
+        boxes.append((Interval(xs[i], xs[i + 1]), params))
+    return tuple(boxes)
+
+
+def chain_vertices(boxes):
+    verts = []
+    for window, params in boxes:
+        vs = box_vertices(window, params)
+        verts.extend(vs if not verts else vs[1:])
+    return verts
+
+
+def record_variants(boxes, other):
+    """The chain's own map, then maps whose record does not describe them."""
+    chain = BoxChain(boxes)
+    f = concat_box_maps(list(boxes))
+    yield f
+    # a record of another chain
+    yield PLMap(f.pieces, provenance=BoxChain(other))
+    yield PLMap(concat_box_maps(list(other)).pieces, provenance=chain)
+    # a stale record: one box's expansion changed
+    window, p = boxes[-1]
+    bumped = BoxParams(p.left_value, p.right_value, p.bottom, p.top, p.expansion + 1)
+    yield PLMap(f.pieces, provenance=BoxChain(boxes[:-1] + ((window, bumped),)))
+    # the map gains a breakpoint strictly inside a leg
+    verts = chain_vertices(boxes)
+    (x0, y0), (x1, y1) = verts[0], verts[1]
+    mid = (y0 + y1) / 2
+    kinked = mid + Q(1, 1024) if mid < Q(1, 2) else mid - Q(1, 1024)
+    yield PLMap(
+        pl_from_vertices([verts[0], ((x0 + x1) / 2, kinked)] + verts[1:]).pieces,
+        provenance=chain,
+    )
+    # the map misses one vertex value
+    k = len(verts) // 2
+    x, y = verts[k]
+    moved = y + Q(1, 1024) if y < Q(1, 2) else y - Q(1, 1024)
+    yield PLMap(
+        pl_from_vertices(verts[:k] + [(x, moved)] + verts[k + 1 :]).pieces,
+        provenance=chain,
+    )
+
+
+# two boxes whose legs meet collinearly at the junction: 44 vertices, 42 pieces
+COLLINEAR_JUNCTION = (
+    (Interval(ZERO, Q(1, 2)), BoxParams(Q(3, 8), Q(1, 4), Q(1, 4), Q(1, 2), Q(20))),
+    (Interval(Q(1, 2), ONE), BoxParams(Q(1, 4), Q(1, 8), ZERO, Q(1, 4), Q(20))),
+)
+
+
+def two_boxes(cut, first, second):
+    return (
+        (Interval(ZERO, cut), BoxParams(*(Q(v) for v in first))),
+        (Interval(cut, ONE), BoxParams(*(Q(v) for v in second))),
+    )
+
+
+# slope floor at most 5, so the run length M decides; every closure is full
+LOW_SLOPE_CHAINS = [
+    (two_boxes(Q(1, 16), (0, 0, 0, 1, 20), (0, 0, 0, "3/32", 22)), True),  # 11/5, M=0
+    (two_boxes(Q(1, 16), (0, 0, 0, 1, 21), (0, 0, 0, "11/64", 22)), True),  # 121/30, M=2
+    (two_boxes(Q(1, 16), (0, 0, 0, 1, 21), (0, 0, 0, "3/16", 20)), False),  # 4, M=2
+    (two_boxes(Q(1, 16), (0, "1/16", 0, 1, 20), ("1/16", 0, 0, "15/64", 20)), False),  # 5, M=3
+    (two_boxes(Q(1, 16), (0, 0, 0, 1, 20), (0, 0, 0, "1/16", 20)), False),  # 4/3, M=0
+]
+
+
+class TestChainCertificate:
+    @pytest.mark.parametrize("boxes, certified", LOW_SLOPE_CHAINS)
+    def test_low_slope_chains_decided_by_run_length(self, boxes, certified):
+        f = concat_box_maps(list(boxes))
+        assert chain_certified(boxes) == certified
+        assert box_chain_certify(f) == reference_box_chain_certify(f)
+        assert reference_box_chain_certify(f).is_certified == certified
+
+    @given(valid_chains(), valid_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_rebuilding_reference(self, boxes, other):
+        for f in record_variants(boxes, other):
+            assert box_chain_certify(f) == reference_box_chain_certify(f)
+        f = concat_box_maps(list(boxes))
+        assert chain_certified(boxes) == reference_box_chain_certify(f).is_certified
+
+    def test_collinear_junction_chain(self):
+        f = concat_box_maps(list(COLLINEAR_JUNCTION))
+        assert len(chain_vertices(COLLINEAR_JUNCTION)) == 44
+        assert len(f.pieces) == 42
+        for g in record_variants(COLLINEAR_JUNCTION, two_box_chain(True).provenance.boxes):
+            assert box_chain_certify(g) == reference_box_chain_certify(g)
+
+    @given(valid_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_partial_runs_never_exceed_three(self, boxes):
+        assert _longest_partial_run(boxes) == reference_partial_run(boxes) <= 3
+
+    @given(st.integers(0, 10_000), st.integers(1, 64), st.sampled_from([20, 25, 100]))
+    @settings(max_examples=30, deadline=None)
+    def test_box_data_slopes_reach_gamma(self, seed, k, gamma):
+        # every band is at least as tall as its window, so no chain built by
+        # box_data comes near the floor of 5 where the run length matters
+        rng = random.Random(seed)
+        f = random_curve_map(rng) if seed % 2 else random_pl_map(rng)
+        for w, p in box_data(f, Q(k, 64), Q(gamma)).items():
+            assert p.expansion * p.height / w.width >= gamma >= 20
+
+    def test_extension_chains_keep_slopes_of_twenty(self):
+        saw3 = sawtooth(3)
+        ext = simplex_extend(segment_boundary(saw3, one_minus(saw3)), SimplexSpec(1), 2)
+        for x in (ZERO, ONE):
+            base = ext.base_items(x)
+            for t in (ext.t0, Q(1, 3), Q(1, 2), ONE):
+                for w, p in ext.lerp_items(base, t):
+                    assert p.expansion * p.height / w.width >= 20
 
 
 class TestPipeline:
