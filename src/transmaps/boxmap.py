@@ -195,4 +195,4 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
         if verts:
             vs = vs[1:]  # junction vertex already present
         verts.extend(vs)
-    return PLMap(pl_from_vertices(verts).pieces, provenance=chain)
+    return pl_from_vertices(verts, provenance=chain)

@@ -232,3 +232,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as e:
         print(f"transmaps: error: {e}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

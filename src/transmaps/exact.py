@@ -16,6 +16,9 @@ quadratic, and nothing in the package needs more.
 All min/max/sup computations are exact: extrema of a quadratic on a
 rational interval occur at rational points (endpoints or the vertex), so
 every predicate is decided by rational comparison, never by sampling.
+``range_on`` is the one routine that computes a map's range over an
+interval; it bisects on the piece lows, so a query reads only the pieces
+the interval meets, and ``image_set`` is one ``range_on`` per component.
 """
 from __future__ import annotations
 
@@ -165,10 +168,10 @@ class Piece:
         object.__setattr__(self, "c2", as_scalar(self.c2))
         if self.domain.is_degenerate():
             raise DomainError("zero-length piece domain")
-        rng = self.range()
-        if rng.lo < ZERO or rng.hi > ONE:
+        lo, hi = self.range_over(self.domain.lo, self.domain.hi)
+        if lo < ZERO or hi > ONE:
             raise DomainError(
-                f"piece values leave [0,1] on {self.domain}: range {rng}"
+                f"piece values leave [0,1] on {self.domain}: range [{lo}, {hi}]"
             )
 
     def value_at(self, x) -> Q:
@@ -186,26 +189,6 @@ class Piece:
         if self.domain.lo < v < self.domain.hi:
             return v
         return None
-
-    def range(self) -> Interval:
-        # Extrema of the piece over its domain: endpoints, plus the vertex
-        # for a quadratic whose vertex falls strictly inside.
-        a = self.c0 + self.domain.lo * (self.c1 + self.domain.lo * self.c2)
-        b = self.c0 + self.domain.hi * (self.c1 + self.domain.hi * self.c2)
-        lo, hi = (a, b) if a <= b else (b, a)
-        v = self.vertex()
-        if v is not None:
-            fv = self.value_at(v)
-            if fv < lo:
-                lo = fv
-            elif fv > hi:
-                hi = fv
-        # Bypass Interval's [0,1] guard so the constructor check above can
-        # report an honest error message.
-        iv = object.__new__(Interval)
-        object.__setattr__(iv, "lo", lo)
-        object.__setattr__(iv, "hi", hi)
-        return iv
 
     def range_over(self, lo, hi) -> tuple[Q, Q]:
         """(min, max) of the piece over [lo, hi] subset of its domain."""
@@ -274,13 +257,14 @@ class CurveMap:
 
     # -- point access -----------------------------------------------------
 
+    def _piece_index(self, x) -> int:
+        """Index of the last piece whose domain starts at or before x."""
+        return max(bisect.bisect_right(self._lows, x) - 1, 0)
+
     def piece_at(self, x) -> Piece:
         if not (ZERO <= x <= ONE):
             raise DomainError(f"point {x} outside [0,1]")
-        i = bisect.bisect_right(self._lows, x) - 1
-        if i < 0:
-            i = 0
-        return self.pieces[i]
+        return self.pieces[self._piece_index(x)]
 
     def value_at(self, x) -> Q:
         return self.piece_at(x).value_at(x)
@@ -305,8 +289,11 @@ class PLMap(CurveMap):
                 raise DomainError("PLMap requires affine pieces")
 
 
-def pl_from_vertices(points: Sequence[tuple]) -> PLMap:
-    """PL map through (x_i, y_i) vertices; x strictly increasing, 0 to 1."""
+def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
+    """PL map through (x_i, y_i) vertices; x strictly increasing, 0 to 1.
+
+    ``provenance`` is stored on the map as its construction record.
+    """
     pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
     if len(pts) < 2:
         raise DomainError("need at least two vertices")
@@ -316,7 +303,7 @@ def pl_from_vertices(points: Sequence[tuple]) -> PLMap:
             raise DomainError("vertex abscissae must strictly increase")
         slope = (y1 - y0) / (x1 - x0)
         pieces.append(Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO))
-    return PLMap(tuple(pieces))
+    return PLMap(tuple(pieces), provenance=provenance)
 
 
 # -- the seven core operations --------------------------------------------
@@ -332,25 +319,26 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
 
     The image of a closed interval under a continuous map is the closed
     interval between the exact extrema, which occur at endpoints of the
-    intersection with a piece or at an interior quadratic vertex.
+    intersection with a piece or at an interior quadratic vertex.  Only
+    the pieces that meet J are read: bisection finds the one holding
+    J.lo, so a query costs O(log pieces + pieces meeting J).
     """
+    pieces = f.pieces
     lo = hi = None
-    for p in f.pieces:
+    for i in range(f._piece_index(j.lo), len(pieces)):
+        p = pieces[i]
+        if p.domain.lo > j.hi:
+            break
         a = max(p.domain.lo, j.lo)
         b = min(p.domain.hi, j.hi)
-        if a > b:
-            continue
         if a == b:
-            v = p.value_at(a)
-            plo = phi = v
+            plo = phi = p.value_at(a)
         else:
             plo, phi = p.range_over(a, b)
         if lo is None or plo < lo:
             lo = plo
         if hi is None or phi > hi:
             hi = phi
-    if lo is None:
-        raise DomainError("interval does not meet [0,1]")
     return Interval(lo, hi)
 
 

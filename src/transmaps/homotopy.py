@@ -6,6 +6,10 @@ where ``f`` sends each window, widen that value range into a band, and
 fill every window with a box map onto its band.  At ``t = 0`` the
 deformation is the identity on maps; for small ``t`` the output tracks
 ``f`` closely because the bands are built from ``f``'s local behaviour.
+Every value range read here is one ``exact.range_on`` call, which
+bisects to the pieces a window meets, and ``_window_band`` alone turns
+ranges into a band, both for one map (``box_data``) and jointly for a
+family (``FamilyBoxBounds``).
 
 The companions quantify that closeness:
 
@@ -35,7 +39,6 @@ __all__ = [
     "PartitionData",
     "BoxData",
     "partition",
-    "window_ranges",
     "box_data",
     "apply_homotopy",
     "uniform_modulus",
@@ -77,39 +80,6 @@ def partition(t) -> PartitionData:
     return PartitionData(t, s, windows)
 
 
-def window_ranges(f: CurveMap, windows: Sequence[Interval]) -> list[Interval]:
-    """Exact value range of f over each window, in one sweep.
-
-    Equivalent to calling range_on per window but linear in pieces plus
-    windows, which matters when both counts run into the hundreds.
-    """
-    out_lo: list[Q | None] = [None] * len(windows)
-    out_hi: list[Q | None] = [None] * len(windows)
-    pi = 0
-    pieces = f.pieces
-    for wi, w in enumerate(windows):
-        while pieces[pi].domain.hi <= w.lo and pi + 1 < len(pieces):
-            pi += 1
-        j = pi
-        while True:
-            p = pieces[j]
-            a = max(p.domain.lo, w.lo)
-            b = min(p.domain.hi, w.hi)
-            if a <= b:
-                if a == b:
-                    lo = hi = p.value_at(a)
-                else:
-                    lo, hi = p.range_over(a, b)
-                if out_lo[wi] is None or lo < out_lo[wi]:
-                    out_lo[wi] = lo
-                if out_hi[wi] is None or hi > out_hi[wi]:
-                    out_hi[wi] = hi
-            if p.domain.hi >= w.hi or j + 1 == len(pieces):
-                break
-            j += 1
-    return [Interval(lo, hi) for lo, hi in zip(out_lo, out_hi)]
-
-
 @dataclass(frozen=True)
 class BoxData:
     """Per-window box parameters for one (f, t, gamma) deformation."""
@@ -126,22 +96,24 @@ class BoxData:
         return list(zip(self.grid.windows, self.boxes))
 
 
-def _window_band(f_range: Interval, width: Q) -> tuple[Q, Interval]:
-    """(alpha, band) for one window: alpha-widened value range, clipped."""
-    alpha = max(width, f_range.width)
-    lo = f_range.lo - 4 * alpha
-    hi = f_range.hi + 4 * alpha
+def _window_band(ranges: Sequence[Interval], width: Q) -> tuple[Q, Interval]:
+    """(alpha, band) for one window from the value ranges of one or more
+    maps on it: alpha is the window width or the tallest range, whichever
+    is larger, and the band is the ranges' hull widened by 4*alpha on
+    each side, clipped to [0, 1]."""
+    alpha = max(width, max(r.width for r in ranges))
+    lo = min(r.lo for r in ranges) - 4 * alpha
+    hi = max(r.hi for r in ranges) + 4 * alpha
     return alpha, Interval(max(ZERO, lo), min(ONE, hi))
 
 
 def box_data(f: CurveMap, t, gamma) -> BoxData:
     gamma = as_scalar(gamma)
     grid = partition(t)
-    ranges = window_ranges(f, grid.windows)
     alphas: list[Q] = []
     boxes: list[BoxParams] = []
-    for w, r in zip(grid.windows, ranges):
-        alpha, band = _window_band(r, w.width)
+    for w in grid.windows:
+        alpha, band = _window_band([range_on(f, w)], w.width)
         alphas.append(alpha)
         boxes.append(
             BoxParams(
@@ -272,26 +244,13 @@ class FamilyBoxBounds:
         if not (0 <= i < len(grid.windows)):
             raise ParameterError(f"window index {i} out of range")
         w = grid.windows[i]
-        lo = hi = None
-        alpha = w.width
-        for f in self.maps:
-            r = range_on(f, w)
-            lo = r.lo if lo is None or r.lo < lo else lo
-            hi = r.hi if hi is None or r.hi > hi else hi
-            if r.width > alpha:
-                alpha = r.width
-        return Interval(max(ZERO, lo - 4 * alpha), min(ONE, hi + 4 * alpha))
+        return _window_band([range_on(f, w) for f in self.maps], w.width)[1]
 
     def all_bands(self, t) -> list[Interval]:
-        grid = partition(t)
-        per_map = [window_ranges(f, grid.windows) for f in self.maps]
-        out = []
-        for i, w in enumerate(grid.windows):
-            lo = min(r[i].lo for r in per_map)
-            hi = max(r[i].hi for r in per_map)
-            alpha = max(w.width, max(r[i].width for r in per_map))
-            out.append(Interval(max(ZERO, lo - 4 * alpha), min(ONE, hi + 4 * alpha)))
-        return out
+        return [
+            _window_band([range_on(f, w) for f in self.maps], w.width)[1]
+            for w in partition(t).windows
+        ]
 
 
 def family_box_bounds(maps: Sequence[CurveMap], epsilon) -> FamilyBoxBounds:

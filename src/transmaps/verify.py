@@ -237,7 +237,8 @@ SUITES: dict[str, dict[str, Check]] = {
 
 def run_suite(name: str) -> tuple[str, bool]:
     """(report text, all passed) for one suite; checks run in name order
-    and a crashing check counts as a failure, not an abort."""
+    and a crashing check counts as a failure, reported with its exception
+    type and message, not an abort."""
     if name not in SUITES:
         raise ParameterError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
@@ -245,11 +246,13 @@ def run_suite(name: str) -> tuple[str, bool]:
     lines = [f"suite: {name}"]
     all_ok = True
     for check_name in sorted(SUITES[name]):
+        why = ""
         try:
             ok = bool(SUITES[name][check_name]())
-        except Exception:
+        except Exception as e:
             ok = False
+            why = f" ({type(e).__name__}: {e})"
         all_ok = all_ok and ok
-        lines.append(f"{check_name}: {'pass' if ok else 'fail'}")
+        lines.append(f"{check_name}: {'pass' if ok else 'fail'}{why}")
     lines.append(f"result: {'pass' if all_ok else 'fail'}")
     return "\n".join(lines) + "\n", all_ok

@@ -1,8 +1,14 @@
 """Command-line behavior: exit codes, document output, determinism, and
 the verify suites it fronts."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import transmaps.cli
 
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
@@ -148,6 +154,59 @@ def test_verify_reports_every_check_in_name_order():
     names = [line.split(":")[0] for line in lines[1:-1]]
     assert names == sorted(SUITES["examples"])
     assert all(line.endswith(": pass") for line in lines[1:])
+
+
+def _raise_key_error():
+    raise KeyError("no such window")
+
+
+def test_verify_says_why_a_check_crashed(capsys, monkeypatch):
+    monkeypatch.setitem(
+        SUITES, "examples", {"a_crash": _raise_key_error, "b_ok": lambda: True}
+    )
+    report, ok = run_suite("examples")
+    assert not ok
+    assert report == (
+        "suite: examples\n"
+        "a_crash: fail (KeyError: 'no such window')\n"
+        "b_ok: pass\n"
+        "result: fail\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", "examples")
+    assert (code, out) == (2, report)
+
+
+def _run_module(tmp_path, *argv):
+    src = str(Path(transmaps.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, env=env, cwd=tmp_path
+    )
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "make", "sawtooth", "--n", "3")
+    assert code == 0 and out
+    for module in ("transmaps", "transmaps.cli"):
+        proc = _run_module(tmp_path, "-m", module, "make", "sawtooth", "--n", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.encode()
+
+
+def test_python_dash_m_exits_two_on_a_failing_suite(tmp_path):
+    script = (
+        "import runpy, sys\n"
+        "from transmaps.verify import SUITES\n"
+        "SUITES['examples'] = {'always_false': lambda: False}\n"
+        "sys.argv = ['transmaps', 'verify', 'examples']\n"
+        "runpy.run_module('transmaps', run_name='__main__')\n"
+    )
+    proc = _run_module(tmp_path, "-c", script)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b"suite: examples\nalways_false: fail\nresult: fail\n"
 
 
 def test_run_suite_rejects_unknown_names():

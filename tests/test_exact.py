@@ -183,6 +183,68 @@ class TestFrozenValues:
         assert modality(g) == 1
 
 
+# -- range_on against the linear scan it replaced ---------------------------
+
+
+def range_on_scan(f, j):
+    """Reference: the min/max over every piece's intersection with J."""
+    lo = hi = None
+    for p in f.pieces:
+        a = max(p.domain.lo, j.lo)
+        b = min(p.domain.hi, j.hi)
+        if a > b:
+            continue
+        if a == b:
+            v = p.value_at(a)
+            plo = phi = v
+        else:
+            plo, phi = p.range_over(a, b)
+        if lo is None or plo < lo:
+            lo = plo
+        if hi is None or phi > hi:
+            hi = phi
+    if lo is None:
+        raise DomainError("interval does not meet [0,1]")
+    return Interval(lo, hi)
+
+
+def query_points(p):
+    """Ends, thirds and interior vertex of one piece's domain."""
+    lo, hi = p.domain.lo, p.domain.hi
+    pts = {lo, lo + (hi - lo) / 3, hi - (hi - lo) / 3, hi}
+    if p.vertex() is not None:
+        pts.add(p.vertex())
+    return sorted(pts)
+
+
+def draw_interval(data, points):
+    a, b = data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2))
+    return Interval(min(a, b), max(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_range_on_matches_linear_scan(seed, data):
+    rng = random.Random(seed)
+    for f in (random_pl_map(rng), random_curve_map(rng)):
+        piece = data.draw(st.sampled_from(f.pieces))
+        inner = query_points(piece)
+        anywhere = sorted({x for p in f.pieces for x in query_points(p)})
+        x = data.draw(st.sampled_from(anywhere))
+        queries = [
+            FULL,
+            Interval(ZERO, ZERO),
+            Interval(ONE, ONE),
+            Interval(x, x),
+            draw_interval(data, list(f.breakpoints)),
+            draw_interval(data, inner),
+            Interval(inner[1], inner[-2]),
+            draw_interval(data, anywhere),
+        ]
+        for j in queries:
+            assert range_on(f, j) == range_on_scan(f, j), (f, j)
+
+
 # -- properties on seeded random maps --------------------------------------
 
 

@@ -30,6 +30,7 @@ from transmaps.exact import (
     sup_distance,
 )
 from transmaps.homotopy import (
+    FamilyBoxBounds,
     amplitude,
     apply_homotopy,
     box_data,
@@ -40,7 +41,6 @@ from transmaps.homotopy import (
     separate_family,
     stability_window,
     uniform_modulus,
-    window_ranges,
 )
 from transmaps.rational import ONE, Q, ZERO
 
@@ -87,15 +87,76 @@ class TestPartition:
             partition(Q(3, 2))
 
 
+def window_ranges_sweep(f, windows):
+    """Reference: the value range of f over each window in one sweep."""
+    out_lo = [None] * len(windows)
+    out_hi = [None] * len(windows)
+    pi = 0
+    pieces = f.pieces
+    for wi, w in enumerate(windows):
+        while pieces[pi].domain.hi <= w.lo and pi + 1 < len(pieces):
+            pi += 1
+        j = pi
+        while True:
+            p = pieces[j]
+            a = max(p.domain.lo, w.lo)
+            b = min(p.domain.hi, w.hi)
+            if a <= b:
+                if a == b:
+                    lo = hi = p.value_at(a)
+                else:
+                    lo, hi = p.range_over(a, b)
+                if out_lo[wi] is None or lo < out_lo[wi]:
+                    out_lo[wi] = lo
+                if out_hi[wi] is None or hi > out_hi[wi]:
+                    out_hi[wi] = hi
+            if p.domain.hi >= w.hi or j + 1 == len(pieces):
+                break
+            j += 1
+    return [Interval(lo, hi) for lo, hi in zip(out_lo, out_hi)]
+
+
+def reference_bands(maps, grid):
+    """(alpha, band) per window: hull of the swept ranges, widened by
+    4*alpha each side with alpha = max(width, tallest range), clipped."""
+    per_map = [window_ranges_sweep(f, grid.windows) for f in maps]
+    out = []
+    for i, w in enumerate(grid.windows):
+        lo = min(r[i].lo for r in per_map)
+        hi = max(r[i].hi for r in per_map)
+        alpha = max(w.width, max(r[i].width for r in per_map))
+        out.append(
+            (alpha, Interval(max(ZERO, lo - 4 * alpha), min(ONE, hi + 4 * alpha)))
+        )
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
-def test_window_ranges_match_individual_calls(seed):
+def test_box_data_matches_window_sweep(seed):
     rng = random.Random(seed)
     f = random_curve_map(rng)
-    grid = partition(Q(rng.randint(2, 16), 16))
-    swept = window_ranges(f, grid.windows)
-    for w, r in zip(grid.windows, swept):
-        assert range_on(f, w) == r
+    grid = partition(Q(rng.randint(1, 16), rng.choice((16, 48, 64))))
+    data = box_data(f, grid.t, 20)
+    want = reference_bands([f], grid)
+    assert data.alphas == tuple(alpha for alpha, _ in want)
+    assert data.bands == tuple(band for _, band in want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_family_bands_match_window_sweep(seed):
+    rng = random.Random(seed)
+    maps = [random_curve_map(rng) for _ in range(rng.randint(1, 3))]
+    maps += [random_pl_map(rng)]
+    fb = FamilyBoxBounds(
+        maps=tuple(maps), epsilon=ONE, t0=Q(1, 16), diameter=family_diameter(maps)
+    )
+    grid = partition(Q(rng.randint(1, 16), rng.choice((16, 48, 64))))
+    bands = fb.all_bands(grid.t)
+    assert bands == [band for _, band in reference_bands(maps, grid)]
+    for i in range(len(grid.windows)):
+        assert fb.band(i, grid.t) == bands[i]
 
 
 class TestBoxData:
