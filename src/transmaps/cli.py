@@ -2,7 +2,8 @@
 
 Subcommands: ``boxmap`` builds a standalone box map, ``make`` emits the
 named stock maps, ``homotopy`` deforms a map file, ``certify`` runs one
-of the transitivity checkers, ``verify`` runs a self-check suite.  All
+of the transitivity checkers (or, with ``--method reach``, answers whether
+f^n(u) meets v), ``verify`` runs a self-check suite.  All
 map output is the canonical JSON document form; exit codes are 0 for
 success (including refuted/inconclusive verdicts), 1 for usage or input
 errors, 2 for a failing verify suite.
@@ -24,12 +25,12 @@ from .serialize import (
     map_from_document,
     map_to_document,
     parse_scalar,
+    reach_to_document,
     verdict_to_document,
 )
 from .spaces import identity_map, ladder_map, sawtooth, square_map
 from .svg import write_svg
 from .transitivity import (
-    Verdict,
     invariant_region_refute,
     is_transitive_pipeline,
     leo_certify,
@@ -138,23 +139,27 @@ def _cmd_homotopy(args) -> int:
     return 0
 
 
-def _reach_verdict(f: CurveMap, args) -> tuple[Verdict, dict]:
+def _reach_document(f: CurveMap, args) -> dict:
+    """Whether f^n(u) meets v, with f^n(u) itself; a reachability answer,
+    not a transitivity verdict."""
     for name in ("u", "v"):
         if getattr(args, name) is None:
             raise ParameterError(f"method 'reach' needs --{name}")
     if args.n is None:
         raise ParameterError("method 'reach' needs --n")
     parameters = {"method": "reach", "u": args.u, "v": args.v, "n": args.n}
-    if reach_check(f, args.u, args.v, args.n):
-        return Verdict.certified(), parameters
+    reach = reach_check(f, args.u, args.v, args.n)
     s = IntervalSet((args.u,))
     for _ in range(args.n):
         s = image_set(f, s)
-    return Verdict.refuted(s), parameters
+    return reach_to_document(reach, s, parameters)
 
 
 def _cmd_certify(args) -> int:
     f = _load_map(args.map)
+    if args.method == "reach":
+        _emit(document_to_json(_reach_document(f, args)), args.out)
+        return 0
     if args.method == "pipeline":
         verdict, parameters = is_transitive_pipeline(f), {"method": "pipeline"}
     elif args.method == "leo":
@@ -162,13 +167,11 @@ def _cmd_certify(args) -> int:
         parameters = {
             "method": "leo", "grid_level": args.grid_level, "n_max": args.n_max,
         }
-    elif args.method == "refute":
+    else:
         verdict = invariant_region_refute(f, args.grid_level, args.n_max)
         parameters = {
             "method": "refute", "grid_level": args.grid_level, "n_max": args.n_max,
         }
-    else:
-        verdict, parameters = _reach_verdict(f, args)
     _emit(document_to_json(verdict_to_document(verdict, parameters)), args.out)
     return 0
 

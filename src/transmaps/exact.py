@@ -19,6 +19,13 @@ every predicate is decided by rational comparison, never by sampling.
 ``range_on`` is the one routine that computes a map's range over an
 interval; it bisects on the piece lows, so a query reads only the pieces
 the interval meets, and ``image_set`` is one ``range_on`` per component.
+
+Construction validates once.  The public constructors (``Interval``,
+``Piece``, ``CurveMap``, ``PLMap``) check everything, because their input
+may come from outside: documents, the CLI, hand-built pieces.
+``pl_from_vertices`` is the one vertex-level path: it checks the vertex
+list once, at the vertices, with the same checks and messages, and then
+assembles pieces and map without validating them a second time.
 """
 from __future__ import annotations
 
@@ -289,21 +296,64 @@ class PLMap(CurveMap):
                 raise DomainError("PLMap requires affine pieces")
 
 
+def _frozen(cls, **fields):
+    """Instance of the frozen dataclass ``cls`` with ``fields`` set as given,
+    skipping ``__post_init__``; only for values ``pl_from_vertices`` has
+    already checked.
+
+    Fields go through ``object.__setattr__``, as in ``__init__``: writing
+    to ``obj.__dict__`` would give every instance a dict of its own and
+    make a built map about half again as large.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
     """PL map through (x_i, y_i) vertices; x strictly increasing, 0 to 1.
 
     ``provenance`` is stored on the map as its construction record.
+
+    The vertex list is validated once, segment by segment, with the checks
+    and messages of ``Interval``, ``Piece`` and ``PLMap``: on an affine
+    segment [min(y0, y1), max(y0, y1)] is the exact range, and a segment
+    drawn between two vertices meets its neighbours there, so continuity
+    holds by construction.  A vertex with equal slopes on both sides is
+    dropped, which is the collinearity merge ``_merge_pieces`` performs.
     """
     pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
     if len(pts) < 2:
         raise DomainError("need at least two vertices")
-    pieces = []
+    runs: list[list] = []  # [x0, x1, c0, slope] of each maximal collinear run
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if not x0 < x1:
             raise DomainError("vertex abscissae must strictly increase")
+        if not (ZERO <= x0 and x1 <= ONE):
+            raise DomainError(f"not a subinterval of [0,1]: [{x0}, {x1}]")
+        lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
+        if lo < ZERO or hi > ONE:
+            raise DomainError(
+                f"piece values leave [0,1] on [{x0}, {x1}]: range [{lo}, {hi}]"
+            )
         slope = (y1 - y0) / (x1 - x0)
-        pieces.append(Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO))
-    return PLMap(tuple(pieces), provenance=provenance)
+        if runs and runs[-1][3] == slope:
+            runs[-1][1] = x1
+        else:
+            runs.append([x0, x1, y0 - slope * x0, slope])
+    if runs[0][0] != ZERO or runs[-1][1] != ONE:
+        raise DomainError("pieces do not tile [0,1]")
+    pieces = tuple(
+        _frozen(Piece, domain=_frozen(Interval, lo=x0, hi=x1), c0=c0, c1=slope, c2=ZERO)
+        for x0, x1, c0, slope in runs
+    )
+    return _frozen(
+        PLMap,
+        pieces=pieces,
+        provenance=provenance,
+        _lows=tuple(run[0] for run in runs),
+    )
 
 
 # -- the seven core operations --------------------------------------------
@@ -355,27 +405,26 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
     """
     if f is g:
         return ZERO
-    best = ZERO
     fi = gi = 0
     fp, gp = f.pieces, g.pieces
+    # f - g is continuous, so a segment's start value is the previous
+    # segment's end value: start from |f(0) - g(0)| and read only right
+    # ends and interior vertices.
+    best = fp[0].c0 - gp[0].c0
+    if best < 0:
+        best = -best
     x = ZERO
     while True:
         pf, pg = fp[fi], gp[gi]
-        x1 = min(pf.domain.hi, pg.domain.hi)
+        fh, gh = pf.domain.hi, pg.domain.hi
+        x1 = fh if fh <= gh else gh
         d0 = pf.c0 - pg.c0
         d1 = pf.c1 - pg.c1
         d2 = pf.c2 - pg.c2
-        va = d0 + x * (d1 + x * d2)
-        if va < 0:
-            va = -va
-        if va > best:
-            best = va
-        vb = d0 + x1 * (d1 + x1 * d2)
-        if vb < 0:
-            vb = -vb
-        if vb > best:
-            best = vb
-        if d2 != 0:
+        if d2 == 0:
+            vb = d0 + x1 * d1
+        else:
+            vb = d0 + x1 * (d1 + x1 * d2)
             v = -d1 / (2 * d2)
             if x < v < x1:
                 vv = d0 + v * (d1 + v * d2)
@@ -383,12 +432,16 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
                     vv = -vv
                 if vv > best:
                     best = vv
+        if vb < 0:
+            vb = -vb
+        if vb > best:
+            best = vb
         if x1 == ONE:
             break
         x = x1
-        if pf.domain.hi == x1:
+        if fh == x1:
             fi += 1
-        if pg.domain.hi == x1:
+        if gh == x1:
             gi += 1
     return best
 

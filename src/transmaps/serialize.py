@@ -12,7 +12,7 @@ import re
 from typing import Mapping
 
 from .errors import ParameterError
-from .exact import CurveMap, Interval, PLMap, Piece
+from .exact import CurveMap, Interval, IntervalSet, PLMap, Piece
 from .rational import Q, scalar_str
 from .transitivity import Verdict
 
@@ -22,6 +22,7 @@ __all__ = [
     "map_to_document",
     "map_from_document",
     "verdict_to_document",
+    "reach_to_document",
     "document_to_json",
 ]
 
@@ -89,18 +90,34 @@ def _encode_parameter(value):
     return scalar_str(value)
 
 
+def _encode_parameters(parameters: Mapping[str, object]) -> dict:
+    return {k: _encode_parameter(v) for k, v in sorted(parameters.items())}
+
+
+def _encode_set(s: IntervalSet) -> list:
+    return [[scalar_str(c.lo), scalar_str(c.hi)] for c in s.components]
+
+
 def verdict_to_document(verdict: Verdict, parameters: Mapping[str, object]) -> dict:
-    doc = {
-        "verdict": verdict.status,
-        "parameters": {k: _encode_parameter(v) for k, v in sorted(parameters.items())},
-    }
+    doc = {"verdict": verdict.status, "parameters": _encode_parameters(parameters)}
     if verdict.witness is not None:
-        doc["witness"] = [
-            [scalar_str(c.lo), scalar_str(c.hi)] for c in verdict.witness.components
-        ]
+        doc["witness"] = _encode_set(verdict.witness)
     if verdict.budget is not None:
         doc["budget"] = verdict.budget
     return doc
+
+
+def reach_to_document(
+    reach: bool, image: IntervalSet, parameters: Mapping[str, object]
+) -> dict:
+    """A reachability answer: whether the image meets the target, and the
+    image itself.  It carries no verdict, since reaching (or missing) one
+    target proves nothing about transitivity."""
+    return {
+        "parameters": _encode_parameters(parameters),
+        "reach": reach,
+        "image": _encode_set(image),
+    }
 
 
 def document_to_json(doc) -> str:

@@ -123,10 +123,28 @@ def test_certify_reach(capsys, tmp_path):
         "--u", "0,1/8", "--v", "7/8,1", "--n", "2",
     )
     assert code == 0
-    assert json.loads(out)["verdict"] == "certified"
+    assert json.loads(out)["reach"] is True
 
     code, _, err = run_cli(capsys, "certify", "--map", path, "--method", "reach")
     assert code == 1 and "--u" in err
+
+
+def test_reach_is_not_a_verdict(capsys, tmp_path):
+    # sawtooth(3) is transitive, and f([0, 1/100]) = [0, 3/100] is not
+    # invariant, so "refuted" with that witness would be false
+    path = write_map(tmp_path, sawtooth(3), "saw3.json")
+    code, out, _ = run_cli(
+        capsys, "certify", "--map", path, "--method", "reach",
+        "--u", "0,1/100", "--v", "1/2,51/100", "--n", "1",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "image": [["0", "3/100"]],
+        "parameters": {
+            "method": "reach", "n": 1, "u": ["0", "1/100"], "v": ["1/2", "51/100"],
+        },
+        "reach": False,
+    }
 
 
 def test_missing_map_file_is_an_input_error(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transmaps.boxmap import box_vertices, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError
 from transmaps.exact import (
@@ -30,7 +31,9 @@ from transmaps.exact import (
     sup_distance,
     total_variation,
 )
-from transmaps.rational import ONE, Q, ZERO
+from transmaps.homotopy import apply_homotopy, box_data
+from transmaps.rational import ONE, Q, ZERO, as_scalar
+from transmaps.spaces import ladder_map, nowhere_dense_perturbation, phase_sawtooth, sawtooth
 
 
 def tent() -> PLMap:
@@ -243,6 +246,195 @@ def test_range_on_matches_linear_scan(seed, data):
         ]
         for j in queries:
             assert range_on(f, j) == range_on_scan(f, j), (f, j)
+
+
+# -- pl_from_vertices against the validating constructors it bypasses ------
+
+
+def pl_from_vertices_oracle(points, provenance=None):
+    """Reference: a validated ``Piece`` per segment, then ``PLMap(...)``."""
+    pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
+    if len(pts) < 2:
+        raise DomainError("need at least two vertices")
+    pieces = []
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if not x0 < x1:
+            raise DomainError("vertex abscissae must strictly increase")
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO))
+    return PLMap(tuple(pieces), provenance=provenance)
+
+
+def construction_outcome(build, points, provenance):
+    try:
+        f = build(points, provenance=provenance)
+    except DomainError as e:
+        return "error", str(e)
+    assert type(f) is PLMap
+    assert f.provenance is provenance
+    return "map", f.pieces, f._lows
+
+
+GRID = 16
+
+
+@st.composite
+def valid_vertices(draw):
+    cuts = draw(st.lists(st.integers(1, GRID - 1), max_size=8, unique=True))
+    xs = [ZERO] + [Q(c, GRID) for c in sorted(cuts)] + [ONE]
+    ys = [Q(draw(st.integers(0, GRID)), GRID) for _ in xs]
+    return list(zip(xs, ys))
+
+
+def with_collinear_runs(draw, pts):
+    """Split segments at points on them, and flatten some into plateaus."""
+    out = [pts[0]]
+    for x1, y1 in pts[1:]:
+        x0, y0 = out[-1]
+        if draw(st.booleans()):
+            y1 = y0
+        for k in sorted(draw(st.sets(st.integers(1, 3), max_size=3))):
+            r = Q(k, 4)
+            out.append((x0 + r * (x1 - x0), y0 + r * (y1 - y0)))
+        out.append((x1, y1))
+    return out
+
+
+def as_text_or_int(draw, pts):
+    def encode(q):
+        if draw(st.booleans()):
+            return q
+        if q.denominator == 1 and draw(st.booleans()):
+            return int(q)
+        return f"{q.numerator}/{q.denominator}"
+    return [(encode(x), encode(y)) for x, y in pts]
+
+
+@st.composite
+def vertex_lists(draw):
+    pts = draw(valid_vertices())
+    kind = draw(st.sampled_from([
+        "valid", "collinear", "text", "single", "x not increasing",
+        "x outside", "y outside", "not tiling",
+    ]))
+    i = draw(st.integers(0, len(pts) - 1))
+    if kind == "collinear":
+        pts = with_collinear_runs(draw, pts)
+    elif kind == "text":
+        pts = as_text_or_int(draw, with_collinear_runs(draw, pts))
+    elif kind == "single":
+        pts = pts[:draw(st.integers(0, 1))]
+    elif kind == "x not increasing":
+        j = draw(st.integers(0, len(pts) - 1))
+        x = pts[j][0] - Q(draw(st.integers(0, GRID)), GRID)
+        pts.insert(j + 1, (x, pts[i][1]))
+    elif kind == "x outside":
+        step = Q(draw(st.integers(1, GRID)), GRID)
+        if draw(st.booleans()):
+            pts.insert(0, (-step, pts[0][1]))
+        else:
+            pts.append((ONE + step, pts[-1][1]))
+    elif kind == "y outside":
+        out = Q(draw(st.integers(1, GRID)), GRID)
+        pts[i] = (pts[i][0], -out if draw(st.booleans()) else ONE + out)
+    elif kind == "not tiling":
+        if draw(st.booleans()) and len(pts) > 2:
+            pts = pts[1:] if draw(st.booleans()) else pts[:-1]
+        else:
+            shift = Q(draw(st.integers(1, GRID)), 4 * GRID)
+            lo = shift if draw(st.booleans()) else ZERO
+            pts = [(lo + (1 - shift) * x, y) for x, y in pts]
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(vertex_lists(), st.sampled_from([None, "record", ("a", 1)]))
+def test_pl_from_vertices_matches_validating_constructors(points, provenance):
+    assert construction_outcome(pl_from_vertices, points, provenance) == (
+        construction_outcome(pl_from_vertices_oracle, points, provenance)
+    ), points
+
+
+def test_pl_from_vertices_error_messages():
+    cases = [
+        ([(0, 0)], "need at least two vertices"),
+        ([(0, 0), (0, 1), (1, 0)], "vertex abscissae must strictly increase"),
+        ([("-1/4", 0), (1, 1)], "not a subinterval of [0,1]: [-1/4, 1]"),
+        ([(0, 0), ("1/2", "3/2"), (1, 0)],
+         "piece values leave [0,1] on [0, 1/2]: range [0, 3/2]"),
+        ([(0, 0), ("1/2", 1)], "pieces do not tile [0,1]"),
+    ]
+    for points, message in cases:
+        with pytest.raises(DomainError) as new:
+            pl_from_vertices(points)
+        with pytest.raises(DomainError) as old:
+            pl_from_vertices_oracle(points)
+        assert str(new.value) == str(old.value) == message
+
+
+def deform_family_seeds():
+    rng = random.Random(4)
+    yield random_surjective_pl(rng, 5)
+    yield phase_sawtooth(3, Q(5, 64))
+    yield ladder_map(5)
+    yield nowhere_dense_perturbation(sawtooth(3), Q(1, 10))
+
+
+@pytest.mark.parametrize("t, gamma", [(Q(1, 16), Q(20)), (Q(1, 32), Q(25))])
+def test_concat_box_maps_matches_validated_pieces(t, gamma):
+    for f in deform_family_seeds():
+        items = list(box_data(f, t, gamma).items())
+        verts = []
+        for window, p in items:
+            vs = box_vertices(window, p)
+            verts.extend(vs[1:] if verts else vs)
+        g = concat_box_maps(items)
+        assert g.pieces == pl_from_vertices_oracle(verts).pieces
+        assert g._lows == tuple(p.domain.lo for p in g.pieces)
+
+
+# -- sup_distance against the routine that evaluated both segment ends -----
+
+
+def sup_distance_both_ends(f, g):
+    """Reference: both ends and the vertex of every refinement segment."""
+    if f is g:
+        return ZERO
+    best = ZERO
+    fi = gi = 0
+    fp, gp = f.pieces, g.pieces
+    x = ZERO
+    while True:
+        pf, pg = fp[fi], gp[gi]
+        x1 = min(pf.domain.hi, pg.domain.hi)
+        d0 = pf.c0 - pg.c0
+        d1 = pf.c1 - pg.c1
+        d2 = pf.c2 - pg.c2
+        best = max(best, abs(d0 + x * (d1 + x * d2)), abs(d0 + x1 * (d1 + x1 * d2)))
+        if d2 != 0:
+            v = -d1 / (2 * d2)
+            if x < v < x1:
+                best = max(best, abs(d0 + v * (d1 + v * d2)))
+        if x1 == ONE:
+            return best
+        x = x1
+        if pf.domain.hi == x1:
+            fi += 1
+        if pg.domain.hi == x1:
+            gi += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([Q(1, 8), Q(1, 16)]))
+def test_sup_distance_matches_both_ends_routine(seed, t):
+    rng = random.Random(seed)
+    f, g = random_pl_map(rng), random_curve_map(rng)
+    h = random_curve_map(rng)
+    pairs = [(f, g), (g, f), (g, h), (f, f), (g, g), (f, apply_homotopy(f, t, Q(20)))]
+    for a, b in pairs:
+        assert sup_distance(a, b) == sup_distance_both_ends(a, b), (a, b)
+    same = pl_from_vertices([(x, f.value_at(x)) for x in f.breakpoints])
+    assert same is not f and sup_distance(f, same) == 0
 
 
 # -- properties on seeded random maps --------------------------------------
