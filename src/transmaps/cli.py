@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .boxmap import BoxParams, build_box_map
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
-from .exact import FULL, CurveMap, Interval, IntervalSet, image_set
+from .exact import FULL, CurveMap, Interval
 from .homotopy import apply_homotopy
 from .rational import ONE, Q, ZERO
 from .serialize import (
@@ -34,7 +34,7 @@ from .transitivity import (
     invariant_region_refute,
     is_transitive_pipeline,
     leo_certify,
-    reach_check,
+    reach_image,
 )
 from .verify import SUITES, run_suite
 
@@ -148,11 +148,8 @@ def _reach_document(f: CurveMap, args) -> dict:
     if args.n is None:
         raise ParameterError("method 'reach' needs --n")
     parameters = {"method": "reach", "u": args.u, "v": args.v, "n": args.n}
-    reach = reach_check(f, args.u, args.v, args.n)
-    s = IntervalSet((args.u,))
-    for _ in range(args.n):
-        s = image_set(f, s)
-    return reach_to_document(reach, s, parameters)
+    image = reach_image(f, args.u, args.v, args.n)
+    return reach_to_document(image.intersects_interval(args.v), image, parameters)
 
 
 def _cmd_certify(args) -> int:

@@ -15,9 +15,14 @@ Three certificate/refuter mechanisms plus a combining pipeline:
 * ``chain_certified`` -- the one certificate for concatenations of box
   maps, decided from the (window, parameters) chain alone: a slope floor
   against the longest run of legs that are not full sweeps, plus band
-  coverage.  It builds no map, so it scales to chains with thousands of
-  laps where grid iteration would not.  ``box_chain_certify`` applies it
-  to a map whose attached record reproduces the map vertex for vertex.
+  coverage.  Coverage holds when the bands of every sink component of
+  "box i reaches the boxes whose windows its band contains" fill [0, 1],
+  since every box reaches a sink component and a sink component reaches
+  only itself; one Tarjan pass over the window runs finds the sinks.
+  Nothing builds a map, so the certificate scales to chains with
+  thousands of laps where grid iteration would not.  ``box_chain_certify``
+  applies it to a map whose attached record reproduces the map vertex
+  for vertex.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .boxmap import BoxChain, BoxParams, box_values, box_vertices
 from .errors import ParameterError, PreconditionError
@@ -43,6 +48,7 @@ from .rational import ONE, Q, ZERO, as_scalar, ceil_to_grid, floor_to_grid
 __all__ = [
     "Verdict",
     "reach_check",
+    "reach_image",
     "leo_certify",
     "invariant_region_refute",
     "ball_refute",
@@ -77,7 +83,9 @@ class Verdict:
         return Verdict(CERTIFIED)
 
     @staticmethod
-    def refuted(witness: IntervalSet) -> "Verdict":
+    def refuted(f: CurveMap, witness: IntervalSet) -> "Verdict":
+        """A refutation of f whose witness passes ``_check_witness``."""
+        _check_witness(f, witness)
         return Verdict(REFUTED, witness=witness)
 
     @staticmethod
@@ -103,8 +111,9 @@ def _check_witness(f: CurveMap, c: IntervalSet) -> None:
         raise ParameterError("witness is not invariant")
 
 
-def reach_check(f: CurveMap, u: Interval, v: Interval, n: int) -> bool:
-    """Whether the n-th forward image of u meets v, exactly."""
+def reach_image(f: CurveMap, u: Interval, v: Interval, n: int) -> IntervalSet:
+    """The n-th forward image of u, exactly, after every argument check
+    ``reach_check`` makes, v's included."""
     if n < 1:
         raise ParameterError("need at least one iteration")
     if u.is_degenerate() or v.is_degenerate():
@@ -112,7 +121,12 @@ def reach_check(f: CurveMap, u: Interval, v: Interval, n: int) -> bool:
     s = IntervalSet((u,))
     for _ in range(n):
         s = image_set(f, s)
-    return s.intersects_interval(v)
+    return s
+
+
+def reach_check(f: CurveMap, u: Interval, v: Interval, n: int) -> bool:
+    """Whether the n-th forward image of u meets v, exactly."""
+    return reach_image(f, u, v, n).intersects_interval(v)
 
 
 def min_abs_slope(f: CurveMap) -> Q:
@@ -199,11 +213,9 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
             c = grown
             if c == FULL_SET:
                 break
-        if c == FULL_SET or c != _round_outward(c.union(image_set(f, c)), grid_level):
-            continue
-        if c.contains_set(image_set(f, c)):
-            _check_witness(f, c)
-            return Verdict.refuted(c)
+        # a rounding fixpoint contains its own image: c >= c | f(c) >= f(c)
+        if c != FULL_SET and c == _round_outward(c.union(image_set(f, c)), grid_level):
+            return Verdict.refuted(f, c)
     return Verdict.inconclusive(n_max)
 
 
@@ -283,7 +295,11 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
     2. coverage: from every box, repeatedly adding the bands of all boxes
        whose windows a collected band covers must reach all of [0, 1].
        Once an image contains band J, later images contain every band
-       collected from J, so the union of forward images is [0, 1].
+       collected from J, so the union of forward images is [0, 1].  What
+       a box collects contains a sink component of the relation "box i
+       reaches the boxes whose windows its band contains", and a box in
+       a sink component collects exactly its component, so the test is
+       that each sink component's bands fill [0, 1].
     """
     chain = BoxChain(tuple(items))
     floor = min(p.expansion * p.height / w.width for w, p in chain.boxes)
@@ -351,111 +367,70 @@ def _window_runs(
     ]
 
 
-def _range_query(values: list, better) -> "Callable[[int, int], object]":
-    """O(1) min/max over [lo, hi) after doubling-table preprocessing."""
-    table = [list(values)]
-    span = 1
-    while 2 * span <= len(values):
-        prev = table[-1]
-        table.append(
-            [better(prev[i], prev[i + span]) for i in range(len(prev) - span)]
-        )
-        span *= 2
-
-    def query(lo: int, hi: int):
-        k = (hi - lo).bit_length() - 1
-        row = table[k]
-        return better(row[lo], row[hi - (1 << k)])
-
-    return query
-
-
 def coverage_closure_full(
     windows: Sequence[Interval], bands: Sequence[Interval]
 ) -> bool:
     """Whether the band-coverage closure from every box fills [0, 1].
 
-    A box reaches exactly the boxes whose windows its band contains; a
-    start is good when the bands collected by the closure of that
-    relation union to all of [0, 1].  All starts must be good.
+    Box i reaches the boxes whose windows its band contains; a start is
+    good when the bands of every box it reaches union to all of [0, 1].
+    What a start reaches always contains a sink component of this
+    relation (a strongly connected component that no run leaves), and a
+    start inside a sink component reaches exactly that component.  So
+    all starts are good exactly when the bands of every sink component
+    fill [0, 1].
 
-    Preconditions: the windows tile [0, 1] in order and adjacent boxes
-    share a junction value lying in both bands (chain validity), which
-    makes the band union over any contiguous index run a single
-    interval.  When additionally every band contains a window and
-    adjacent containment runs overlap, closures stay short lists of
-    index runs and each expansion is a range min/max, so all n starts
-    cost about n log n; otherwise a plain per-start search decides.
+    One iterative Tarjan pass over the window runs finds the components
+    in O(n + E), E the total run length.  An edge to a node whose
+    component is already closed leaves the current component; an edge to
+    a visited node with no component yet stays inside it, since such a
+    node is still on the stack.
     """
     n = len(windows)
     if n == 0 or n != len(bands):
         raise ParameterError("need equally many windows and bands")
     runs = _window_runs(windows, bands)
-    fast = all(a < z for a, z in runs) and all(
-        max(runs[k][0], runs[k + 1][0]) < min(runs[k][1], runs[k + 1][1])
-        for k in range(n - 1)
-    )
-    if not fast:
-        return _coverage_closure_slow(windows, bands, runs)
-
-    run_lo = _range_query([a for a, _ in runs], min)
-    run_hi = _range_query([z for _, z in runs], max)
-    band_lo = _range_query([b.lo for b in bands], min)
-    band_hi = _range_query([b.hi for b in bands], max)
-
-    for start in range(n):
-        segs = [runs[start]]
-        while True:
-            grown = list(segs)
-            for a, z in segs:
-                grown.append((run_lo(a, z), run_hi(a, z)))
-            grown.sort()
-            merged = [grown[0]]
-            for a, z in grown[1:]:
-                la, lz = merged[-1]
-                if a <= lz:
-                    if z > lz:
-                        merged[-1] = (la, z)
-                else:
-                    merged.append((a, z))
-            if merged == segs:
-                break
-            segs = merged
-        covered = [Interval(band_lo(a, z), band_hi(a, z)) for a, z in segs]
-        covered.append(bands[start])
-        covered.sort(key=lambda iv: iv.lo)
-        reach = ZERO
-        for iv in covered:
-            if iv.lo > reach:
-                break
-            if iv.hi > reach:
-                reach = iv.hi
-        if reach != ONE:
-            return False
-    return True
-
-
-def _coverage_closure_slow(
-    windows: Sequence[Interval],
-    bands: Sequence[Interval],
-    runs: Sequence[tuple[int, int]],
-) -> bool:
-    n = len(windows)
-    for start in range(n):
-        reached = [False] * n
-        reached[start] = True
-        frontier = [start]
-        while frontier:
-            a, z = runs[frontier.pop()]
-            for k in range(a, z):
-                if not reached[k]:
-                    reached[k] = True
-                    frontier.append(k)
-        covered = IntervalSet.from_intervals(
-            bands[k] for k in range(n) if reached[k]
-        )
-        if covered != FULL_SET:
-            return False
+    index = [-1] * n
+    low = [0] * n
+    nxt = [a for a, _ in runs]
+    closed = [False] * n
+    leaves = [False] * n
+    stack: list[int] = []
+    at = [0] * n
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [root]
+        while work:
+            v = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = count
+                count += 1
+                at[v] = len(stack)
+                stack.append(v)
+            k = nxt[v]
+            if k < runs[v][1]:
+                if index[k] < 0:
+                    work.append(k)
+                    continue
+                nxt[v] = k + 1
+                if closed[k]:
+                    leaves[v] = True
+                elif low[k] < low[v]:
+                    low[v] = low[k]
+                continue
+            work.pop()
+            if low[v] != index[v]:
+                continue
+            members = stack[at[v]:]
+            del stack[at[v]:]
+            for m in members:
+                closed[m] = True
+            if not any(leaves[m] for m in members) and (
+                IntervalSet.from_intervals(bands[m] for m in members) != FULL_SET
+            ):
+                return False
     return True
 
 
@@ -496,8 +471,7 @@ def is_transitive_pipeline(
     """
     witness = _non_surjective_witness(f)
     if witness is not None:
-        _check_witness(f, witness)
-        return Verdict.refuted(witness)
+        return Verdict.refuted(f, witness)
 
     verdict = box_chain_certify(f)
     if verdict.is_certified:

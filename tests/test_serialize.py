@@ -15,7 +15,7 @@ from transmaps.serialize import (
     parse_scalar,
     verdict_to_document,
 )
-from transmaps.spaces import sawtooth, square_map
+from transmaps.spaces import identity_map, sawtooth, square_map
 from transmaps.svg import render_svg, write_svg
 from transmaps.transitivity import Verdict
 
@@ -79,7 +79,9 @@ def test_verdict_documents_carry_witness_iff_refuted():
     assert "witness" not in certified and "budget" not in certified
 
     witness = IntervalSet((Interval(ZERO, Q(1, 2)),))
-    refuted = verdict_to_document(Verdict.refuted(witness), {"grid_level": 4})
+    refuted = verdict_to_document(
+        Verdict.refuted(identity_map(), witness), {"grid_level": 4}
+    )
     assert refuted["witness"] == [["0", "1/2"]]
     assert refuted["parameters"] == {"grid_level": 4}
 

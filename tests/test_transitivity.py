@@ -74,9 +74,14 @@ class TestVerdict:
     def test_constructors(self):
         assert Verdict.certified().is_certified
         w = IntervalSet.single(ZERO, Q(1, 2))
-        v = Verdict.refuted(w)
+        v = Verdict.refuted(identity_map(), w)
         assert v.is_refuted and v.witness == w
         assert Verdict.inconclusive(7).budget == 7
+
+    def test_refuted_checks_its_witness(self):
+        # [0, 3/100] is not invariant under sawtooth(3): f(3/100) = 9/100
+        with pytest.raises(ParameterError):
+            Verdict.refuted(sawtooth(3), IntervalSet.single(ZERO, Q(3, 100)))
 
     def test_witness_only_when_refuted(self):
         w = IntervalSet.single(ZERO, Q(1, 2))
@@ -473,6 +478,131 @@ class TestChainCertificate:
             for t in (ext.t0, Q(1, 3), Q(1, 2), ONE):
                 for w, p in ext.lerp_items(base, t):
                     assert p.expansion * p.height / w.width >= 20
+
+
+# -- the coverage closure against the per-start search ------------------------
+
+
+def per_start_closure(windows, bands):
+    """The earlier fallback: from every start, collect the boxes whose
+    windows a collected band contains, then require the collected bands
+    to union to [0, 1]."""
+    n = len(windows)
+    for start in range(n):
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            band = bands[frontier.pop()]
+            for k in range(n):
+                if k not in reached and band.contains_interval(windows[k]):
+                    reached.add(k)
+                    frontier.append(k)
+        if IntervalSet.from_intervals(bands[k] for k in reached) != FULL_SET:
+            return False
+    return True
+
+
+def closure_input(items):
+    items = list(items)
+    return [w for w, _ in items], [Interval(p.bottom, p.top) for _, p in items]
+
+
+GRID = st.integers(0, 64).map(lambda k: Q(k, 64))
+SLACK = st.sampled_from([ZERO, Q(1, 64), Q(1, 16), Q(1, 4), Q(1, 2), ONE])
+
+
+@st.composite
+def windows_and_bands(draw):
+    """Windows tiling [0, 1] on a 1/64 grid, each band around its box's
+    two junction values with independent slack below and above.  Small
+    slack leaves bands that contain no window and adjacent runs that
+    share none."""
+    n = draw(st.integers(1, 10))
+    cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1)))
+    xs = [ZERO] + [Q(c, 64) for c in cuts] + [ONE]
+    junctions = [draw(GRID) for _ in range(n + 1)]
+    windows, bands = [], []
+    for i in range(n):
+        lo, hi = sorted(junctions[i : i + 2])
+        windows.append(Interval(xs[i], xs[i + 1]))
+        bands.append(Interval(max(ZERO, lo - draw(SLACK)), min(ONE, hi + draw(SLACK))))
+    return windows, bands
+
+
+def boxes_at(cuts, values, bands):
+    xs = [ZERO] + [Q(c) for c in cuts] + [ONE]
+    ys = [Q(v) for v in values]
+    return tuple(
+        (Interval(xs[i], xs[i + 1]), BoxParams(ys[i], ys[i + 1], Q(lo), Q(hi), Q(20)))
+        for i, (lo, hi) in enumerate(bands)
+    )
+
+
+# boxes 0 and 2 hold each other's windows and their bands fill [0, 1]; box
+# 1 holds only its own window.  Sink {0, 2} covers, sink {1} does not, and
+# the covering one is closed first.
+TWO_SINKS = boxes_at(
+    ["1/4", "1/2"], ["1/2", "3/8", "1/4", 0], [("3/8", 1), ("1/4", "1/2"), (0, "3/8")]
+)
+
+# the cycle 0 -> 2 -> 4 -> 0 is the only sink and its bands fill [0, 1]; 1
+# and 3 hold each other's windows, only 3 also holds box 2's, and their
+# bands leave (1/2, 1] uncovered.  The DFS root of {1, 3} is 1, which has
+# no edge out of the component.
+LEAVING_COMPONENT = boxes_at(
+    ["1/8", "1/4", "3/8", "1/2"],
+    ["1/4", "3/8", "7/16", "7/16", "1/8", 0],
+    [
+        ("3/16", "7/16"),
+        ("5/16", "1/2"),
+        ("7/16", 1),
+        ("1/16", "15/32"),
+        (0, "3/16"),
+    ],
+)
+
+
+class TestCoverageClosure:
+    def test_two_sinks_one_covering(self):
+        windows, bands = closure_input(TWO_SINKS)
+        assert not per_start_closure(windows, bands)
+        assert not coverage_closure_full(windows, bands)
+        assert not chain_certified(TWO_SINKS)
+
+    def test_component_that_leaves_need_not_cover(self):
+        windows, bands = closure_input(LEAVING_COMPONENT)
+        assert per_start_closure(windows, bands)
+        assert coverage_closure_full(windows, bands)
+        assert chain_certified(LEAVING_COMPONENT)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(ParameterError):
+            coverage_closure_full([FULL], [])
+        with pytest.raises(ParameterError):
+            coverage_closure_full([], [])
+
+    @given(windows_and_bands())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_per_start_search(self, case):
+        windows, bands = case
+        assert coverage_closure_full(windows, bands) == per_start_closure(windows, bands)
+
+    @given(st.integers(0, 10_000), st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_box_data_chains(self, seed, k):
+        rng = random.Random(seed)
+        f = random_curve_map(rng) if seed % 2 else random_pl_map(rng)
+        windows, bands = closure_input(box_data(f, Q(k, 64), Q(20)).items())
+        assert coverage_closure_full(windows, bands) == per_start_closure(windows, bands)
+
+    def test_extension_chains(self):
+        saw3 = sawtooth(3)
+        ext = simplex_extend(segment_boundary(saw3, one_minus(saw3)), SimplexSpec(1), 2)
+        for x in (ZERO, ONE):
+            for t in (ext.t0, Q(1, 2), ONE):
+                windows, bands = closure_input(ext.evaluate_chain(x, t))
+                assert coverage_closure_full(windows, bands)
+                assert per_start_closure(windows, bands)
 
 
 class TestPipeline:
