@@ -2,8 +2,10 @@
 
 Runs is_transitive_pipeline at increasing refutation depth and reports,
 per map, the verdict, the depth that settled it, and wall time.  Useful
-for picking a default depth budget: refutation cost grows with the
-square of the grid, so each extra level quadruples the worst case.
+for picking a default depth budget: a refutation level reads f once
+per grid cell, so each extra level doubles the exact range queries; the
+search from each of the 2^level seeds over the 2^(level+1) + 1 grid
+points and cells is integer work that at worst quadruples.
 
     python3 scripts/refuter_survey.py --max-level 8
 """

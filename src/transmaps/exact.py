@@ -298,8 +298,8 @@ class PLMap(CurveMap):
 
 def _frozen(cls, **fields):
     """Instance of the frozen dataclass ``cls`` with ``fields`` set as given,
-    skipping ``__post_init__``; only for values ``pl_from_vertices`` has
-    already checked.
+    skipping ``__post_init__``; only for values the caller has already
+    checked or that hold by construction.
 
     Fields go through ``object.__setattr__``, as in ``__init__``: writing
     to ``obj.__dict__`` would give every instance a dict of its own and
@@ -389,7 +389,8 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
             lo = plo
         if hi is None or phi > hi:
             hi = phi
-    return Interval(lo, hi)
+    # a valid map's values on J lie in [0, 1], and lo <= hi by construction
+    return _frozen(Interval, lo=lo, hi=hi)
 
 
 def image_set(f: CurveMap, u: IntervalSet) -> IntervalSet:

@@ -25,6 +25,19 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   for vertex.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
+
+The grid stages read f once per grid level, through ``_cell_ranges``:
+one exact ``range_on`` per dyadic cell, and for the refuter at most one
+value per grid point.  The rest is integer and set work that reproduces the
+exact queries it replaces.  The range of a union of adjacent closed
+cells is the hull of their ranges, so ``ball_refute`` keeps a running
+hull.  Rounding a union outward to the grid is the union of the
+roundings, so ``invariant_region_refute`` is breadth-first reachability
+on the grid points and open cells.  ``leo_certify`` still iterates exact
+images, and stops a cell early once an image holds a whole cell already
+known to reach [0, 1] within the remaining budget.  The cells form the
+set-oriented outer approximation of Dellnitz and Hohmann (Numer. Math.
+75, 1997), used here only where it provably gives the exact answer.
 """
 from __future__ import annotations
 
@@ -40,10 +53,11 @@ from .exact import (
     CurveMap,
     Interval,
     IntervalSet,
+    _frozen,
     image_set,
     range_on,
 )
-from .rational import ONE, Q, ZERO, as_scalar, ceil_to_grid, floor_to_grid
+from .rational import ONE, Q, ZERO, as_scalar
 
 __all__ = [
     "Verdict",
@@ -73,9 +87,12 @@ class Verdict:
     budget: Optional[int] = None
 
     def __post_init__(self):
-        if self.status not in (CERTIFIED, REFUTED, INCONCLUSIVE):
-            raise ParameterError(f"unknown verdict status {self.status!r}")
-        if (self.witness is not None) != (self.status == REFUTED):
+        if self.status not in (CERTIFIED, INCONCLUSIVE):
+            raise ParameterError(
+                f"verdict status {self.status!r} is not 'certified' or 'inconclusive';"
+                " build a refuted verdict with Verdict.refuted(f, witness)"
+            )
+        if self.witness is not None:
             raise ParameterError("witness present iff refuted")
 
     @staticmethod
@@ -84,9 +101,10 @@ class Verdict:
 
     @staticmethod
     def refuted(f: CurveMap, witness: IntervalSet) -> "Verdict":
-        """A refutation of f whose witness passes ``_check_witness``."""
+        """A refutation of f whose witness passes ``_check_witness``; the
+        only way to build a refuted verdict."""
         _check_witness(f, witness)
-        return Verdict(REFUTED, witness=witness)
+        return _frozen(Verdict, status=REFUTED, witness=witness, budget=None)
 
     @staticmethod
     def inconclusive(budget: int) -> "Verdict":
@@ -139,6 +157,27 @@ def min_breakpoint_gap(f: CurveMap) -> Q:
     return min(p.domain.width for p in f.pieces)
 
 
+def _cell_ranges(f: CurveMap, grid_level: int) -> tuple[list[Q], list[Interval]]:
+    """The grid points k/2^level, k = 0..2^level, and the exact range of f
+    on each closed cell between consecutive points, one ``range_on`` per
+    cell.  Beyond this the refuter reads one value per grid point it
+    reaches, and ``leo_certify`` iterates exact images only for cells
+    whose depth the cells already settled do not give."""
+    cells = 1 << grid_level
+    xs = [Q(k, cells) for k in range(cells + 1)]
+    return xs, [range_on(f, Interval(a, b)) for a, b in zip(xs, xs[1:])]
+
+
+def _floor_index(x: Q, cells: int) -> int:
+    """floor(x * cells)."""
+    return int(x.numerator) * cells // int(x.denominator)
+
+
+def _ceil_index(x: Q, cells: int) -> int:
+    """ceil(x * cells)."""
+    return -(-int(x.numerator) * cells // int(x.denominator))
+
+
 def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     """Certify transitivity by iterating every dyadic grid cell to [0, 1].
 
@@ -149,6 +188,14 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     its image is longer by a factor slope/2 > 1; lengths grow until U
     contains a whole grid cell, and every grid cell is checked to reach
     image [0, 1] within n_max exact iterations.
+
+    Cells are taken in order, and each gets a depth: a number of steps
+    within which its images reach [0, 1].  When the k-th image of cell i
+    holds a whole earlier cell j, then f^(k + d_j)(cell i) contains
+    f^(d_j)(cell j) = [0, 1], so i gets depth k + d_j without further
+    iteration, but only when that is at most n_max.  A depth is never
+    below the true number of steps, so the verdict is the one full
+    iteration of every cell gives.
     """
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
@@ -164,59 +211,126 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
         raise PreconditionError(
             f"grid too coarse: need 2^(1-level) <= {gap}, level {grid_level}"
         )
-    cells = 1 << grid_level
-    for k in range(cells):
-        s = IntervalSet.single(Q(k, cells), Q(k + 1, cells))
-        for _ in range(n_max):
+    _, ranges = _cell_ranges(f, grid_level)
+    cells = len(ranges)
+    depths: list[int] = []
+    for r in ranges:
+        s, k = IntervalSet((r,)), 1
+        while True:
             if s == FULL_SET:
+                depths.append(k)
                 break
-            s = image_set(f, s)
-        if s != FULL_SET:
-            return Verdict.inconclusive(n_max)
+            d = _depth_within(s, depths, cells, n_max - k)
+            if d is not None:
+                depths.append(k + d)
+                break
+            if k == n_max:
+                return Verdict.inconclusive(n_max)
+            s, k = image_set(f, s), k + 1
     return Verdict.certified()
 
 
-def _round_outward(s: IntervalSet, level: int) -> IntervalSet:
-    return IntervalSet.from_intervals(
-        Interval(floor_to_grid(c.lo, level), ceil_to_grid(c.hi, level))
-        for c in s.components
-    )
+def _depth_within(s: IntervalSet, depths: list[int], cells: int, spare: int):
+    """The depth of some cell with a known depth of at most ``spare`` that
+    lies wholly inside s, or None."""
+    for c in s.components:
+        for j in range(_ceil_index(c.lo, cells), min(_floor_index(c.hi, cells), len(depths))):
+            if depths[j] <= spare:
+                return depths[j]
+    return None
 
 
 def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     """Hunt for a proper closed invariant region with interior.
 
     From each grid-cell seed, grow C by unioning its exact image and
-    rounding outward to the grid; growth adds whole cells, so a fixpoint
-    arrives within 2^level steps.  A proper fixpoint is then re-verified
-    exactly (no rounding) before it is returned as a witness; the interior
-    of such a C traps every orbit entering it, so no orbit is dense.
+    rounding outward to the grid.  C is always a union of grid points and
+    closed cells, and growth can add a single grid point, so a fixpoint
+    arrives within 2^(level+1) + 1 steps, the number of points and open
+    cells.  A proper fixpoint reached within n_max steps is re-verified
+    exactly (no rounding) before it is returned as a witness; the
+    interior of such a C traps every orbit entering it, so no orbit is
+    dense.
 
     Seeds are tried in a deterministic order that puts cells with the
     narrowest images first, since contraction is where invariant regions
     live.
+
+    The growth runs on nodes p0, c0, p1, c1, ..., pN: the grid points and
+    the open cells between them.  The rounded image of a node is one run
+    of nodes, [2 floor(lo N), 2 ceil(hi N)] for an image [lo, hi], so one
+    growth step is one breadth-first layer from the seed's three nodes.
+    A grid point is a node of its own because a region can hold an
+    isolated point.
     """
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
-    cells = 1 << grid_level
-    seeds = []
-    for k in range(cells):
-        cell = Interval(Q(k, cells), Q(k + 1, cells))
-        seeds.append((range_on(f, cell).width, k, cell))
-    seeds.sort(key=lambda item: (item[0], item[1]))
-    for _, _, cell in seeds:
-        c = IntervalSet((cell,))
-        for _ in range(n_max):
-            grown = _round_outward(c.union(image_set(f, c)), grid_level)
-            if grown == c:
-                break
-            c = grown
-            if c == FULL_SET:
-                break
-        # a rounding fixpoint contains its own image: c >= c | f(c) >= f(c)
-        if c != FULL_SET and c == _round_outward(c.union(image_set(f, c)), grid_level):
-            return Verdict.refuted(f, c)
+    xs, ranges = _cell_ranges(f, grid_level)
+    cells = len(ranges)
+
+    def node_run(u: int) -> tuple[int, int]:
+        # node u is the point or cell from xs[u // 2] to xs[(u + 1) // 2]
+        if u % 2:
+            lo, hi = ranges[u // 2].lo, ranges[u // 2].hi
+        else:
+            lo = hi = f.value_at(xs[u // 2])
+        return 2 * _floor_index(lo, cells), 2 * _ceil_index(hi, cells)
+
+    runs: list = [None] * (2 * cells + 1)
+    # the step that finds the fixpoint may come one after the budget
+    layers = max(n_max, 0) + 1
+    for k in sorted(range(cells), key=lambda k: ranges[k].width):
+        reached = _reach(runs, node_run, (2 * k, 2 * k + 1, 2 * k + 2), layers)
+        if reached is not None:
+            witness = IntervalSet.from_intervals(
+                Interval(xs[u // 2], xs[(u + 1) // 2]) for u, flag in enumerate(reached) if flag
+            )
+            return Verdict.refuted(f, witness)
     return Verdict.inconclusive(n_max)
+
+
+def _reach(runs: list, node_run, seed: tuple[int, ...], layers: int):
+    """Breadth-first reach from seed for at most ``layers`` layers, a node
+    reaching every node of its run.  When a layer adds nothing before
+    every node is reached, which nodes were reached; otherwise None.
+    ``runs`` keeps each run ``node_run`` gives, across seeds, so f is read
+    only at nodes some seed reaches.
+
+    ``nxt`` skips reached nodes: following it from u leads to the first
+    unreached node at or after u, so each node is taken once, and a node
+    u is reached exactly when nxt[u] != u.
+    """
+    n = len(runs)
+    nxt = list(range(n + 1))
+    for u in seed:
+        nxt[u] = u + 1
+    frontier, count = list(seed), len(seed)
+    for _ in range(layers):
+        grown = []
+        for v in frontier:
+            run = runs[v]
+            if run is None:
+                run = runs[v] = node_run(v)
+            a, b = run
+            u = _next_unreached(nxt, a)
+            while u <= b:
+                nxt[u] = u + 1
+                grown.append(u)
+                u = _next_unreached(nxt, u + 1)
+        if not grown:
+            return [nxt[u] != u for u in range(n)]
+        count += len(grown)
+        if count == n:
+            return None
+        frontier = grown
+    return None
+
+
+def _next_unreached(nxt: list[int], u: int) -> int:
+    while nxt[u] != u:
+        nxt[u] = nxt[nxt[u]]
+        u = nxt[u]
+    return u
 
 
 def ball_refute(
@@ -231,28 +345,40 @@ def ball_refute(
     around f misses the transitive maps.  Among admissible windows the
     first one attaining the maximal slack (scan order: left endpoint, then
     right) is returned; None when no window qualifies.
+
+    The range of f on a window of whole cells is the hull of the cell
+    ranges, kept running as the right endpoint moves.
     """
     rho = as_scalar(rho)
     if rho <= ZERO:
         raise ParameterError("perturbation radius must be positive")
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
-    cells = 1 << grid_level
+    xs, ranges = _cell_ranges(f, grid_level)
+    cells = len(ranges)
     best: Optional[tuple[Interval, Q]] = None
     for i in range(cells):
+        lo, hi = ONE, ZERO
         for j in range(i + 1, cells + 1):
+            r = ranges[j - 1]
+            if r.lo < lo:
+                lo = r.lo
+            if r.hi > hi:
+                hi = r.hi
             if i == 0 and j == cells:
                 continue
-            window = Interval(Q(i, cells), Q(j, cells))
-            r = range_on(f, window)
             slacks = []
-            if window.lo > ZERO:
-                slacks.append(r.lo - rho - window.lo)
-            if window.hi < ONE:
-                slacks.append(window.hi - (r.hi + rho))
+            if i > 0:
+                left = lo - rho - xs[i]
+                # the left slack only shrinks as j grows: no later window wins
+                if left <= ZERO or (best is not None and left <= best[1]):
+                    break
+                slacks.append(left)
+            if j < cells:
+                slacks.append(xs[j] - (hi + rho))
             margin = min(slacks)
             if margin > ZERO and (best is None or margin > best[1]):
-                best = (window, margin)
+                best = (Interval(xs[i], xs[j]), margin)
     return best
 
 

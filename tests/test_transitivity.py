@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transmaps import transitivity
 from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
 from transmaps.corpus import (
     perturb_pl,
@@ -23,8 +25,14 @@ from transmaps.exact import (
 )
 from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
 from transmaps.homotopy import apply_homotopy, box_data
-from transmaps.rational import ONE, Q, ZERO
-from transmaps.spaces import one_minus, sawtooth
+from transmaps.rational import ONE, Q, ZERO, as_scalar, ceil_to_grid, floor_to_grid
+from transmaps.spaces import (
+    ladder_map,
+    nowhere_dense_perturbation,
+    one_minus,
+    phase_sawtooth,
+    sawtooth,
+)
 from transmaps.transitivity import (
     PipelineBudget,
     Verdict,
@@ -91,6 +99,13 @@ class TestVerdict:
             Verdict("refuted")
         with pytest.raises(ParameterError):
             Verdict("maybe")
+
+    def test_refuted_only_through_its_check(self):
+        # an exactly invariant witness still needs Verdict.refuted(f, w)
+        w = IntervalSet.single(ZERO, Q(1, 2))
+        with pytest.raises(ParameterError):
+            Verdict("refuted", witness=w)
+        assert Verdict.refuted(identity_map(), w) == Verdict.refuted(identity_map(), w)
 
 
 class TestReachCheck:
@@ -240,6 +255,263 @@ class TestBallRefute:
             g = perturb_pl(rng, f, rho)
             rg = range_on(g, window)
             assert window.lo <= rg.lo and rg.hi <= window.hi
+
+
+# -- the grid stages against the image-iterating references --------------------
+
+
+def reference_leo_certify(f, grid_level, n_max):
+    """The earlier leo_certify: iterate every cell's exact images until
+    they fill [0, 1] or the budget runs out."""
+    if grid_level < 1:
+        raise ParameterError("grid level must be positive")
+    if n_max < 1:
+        raise ParameterError("need a positive iteration budget")
+    if not f.is_pl:
+        raise PreconditionError("certificate requires a piecewise-linear map")
+    if min_abs_slope(f) <= 2:
+        raise PreconditionError("slope floor is not > 2")
+    if Q(2, 1 << grid_level) > min_breakpoint_gap(f):
+        raise PreconditionError("grid too coarse")
+    cells = 1 << grid_level
+    for k in range(cells):
+        s = IntervalSet.single(Q(k, cells), Q(k + 1, cells))
+        for _ in range(n_max):
+            if s == FULL_SET:
+                break
+            s = image_set(f, s)
+        if s != FULL_SET:
+            return Verdict.inconclusive(n_max)
+    return Verdict.certified()
+
+
+def reference_round_outward(s, level):
+    return IntervalSet.from_intervals(
+        Interval(floor_to_grid(c.lo, level), ceil_to_grid(c.hi, level))
+        for c in s.components
+    )
+
+
+def reference_invariant_region_refute(f, grid_level, n_max):
+    """The earlier invariant_region_refute: grow each seed by exact images
+    rounded outward to the grid, then re-check the fixpoint."""
+    if grid_level < 1:
+        raise ParameterError("grid level must be positive")
+    cells = 1 << grid_level
+    seeds = []
+    for k in range(cells):
+        cell = Interval(Q(k, cells), Q(k + 1, cells))
+        seeds.append((range_on(f, cell).width, k, cell))
+    seeds.sort(key=lambda item: (item[0], item[1]))
+    for _, _, cell in seeds:
+        c = IntervalSet((cell,))
+        for _ in range(n_max):
+            grown = reference_round_outward(c.union(image_set(f, c)), grid_level)
+            if grown == c:
+                break
+            c = grown
+            if c == FULL_SET:
+                break
+        if c != FULL_SET and c == reference_round_outward(c.union(image_set(f, c)), grid_level):
+            return Verdict.refuted(f, c)
+    return Verdict.inconclusive(n_max)
+
+
+def reference_ball_refute(f, rho, grid_level):
+    """The earlier ball_refute: one exact range per window."""
+    rho = as_scalar(rho)
+    if rho <= ZERO:
+        raise ParameterError("perturbation radius must be positive")
+    if grid_level < 1:
+        raise ParameterError("grid level must be positive")
+    cells = 1 << grid_level
+    best = None
+    for i in range(cells):
+        for j in range(i + 1, cells + 1):
+            if i == 0 and j == cells:
+                continue
+            window = Interval(Q(i, cells), Q(j, cells))
+            r = range_on(f, window)
+            slacks = []
+            if window.lo > ZERO:
+                slacks.append(r.lo - rho - window.lo)
+            if window.hi < ONE:
+                slacks.append(window.hi - (r.hi + rho))
+            margin = min(slacks)
+            if margin > ZERO and (best is None or margin > best[1]):
+                best = (window, margin)
+    return best
+
+
+STOCK_MAPS = (
+    identity_map(),
+    square_map(),
+    constant_half(),
+    tent(),
+    saw(3),
+    saw(4),
+    ladder_map(5),
+    ladder_map(7),
+    phase_sawtooth(3, Q(5, 16)),
+)
+
+STEEP_STOCK_MAPS = (
+    saw(3),
+    saw(4),
+    saw(5),
+    saw(6),
+    ladder_map(5),
+    ladder_map(6),
+    phase_sawtooth(3, Q(1, 16)),
+    phase_sawtooth(4, Q(3, 16)),
+)
+
+
+@functools.cache
+def perturbed_maps():
+    return tuple(
+        nowhere_dense_perturbation(g, Q(1, 10)) for g in (saw(3), saw(4), ladder_map(5))
+    )
+
+
+@st.composite
+def grid_maps(draw):
+    """Random PL and curved maps, stock maps and nowhere-dense
+    perturbations of stock maps."""
+    kind = draw(st.sampled_from(("pl", "curve", "stock", "perturbed")))
+    if kind == "stock":
+        return draw(st.sampled_from(STOCK_MAPS))
+    if kind == "perturbed":
+        return perturbed_maps()[draw(st.integers(0, 2))]
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    return random_pl_map(rng) if kind == "pl" else random_curve_map(rng)
+
+
+@st.composite
+def steep_cases(draw):
+    """A map with every |slope| > 2 and a grid level from the coarsest
+    that ``leo_certify`` admits up to 6: stock maps, and random zigzags
+    on a 1/32 grid whose laps are narrower than 1/4 and alternate between
+    values in [0, 1/4] and in [3/4, 1], mostly onto [0, 1]."""
+    f = draw(st.one_of(st.sampled_from(STEEP_STOCK_MAPS), zigzags()))
+    coarsest = 1
+    while Q(2, 1 << coarsest) > min_breakpoint_gap(f):
+        coarsest += 1
+    return f, draw(st.integers(coarsest, 6))
+
+
+@st.composite
+def zigzags(draw):
+    gaps = []
+    while sum(gaps) < 32:
+        gaps.append(draw(st.integers(1, 7)))
+    gaps[-1] -= sum(gaps) - 32
+    xs = [ZERO]
+    for g in gaps:
+        xs.append(xs[-1] + Q(g, 32))
+    low = st.integers(0, 8).map(lambda k: Q(k, 32))
+    high = st.integers(24, 32).map(lambda k: Q(k, 32))
+    start = draw(st.booleans())
+    ys = [draw(high if (k % 2 == 0) == start else low) for k in range(len(xs))]
+    if draw(st.integers(0, 3)):
+        ys[ys.index(min(ys))], ys[ys.index(max(ys))] = ZERO, ONE
+    return pl_from_vertices(list(zip(xs, ys)))
+
+
+class TestGridStagesAgainstReferences:
+    @given(grid_maps(), st.integers(1, 6), st.sampled_from([-1, 0, 1, 2, 3, 5, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_invariant_region_refute(self, f, level, budget):
+        assert invariant_region_refute(f, level, budget) == (
+            reference_invariant_region_refute(f, level, budget)
+        )
+
+    @given(grid_maps(), st.integers(1, 6), st.sampled_from([Q(1, 100), Q(1, 32), Q(1, 8)]))
+    @settings(max_examples=100, deadline=None)
+    def test_ball_refute(self, f, level, rho):
+        assert ball_refute(f, rho, level) == reference_ball_refute(f, rho, level)
+
+    @given(steep_cases(), st.one_of(st.sampled_from([1, 2, 3, 400]), st.integers(4, 12)))
+    @settings(max_examples=150, deadline=None)
+    def test_leo_certify(self, case, budget):
+        f, level = case
+        assert leo_certify(f, level, budget) == reference_leo_certify(f, level, budget)
+
+
+# 1/2 on [0, 1/4], and 1/2 is a fixed point: from the seed [0, 1/4] growth
+# adds the single point 1/2 and then stops, one step after a budget of 1
+ISOLATED_POINT = pl_from_vertices(
+    [
+        (ZERO, Q(1, 2)),
+        (Q(1, 4), Q(1, 2)),
+        (Q(3, 8), ONE),
+        (Q(1, 2), Q(1, 2)),
+        (Q(5, 8), ZERO),
+        (Q(3, 4), ONE),
+        (ONE, ZERO),
+    ]
+)
+
+
+# at level 4, budget 5 is the least that certifies it
+PHASE_SAWTOOTH = phase_sawtooth(3, Q(17, 32))
+
+ZIGZAG = pl_from_vertices(
+    [
+        (Q(x), Q(y))
+        for x, y in [
+            (0, 1), ("1/8", 0), ("1/4", 1), ("3/8", "1/32"), ("1/2", 1),
+            ("5/8", "5/32"), ("3/4", "7/8"), ("7/8", "3/16"), (1, "3/4"),
+        ]
+    ]
+)
+
+
+def images(f, cell, n):
+    """The first n forward images of a cell, exactly."""
+    out = [IntervalSet((cell,))]
+    for _ in range(n):
+        out.append(image_set(f, out[-1]))
+    return out[1:]
+
+
+class TestGridEdgeCases:
+    def test_isolated_point_witness_at_the_budget_edge(self):
+        v = invariant_region_refute(ISOLATED_POINT, 2, 1)
+        assert v.is_refuted
+        assert v.witness == IntervalSet((iv(0, "1/4"), iv("1/2", "1/2")))
+        assert v == reference_invariant_region_refute(ISOLATED_POINT, 2, 1)
+
+    def test_leo_depth_shortcut_at_the_budget(self, monkeypatch):
+        # cell 5 reaches [0, 1] in 3 steps, and cell 7's second image holds
+        # cell 5, so cell 7 gets depth 2 + 3 = 5, the budget, without its
+        # second image being iterated
+        f, level = PHASE_SAWTOOTH, 4
+        assert images(f, iv("5/16", "3/8"), 3)[-1] == FULL_SET
+        second = images(f, iv("7/16", "1/2"), 2)[-1]
+        assert second == IntervalSet.single(Q(5, 16), Q(19, 32))
+        iterated = []
+
+        def recording(g, s):
+            iterated.append(s)
+            return image_set(g, s)
+
+        monkeypatch.setattr(transitivity, "image_set", recording)
+        assert leo_certify(f, level, 5).is_certified
+        assert iterated and second not in iterated
+
+    def test_leo_one_below_the_shortcut_budget(self):
+        # cell 7 truly needs 5 steps, so a budget of 4 is inconclusive
+        f, level = PHASE_SAWTOOTH, 4
+        assert images(f, iv("7/16", "1/2"), 4)[-1] != FULL_SET
+        assert leo_certify(f, level, 4) == Verdict.inconclusive(4)
+        assert reference_leo_certify(f, level, 4) == Verdict.inconclusive(4)
+
+    def test_leo_partly_covered_cell_gives_no_depth(self):
+        # a wrong depth from a cell an image only partly covers certifies
+        # this map at level 5 with budget 4
+        assert leo_certify(ZIGZAG, 5, 4) == Verdict.inconclusive(4)
+        assert reference_leo_certify(ZIGZAG, 5, 4) == Verdict.inconclusive(4)
 
 
 def two_box_chain(covering):
