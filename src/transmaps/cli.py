@@ -19,7 +19,7 @@ from .boxmap import BoxParams, build_box_map
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
 from .exact import FULL, CurveMap, Interval
 from .homotopy import apply_homotopy
-from .rational import ONE, Q, ZERO
+from .rational import Q
 from .serialize import (
     document_to_json,
     map_from_document,

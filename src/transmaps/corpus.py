@@ -8,7 +8,6 @@ mathematical core.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .exact import CurveMap, Interval, PLMap, Piece, evaluate, pl_from_vertices
 from .rational import ONE, Q, ZERO

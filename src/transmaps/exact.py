@@ -9,9 +9,9 @@ The objects here are closed under every operation the package performs:
 * ``CurveMap`` -- a continuous self-map of [0, 1] given by pieces that
   tile the interval.  ``PLMap`` restricts to degree <= 1.
 
-Degree is capped at two because composition is only ever taken of
-piecewise-linear maps; a quadratic piece composed with a linear one stays
-quadratic, and nothing in the package needs more.
+Degree is capped at two because every curved piece the package builds
+is a parabola (the square map, the fixed-point perturbation's tangent
+parabola, the random curved maps of ``corpus``); nothing needs more.
 
 All min/max/sup computations are exact: extrema of a quadratic on a
 rational interval occur at rational points (endpoints or the vertex), so
@@ -47,8 +47,6 @@ __all__ = [
     "range_on",
     "image_set",
     "sup_distance",
-    "compose_pl",
-    "modality",
     "total_variation",
     "pl_from_vertices",
     "affine_transform",
@@ -217,8 +215,8 @@ def _merge_pieces(pieces: Sequence[Piece]) -> tuple[Piece, ...]:
     """Fuse adjacent pieces with identical coefficients.
 
     For affine pieces this is exactly the collinearity merge; identical
-    quadratics fuse for the same reason.  Needed so lap counts and
-    modality are well defined.
+    quadratics fuse for the same reason.  Needed so the piece tuple is
+    canonical and structural equality of maps is well defined.
     """
     out: list[Piece] = []
     for p in pieces:
@@ -356,8 +354,6 @@ def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
     )
 
 
-# -- the seven core operations --------------------------------------------
-
 
 def evaluate(f: CurveMap, x) -> Q:
     """f(x), exact.  At a breakpoint both neighbouring pieces agree."""
@@ -445,60 +441,6 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
         if gh == x1:
             gi += 1
     return best
-
-
-def compose_pl(f: PLMap, g: PLMap) -> PLMap:
-    """Exact composition x -> g(f(x)) of piecewise-linear maps.
-
-    Breakpoints of the result are f's breakpoints together with the
-    f-preimages of g's breakpoints, all rational.
-    """
-    if not (f.is_pl and g.is_pl):
-        raise DomainError("compose_pl is defined for piecewise-linear maps only")
-    g_breaks = [p.domain.lo for p in g.pieces[1:]]
-    pieces: list[Piece] = []
-    for p in f.pieces:
-        cuts = {p.domain.lo, p.domain.hi}
-        if p.c1 != 0:
-            for b in g_breaks:
-                x = (b - p.c0) / p.c1
-                if p.domain.lo < x < p.domain.hi:
-                    cuts.add(x)
-        xs = sorted(cuts)
-        for x0, x1 in zip(xs, xs[1:]):
-            mid = (x0 + x1) / 2
-            y = p.value_at(mid)
-            q = g.piece_at(y)
-            # g(f(x)) = q.c0 + q.c1 * (p.c0 + p.c1 x)
-            pieces.append(
-                Piece(
-                    Interval(x0, x1),
-                    q.c0 + q.c1 * p.c0,
-                    q.c1 * p.c1,
-                    ZERO,
-                )
-            )
-    return PLMap(tuple(pieces))
-
-
-def _lap_slopes(f: PLMap) -> list[Q]:
-    if not f.is_pl:
-        raise DomainError("lap analysis is defined for piecewise-linear maps")
-    return [p.c1 for p in f.pieces]
-
-
-def modality(f: PLMap) -> int:
-    """Number of strict interior local extrema (lap count minus one).
-
-    Plateaus (zero-slope pieces) do not contribute extrema themselves;
-    direction changes are counted across them.
-    """
-    slopes = [s for s in _lap_slopes(f) if s != 0]
-    count = 0
-    for a, b in zip(slopes, slopes[1:]):
-        if (a > 0) != (b > 0):
-            count += 1
-    return count
 
 
 def total_variation(f: CurveMap) -> Q:

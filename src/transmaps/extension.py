@@ -41,11 +41,7 @@ __all__ = [
     "ExtensionResult",
     "simplex_extend",
     "segment_boundary",
-    "sampled_diameter",
-    "chain_bands",
-    "bands_within",
     "chain_certified",
-    "chain_envelope_height",
     "ComplexSpec",
     "SubcomplexData",
     "GuaranteeCheck",
@@ -341,61 +337,6 @@ def simplex_extend(
         target_boxes=boxes,
         apex_map=concat_box_maps(list(zip(grid.windows, boxes))),
     )
-
-
-# -- chain-level inspection ---------------------------------------------------
-
-
-def chain_bands(items: Items) -> tuple[Interval, ...]:
-    return tuple(Interval(p.bottom, p.top) for _, p in items)
-
-
-def bands_within(inner: Sequence[Interval], outer: Sequence[Interval]) -> bool:
-    """Per-window containment of one band list in another."""
-    return len(inner) == len(outer) and all(
-        o.contains_interval(i) for i, o in zip(inner, outer)
-    )
-
-
-def chain_envelope_height(chains: Sequence[Items]) -> Q:
-    """Tallest per-window hull over chains that share one tiling.
-
-    An upper bound for every pairwise sup distance among maps whose
-    window-i values stay inside their own chain's band i, which holds
-    for every box-map concatenation.
-    """
-    if not chains:
-        raise ParameterError("need at least one chain")
-    first = chains[0]
-    for other in chains[1:]:
-        if len(other) != len(first) or any(
-            a[0] != b[0] for a, b in zip(first, other)
-        ):
-            raise ParameterError("chains do not share a window tiling")
-    best = ZERO
-    for i in range(len(first)):
-        lo = min(chain[i][1].bottom for chain in chains)
-        hi = max(chain[i][1].top for chain in chains)
-        if hi - lo > best:
-            best = hi - lo
-    return best
-
-
-def sampled_diameter(ext: ExtensionResult, probes: Sequence[tuple]) -> Q:
-    """Max pairwise sup distance over evaluations at (x, t) probes.
-
-    Exact per pair, and a lower bound for the true image diameter.
-    """
-    if not probes:
-        raise ParameterError("need at least one probe")
-    maps = [ext.evaluate(x, t) for x, t in probes]
-    best = ZERO
-    for i, f in enumerate(maps):
-        for g in maps[i + 1 :]:
-            d = sup_distance(f, g)
-            if d > best:
-                best = d
-    return best
 
 
 # -- finite complexes ---------------------------------------------------------

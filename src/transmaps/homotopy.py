@@ -28,11 +28,11 @@ The companions quantify that closeness:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .boxmap import BoxParams, concat_box_maps
 from .errors import DomainError, ParameterError
-from .exact import CurveMap, Interval, PLMap, range_on, sup_distance
+from .exact import CurveMap, Interval, range_on, sup_distance
 from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "StabilityWindow",
     "stability_window",
     "separate_family",
-    "amplitude",
 ]
 
 
@@ -239,13 +238,6 @@ class FamilyBoxBounds:
     t0: Q
     diameter: Q
 
-    def band(self, i: int, t) -> Interval:
-        grid = partition(t)
-        if not (0 <= i < len(grid.windows)):
-            raise ParameterError(f"window index {i} out of range")
-        w = grid.windows[i]
-        return _window_band([range_on(f, w) for f in self.maps], w.width)[1]
-
     def all_bands(self, t) -> list[Interval]:
         return [
             _window_band([range_on(f, w) for f in self.maps], w.width)[1]
@@ -310,8 +302,3 @@ def separate_family(items: Sequence[tuple[CurveMap, object]]) -> list[CurveMap]:
             raise DomainError(f"step {t} outside (0,1]")
         out.append(apply_homotopy(f, t, Q(20 + j)))
     return out
-
-
-def amplitude(f: CurveMap, j: Interval) -> Q:
-    """Exact height of the value range of f over j."""
-    return range_on(f, j).width

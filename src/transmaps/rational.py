@@ -61,17 +61,3 @@ def largest_dyadic_where(pred: Callable[["Q"], bool], k_max: int = 200) -> "Q":
             return t
         t = t / 2
     raise DomainError("no admissible dyadic scale found (predicate never true)")
-
-
-def floor_to_grid(x, level: int) -> "Q":
-    """Largest multiple of 2^-level that is <= x."""
-    scale = 1 << level
-    v = Q(x) * scale
-    return Q(int(v.numerator) // int(v.denominator), scale)
-
-
-def ceil_to_grid(x, level: int) -> "Q":
-    """Smallest multiple of 2^-level that is >= x."""
-    scale = 1 << level
-    v = Q(x) * scale
-    return Q(-((-int(v.numerator)) // int(v.denominator)), scale)

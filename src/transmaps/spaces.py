@@ -3,7 +3,7 @@
 The catalog half supplies the standard actors: identity, constants, the
 square map, sawtooth zigzags (plain and phase-shifted) and the ladder
 family of near-identity transitive maps.  The operations half works on
-the surjective class: detecting surjectivity with an attainment witness,
+the surjective class: detecting surjectivity from the exact range,
 renormalising a non-surjective map onto its value range, and the
 quadratic fixed-point perturbation that pushes any piecewise-linear
 surjection a controlled distance away from every transitive map.
@@ -36,7 +36,6 @@ __all__ = [
     "sawtooth",
     "phase_sawtooth",
     "ladder_map",
-    "SurjectionWitness",
     "is_surjective",
     "normalize_to_surjection",
     "fixed_points",
@@ -137,37 +136,9 @@ def ladder_map(n: int) -> PLMap:
 # surjectivity
 
 
-@dataclass(frozen=True)
-class SurjectionWitness:
-    """Points where a surjection attains 0 and 1 (leftmost such points)."""
-
-    min_attained_at: Q
-    max_attained_at: Q
-
-
-def is_surjective(f: CurveMap) -> Optional[SurjectionWitness]:
-    """Attainment witness if f is onto [0, 1], else None.
-
-    Extrema of a piecewise-quadratic occur at piece endpoints or interior
-    parabola vertices, so scanning those finitely many points is exact.
-    The witness records the first attaining point left to right.
-    """
-    min_val, min_at = f.pieces[0].value_at(ZERO), ZERO
-    max_val, max_at = min_val, ZERO
-    for p in f.pieces:
-        xs = [p.domain.lo, p.domain.hi]
-        v = p.vertex()
-        if v is not None:
-            xs.insert(1, v)
-        for x in xs:
-            y = p.value_at(x)
-            if y < min_val:
-                min_val, min_at = y, x
-            if y > max_val:
-                max_val, max_at = y, x
-    if min_val == ZERO and max_val == ONE:
-        return SurjectionWitness(min_at, max_at)
-    return None
+def is_surjective(f: CurveMap) -> bool:
+    """Whether f is onto [0, 1]: its exact range over [0, 1] is all of it."""
+    return range_on(f, FULL) == FULL
 
 
 def normalize_to_surjection(f: CurveMap) -> tuple[tuple[Q, Q], CurveMap]:
@@ -365,7 +336,7 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
         raise ParameterError("perturbation size must be positive")
     if not g.is_pl:
         raise PreconditionError("perturbation seed must be piecewise linear")
-    if is_surjective(g) is None:
+    if not is_surjective(g):
         raise DomainError("perturbation seed must be onto [0,1]")
 
     cands = sorted(fixed_points(g), key=lambda x: (-min(x, 1 - x), x))
@@ -398,7 +369,7 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
             core = _core_of(x0, delta)
             dist = sup_distance(g, h)
             level = max(_dyadic_level(core.lo), _dyadic_level(core.hi))
-            if dist < epsilon and is_surjective(h) is not None and level >= 1:
+            if dist < epsilon and is_surjective(h) and level >= 1:
                 verdict = is_transitive_pipeline(
                     h, PipelineBudget(refute_levels=(level,))
                 )

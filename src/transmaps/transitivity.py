@@ -94,6 +94,8 @@ class Verdict:
             )
         if self.witness is not None:
             raise ParameterError("witness present iff refuted")
+        if (self.budget is None) != (self.status == CERTIFIED):
+            raise ParameterError("budget present iff inconclusive")
 
     @staticmethod
     def certified() -> "Verdict":

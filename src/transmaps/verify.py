@@ -18,12 +18,10 @@ from .exact import FULL, Interval, range_on, sup_distance, total_variation
 from .extension import (
     SimplexSpec,
     chain_certified,
-    sampled_diameter,
     segment_boundary,
     simplex_extend,
 )
 from .homotopy import (
-    amplitude,
     apply_homotopy,
     box_data,
     family_box_bounds,
@@ -125,7 +123,9 @@ def _check_extension_diameter() -> bool:
     ext = _reflection_extension()
     probes = [(ZERO, ext.t0), (ONE, ext.t0), (ZERO, Q(1, 2)), (ONE, Q(1, 2)), (ZERO, ONE)]
     target = (ONE + ext.epsilon) * ext.probe_diameter
-    return ext.diameter_bound() <= target and sampled_diameter(ext, probes) <= target
+    return ext.diameter_bound() <= target and (
+        family_diameter([ext.evaluate(x, t) for x, t in probes]) <= target
+    )
 
 
 def _check_extension_apex() -> bool:
@@ -161,7 +161,7 @@ def _check_separation_slopes() -> bool:
 
 
 def _check_separation_amplitude() -> bool:
-    return all(amplitude(g, FULL) == ONE for g in _separated())
+    return all(range_on(g, FULL).width == ONE for g in _separated())
 
 
 # -- examples: the worked instances ---------------------------------------------

@@ -22,7 +22,6 @@ from transmaps.exact import (
     FULL,
     Interval,
     evaluate,
-    modality,
     range_on,
     sup_distance,
     total_variation,
@@ -95,6 +94,13 @@ class TestFrozenLayouts:
         lo = build_box_map(FULL, BoxParams(ZERO, ONE, ZERO, ONE, Q(21) - Q(1, 1000)))
         hi = build_box_map(FULL, BoxParams(ZERO, ONE, ZERO, ONE, Q(21) + Q(1, 1000)))
         assert sup_distance(lo, hi) < Q(1, 50)
+
+
+def modality(f) -> int:
+    """Strict interior local extrema of a PL map: sign changes of its
+    nonzero slopes."""
+    slopes = [p.c1 for p in f.pieces if p.c1 != 0]
+    return sum((a > 0) != (b > 0) for a, b in zip(slopes, slopes[1:]))
 
 
 def random_params(rng: random.Random) -> BoxParams:

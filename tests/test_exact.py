@@ -1,4 +1,4 @@
-"""Core exact-arithmetic layer: construction guards and the seven operations.
+"""Core exact-arithmetic layer: construction guards and the map operations.
 
 Frozen expected values were derived by hand from the closed forms (vertex
 of the difference quadratic, lap decompositions) before the implementation
@@ -22,10 +22,8 @@ from transmaps.exact import (
     Piece,
     PLMap,
     affine_transform,
-    compose_pl,
     evaluate,
     image_set,
-    modality,
     pl_from_vertices,
     range_on,
     sup_distance,
@@ -145,13 +143,6 @@ class TestFrozenValues:
         # the gap at the right endpoint (|0 - 1|) beats the 1/2 at the peak
         assert sup_distance(tent(), identity()) == ONE
 
-    def test_tent_composed_with_itself(self):
-        t2 = compose_pl(tent(), tent())
-        assert t2.breakpoints == (ZERO, Q(1, 4), Q(1, 2), Q(3, 4), ONE)
-        assert modality(t2) == 3
-        assert total_variation(t2) == Q(4)
-        assert evaluate(t2, Q(1, 8)) == Q(1, 2)
-
     def test_total_variation_splits_at_vertex(self):
         # (2x-1)^2 descends 1 then climbs 1
         bowl = CurveMap((Piece(FULL, ONE, Q(-4), Q(4)),))
@@ -174,16 +165,6 @@ class TestFrozenValues:
         assert img == IntervalSet.from_intervals(
             [Interval(ZERO, Q(1, 2)), Interval(Q(3, 4), ONE)]
         )
-
-    def test_modality_of_tent(self):
-        assert modality(tent()) == 1
-        assert modality(identity()) == 0
-
-    def test_plateaus_do_not_count_as_extrema(self):
-        f = pl_from_vertices([(0, 0), (Q(1, 4), Q(1, 2)), (Q(3, 4), Q(1, 2)), (1, 1)])
-        assert modality(f) == 0
-        g = pl_from_vertices([(0, 0), (Q(1, 4), Q(1, 2)), (Q(3, 4), Q(1, 2)), (1, 0)])
-        assert modality(g) == 1
 
 
 # -- range_on against the linear scan it replaced ---------------------------
@@ -472,17 +453,6 @@ def test_sup_distance_dominates_pointwise_gap(seed):
         x = Q(k, 32)
         gap = evaluate(f, x) - evaluate(g, x)
         assert abs(gap) <= d
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_composition_agrees_pointwise(seed):
-    rng = random.Random(seed)
-    f, g = random_pl_map(rng), random_pl_map(rng)
-    gf = compose_pl(f, g)
-    xs = {Q(k, 16) for k in range(17)} | set(f.breakpoints) | set(gf.breakpoints)
-    for x in xs:
-        assert evaluate(gf, x) == evaluate(g, evaluate(f, x))
 
 
 @settings(max_examples=40, deadline=None)

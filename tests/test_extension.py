@@ -28,16 +28,12 @@ from transmaps.extension import (
     GuaranteeCheck,
     SimplexSpec,
     SubcomplexData,
-    bands_within,
-    chain_bands,
     chain_certified,
-    chain_envelope_height,
     complex_extend,
-    sampled_diameter,
     segment_boundary,
     simplex_extend,
 )
-from transmaps.homotopy import apply_homotopy, box_data
+from transmaps.homotopy import apply_homotopy, box_data, family_diameter
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.spaces import one_minus, phase_sawtooth, sawtooth
 from transmaps.transitivity import box_chain_certify
@@ -46,6 +42,17 @@ SAW3 = sawtooth(3)
 REF3 = one_minus(SAW3)
 SAW5 = sawtooth(5)
 HALF = Q(1, 2)
+
+
+def chain_bands(items):
+    return tuple(Interval(p.bottom, p.top) for _, p in items)
+
+
+def bands_within(inner, outer):
+    """Per-window containment of one band list in another."""
+    return len(inner) == len(outer) and all(
+        o.contains_interval(i) for i, o in zip(inner, outer)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +212,7 @@ def test_constant_family_extends_as_itself():
     assert ext.diameter_bound() == ZERO
     assert ext.evaluate(ZERO, Q(1, 3)).pieces == SAW3.pieces
     assert ext.evaluate(ONE, ONE).pieces == SAW3.pieces
-    assert sampled_diameter(ext, [(ZERO, ZERO), (ONE, HALF)]) == ZERO
+    assert family_diameter([ext.evaluate(ZERO, ZERO), ext.evaluate(ONE, HALF)]) == ZERO
     with pytest.raises(DomainError):
         ext.evaluate_chain(ZERO, HALF)
     with pytest.raises(DomainError):
@@ -269,26 +276,11 @@ def test_chain_certificate_validates_the_chain():
         chain_certified(items)
 
 
-def test_envelope_height_over_shared_tiling():
-    w0, w1 = Interval(ZERO, HALF), Interval(HALF, ONE)
-    a = ((w0, BoxParams(ZERO, HALF, ZERO, HALF, Q(20))),
-         (w1, BoxParams(HALF, ONE, Q(1, 4), ONE, Q(20))))
-    b = ((w0, BoxParams(Q(1, 4), Q(3, 4), Q(1, 4), Q(3, 4), Q(20))),
-         (w1, BoxParams(HALF, ZERO, ZERO, HALF, Q(20))))
-    assert chain_envelope_height([a]) == Q(3, 4)
-    assert chain_envelope_height([a, b]) == ONE
-    with pytest.raises(ParameterError):
-        chain_envelope_height([])
-    with pytest.raises(ParameterError):
-        chain_envelope_height([a, b[:1]])
-    with pytest.raises(ParameterError):
-        chain_envelope_height([a, ((w0, a[0][1]), (w0, a[0][1]))])
-
-
 def test_sampled_diameter_is_exact_per_pair(ext1):
-    assert sampled_diameter(ext1, [(ZERO, ZERO), (ONE, ZERO)]) == ONE
+    probes = [(ZERO, ZERO), (ONE, ZERO)]
+    assert family_diameter([ext1.evaluate(x, t) for x, t in probes]) == ONE
     with pytest.raises(ParameterError):
-        sampled_diameter(ext1, [])
+        family_diameter([])
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmaps.errors import DomainError, ParameterError
-from transmaps.rational import Q, as_scalar, ceil_to_grid, floor_to_grid, scalar_str
+from transmaps.rational import Q, as_scalar, scalar_str
 from transmaps.serialize import parse_scalar
+
+from test_transitivity import ceil_to_grid, floor_to_grid
 
 
 class TestAsScalar:
@@ -57,6 +59,8 @@ def test_scalar_str_is_canonical(value, text):
 
 
 class TestGridRounding:
+    """The outward grid rounding of the refuter oracle in test_transitivity."""
+
     @pytest.mark.parametrize("level", [0, 1, 3, 6])
     def test_unit_ends_are_fixed(self, level):
         for x in (Q(0), Q(1)):

@@ -1,14 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transmaps.corpus import random_pl_map, random_surjective_pl
+from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError, ParameterError, PreconditionError
 from transmaps.exact import (
     FULL,
     Interval,
     IntervalSet,
+    affine_transform,
     evaluate,
-    modality,
     pl_from_vertices,
     range_on,
     sup_distance,
@@ -34,6 +36,27 @@ from transmaps.transitivity import ball_refute, is_transitive_pipeline, leo_cert
 
 def iv(a, b):
     return Interval(Q(a), Q(b))
+
+
+def modality(f) -> int:
+    """Strict interior local extrema of a PL map: sign changes of its
+    nonzero slopes, so plateaus count no extremum of their own."""
+    slopes = [p.c1 for p in f.pieces if p.c1 != 0]
+    return sum((a > 0) != (b > 0) for a, b in zip(slopes, slopes[1:]))
+
+
+def reference_is_surjective(f):
+    """The earlier piece scan: a piecewise quadratic takes its extrema at
+    piece ends or interior parabola vertices, so f is onto [0, 1] exactly
+    when those values reach both 0 and 1."""
+    values = []
+    for p in f.pieces:
+        xs = [p.domain.lo, p.domain.hi]
+        v = p.vertex()
+        if v is not None:
+            xs.append(v)
+        values += [p.value_at(x) for x in xs]
+    return min(values) == ZERO and max(values) == ONE
 
 
 class TestCatalog:
@@ -163,32 +186,46 @@ class TestLadder:
 
 class TestSurjectivity:
     def test_frozen_witnesses(self):
-        w = is_surjective(identity_map())
-        assert (w.min_attained_at, w.max_attained_at) == (ZERO, ONE)
-        w = is_surjective(sawtooth(2))
-        assert (w.min_attained_at, w.max_attained_at) == (ZERO, Q(1, 2))
-        w = is_surjective(sawtooth(3))
-        assert (w.min_attained_at, w.max_attained_at) == (ZERO, Q(1, 3))
-        w = is_surjective(one_minus(sawtooth(3)))
-        assert (w.min_attained_at, w.max_attained_at) == (Q(1, 3), ZERO)
-        w = is_surjective(square_map())
-        assert (w.min_attained_at, w.max_attained_at) == (ZERO, ONE)
+        # the witness of surjectivity is the exact range, all of [0, 1]
+        for f in (
+            identity_map(),
+            sawtooth(2),
+            sawtooth(3),
+            one_minus(sawtooth(3)),
+            square_map(),
+        ):
+            assert is_surjective(f) is True
 
     def test_not_onto(self):
-        assert is_surjective(constant_map(Q(1, 2))) is None
+        # exactly False: a leftover `is_surjective(f) is not None` would hold on it
+        assert is_surjective(constant_map(Q(1, 2))) is False
         shrunk = pl_from_vertices([(ZERO, Q(1, 4)), (ONE, Q(3, 4))])
-        assert is_surjective(shrunk) is None
+        assert is_surjective(shrunk) is False
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_witness_attains(self, seed):
-        import random
-
         f = random_surjective_pl(random.Random(seed))
-        w = is_surjective(f)
-        assert w is not None
-        assert f.value_at(w.min_attained_at) == ZERO
-        assert f.value_at(w.max_attained_at) == ONE
+        assert is_surjective(f) is True
+        # a PL map takes its extrema at vertices
+        values = {f.value_at(x) for x in f.breakpoints}
+        assert ZERO in values and ONE in values
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_is_surjective_matches_piece_scan(seed):
+    rng = random.Random(seed)
+    maps = [random_pl_map(rng), random_curve_map(rng), random_surjective_pl(rng)]
+    # shrinks that keep the bottom, the top or neither
+    maps += [
+        affine_transform(f, scale, shift)
+        for f in list(maps)
+        for scale, shift in ((Q(3, 4), ZERO), (Q(3, 4), Q(1, 4)), (Q(1, 2), Q(1, 4)))
+    ]
+    maps.append(constant_map(Q(1, 2)))
+    for f in maps:
+        assert is_surjective(f) is reference_is_surjective(f)
 
 
 class TestNormalize:
@@ -210,15 +247,13 @@ class TestNormalize:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_output_is_onto(self, seed):
-        import random
-
         f = random_pl_map(random.Random(seed))
         r = range_on(f, FULL)
         if r.is_degenerate():
             return
         (a, b), g = normalize_to_surjection(f)
         assert (a, b) == (r.lo, r.hi)
-        assert is_surjective(g) is not None
+        assert is_surjective(g)
         assert g.is_pl
 
 
@@ -267,7 +302,7 @@ class TestPerturbation:
         assert rec.ball_window == iv("507/1024", "517/1024")
         assert rec.ball_radius == Q(1, 2048)
         assert rec.ball_slack == Q(1, 1024)
-        assert is_surjective(h) is not None
+        assert is_surjective(h)
         # the core really is invariant for h
         assert range_on(h, rec.core) == rec.core
 
@@ -280,7 +315,7 @@ class TestPerturbation:
         assert rec.core.lo == ZERO
         assert h.value_at(ZERO) == ZERO
         assert rec.verdict.is_refuted
-        assert is_surjective(h) is not None
+        assert is_surjective(h)
         assert sup_distance(g, h) < Q(1, 5)
 
     def test_bad_inputs(self):
@@ -305,7 +340,7 @@ class TestPerturbation:
         h = nowhere_dense_perturbation(g, eps)
         rec = h.provenance
         assert sup_distance(g, h) < eps
-        assert is_surjective(h) is not None
+        assert is_surjective(h)
         assert rec.verdict.is_refuted
         assert range_on(h, rec.core) == rec.core
         # agreement outside the window

@@ -25,7 +25,7 @@ from transmaps.exact import (
 )
 from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
 from transmaps.homotopy import apply_homotopy, box_data
-from transmaps.rational import ONE, Q, ZERO, as_scalar, ceil_to_grid, floor_to_grid
+from transmaps.rational import ONE, Q, ZERO, as_scalar
 from transmaps.spaces import (
     ladder_map,
     nowhere_dense_perturbation,
@@ -99,6 +99,15 @@ class TestVerdict:
             Verdict("refuted")
         with pytest.raises(ParameterError):
             Verdict("maybe")
+
+    def test_budget_only_when_inconclusive(self):
+        with pytest.raises(ParameterError):
+            Verdict("certified", budget=7)
+        with pytest.raises(ParameterError):
+            Verdict("inconclusive")
+        assert Verdict.certified().budget is None
+        # a negative step budget is still a budget that ran out
+        assert Verdict("inconclusive", budget=-3) == Verdict.inconclusive(-3)
 
     def test_refuted_only_through_its_check(self):
         # an exactly invariant witness still needs Verdict.refuted(f, w)
@@ -283,6 +292,20 @@ def reference_leo_certify(f, grid_level, n_max):
         if s != FULL_SET:
             return Verdict.inconclusive(n_max)
     return Verdict.certified()
+
+
+def floor_to_grid(x, level):
+    """Largest multiple of 2^-level that is <= x."""
+    scale = 1 << level
+    v = Q(x) * scale
+    return Q(int(v.numerator) // int(v.denominator), scale)
+
+
+def ceil_to_grid(x, level):
+    """Smallest multiple of 2^-level that is >= x."""
+    scale = 1 << level
+    v = Q(x) * scale
+    return Q(-((-int(v.numerator)) // int(v.denominator)), scale)
 
 
 def reference_round_outward(s, level):
