@@ -12,6 +12,11 @@ every cone point in two regimes joined at a computed step size t0:
   hull band per window, with junction values at band-overlap midpoints),
   so the t = 1 map is one common map, independent of x.
 
+One demand on the probe family sets t0: t0 and the family's oscillation
+over windows of width t0 both stay below epsilon * diameter / 36.  That
+keeps every deformation below t0 within the displacement budget, and
+every hull band under diameter + budget tall (see ``simplex_extend``).
+
 Both regimes produce concatenations of box maps over the step-t0 window
 tiling (or a finer one below t0), so images can be produced either as
 actual maps or as cheap parameter chains.  Transitivity of every image
@@ -26,13 +31,14 @@ filled simplex's image diameter within a factor 2 of its boundary's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .boxmap import BoxParams, concat_box_maps
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
 from .exact import CurveMap, Interval, sup_distance
-from .homotopy import box_data, family_box_bounds, family_modulus, partition, uniform_modulus
-from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
+from .homotopy import box_data, family_box_bounds, partition, uniform_modulus
+from .rational import ONE, Q, ZERO, as_scalar
 from .transitivity import chain_certified
 
 __all__ = [
@@ -134,17 +140,19 @@ def segment_boundary(f0: CurveMap, f1: CurveMap) -> BoundaryMap:
 
 Items = tuple[tuple[Interval, BoxParams], ...]
 
+_MAX_WINDOWS = 1 << 20  # steps finer than 2^-20 tile [0, 1] too finely
+
 
 @dataclass(frozen=True, eq=False)
 class ExtensionResult:
     """Maps at every cone point of one simplex, plus the shared targets.
 
-    ``evaluate`` produces the actual map; ``evaluate_chain`` (and the
-    ``base_items``/``lerp_items`` split, which lets callers reuse one
-    boundary map's step-t0 parameters across many heights) produces the
-    box-parameter chain, linear in the window count.  A boundary family
-    whose probes all coincide extends as that constant; then there is no
-    chain form and ``t0`` is None.
+    ``evaluate`` produces the actual map; ``evaluate_chain`` produces the
+    box-parameter chain, linear in the window count.  Each boundary
+    coordinate's audited map and step-t0 chain are kept (a failed audit
+    is not, and raises on every call); the t = 1 map is built on first
+    use and kept.  A boundary family whose probes all coincide extends as
+    that constant; then there is no chain form and ``t0`` is None.
     """
 
     boundary: BoundaryMap
@@ -156,16 +164,27 @@ class ExtensionResult:
     windows: Optional[tuple[Interval, ...]]
     hull_bands: Optional[tuple[Interval, ...]]
     junction_targets: Optional[tuple[Q, ...]]
-    target_boxes: Optional[tuple[BoxParams, ...]]
-    apex_map: CurveMap
+    _audited: dict = field(default_factory=dict, init=False, repr=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_constant(self) -> bool:
         return self.t0 is None
 
+    @cached_property
+    def _apex(self) -> CurveMap:
+        if self.is_constant:
+            return self.boundary.probe_maps[0]
+        c = self.junction_targets
+        boxes = (
+            BoxParams(c[i], c[i + 1], h.lo, h.hi, EXPANSION)
+            for i, h in enumerate(self.hull_bands)
+        )
+        return concat_box_maps(list(zip(self.windows, boxes)))
+
     def apex(self) -> CurveMap:
         """The single t = 1 map, the same for every boundary point."""
-        return self.apex_map
+        return self._apex
 
     def diameter_bound(self) -> Q:
         """Certified diameter bound over the probe cone.
@@ -180,66 +199,57 @@ class ExtensionResult:
             return ZERO
         return max(h.width for h in self.hull_bands) + 2 * self.displacement_budget
 
-    def _checked(self, x) -> CurveMap:
-        f = self.boundary.evaluator(x)
-        osc = uniform_modulus(f, self.t0)
-        if 9 * max(self.t0, osc) >= self.displacement_budget:
-            raise CertificateError(
-                f"modulus declaration fails at boundary point {x}: the map "
-                f"oscillates {osc} over windows of width {self.t0}, so its "
-                f"deformation cannot stay within {self.displacement_budget}"
-            )
-        return f
-
-    def base_items(self, x) -> Items:
-        """Box parameters of the step-t0 deformation of the map at x."""
-        if self.is_constant:
-            raise DomainError("a constant extension has no box chains")
-        return tuple(box_data(self._checked(x), self.t0, EXPANSION).items())
-
-    def lerp_items(self, base: Items, t) -> Items:
-        """The chain at height t in [t0, 1], moved straight toward the targets.
-
-        Junction values agree along the whole path because adjacent boxes
-        start at a shared value and aim at a shared target; band growth is
-        monotone whenever the base bands sit inside the hull bands.
-        """
-        if self.is_constant:
-            raise DomainError("a constant extension has no box chains")
-        t = as_scalar(t)
-        if not (self.t0 <= t <= ONE):
-            raise DomainError(f"height {t} outside [{self.t0}, 1]")
-        if len(base) != len(self.windows):
-            raise ParameterError("base chain does not match the window tiling")
-        u = (t - self.t0) / (ONE - self.t0)
-        c = self.junction_targets
-        out = []
-        for i, (w, p) in enumerate(base):
-            hull = self.hull_bands[i]
-            out.append(
-                (
-                    w,
-                    BoxParams(
-                        left_value=p.left_value + u * (c[i] - p.left_value),
-                        right_value=p.right_value + u * (c[i + 1] - p.right_value),
-                        bottom=p.bottom + u * (hull.lo - p.bottom),
-                        top=p.top + u * (hull.hi - p.top),
-                        expansion=p.expansion,
-                    ),
+    def _checked(self, x: Q) -> CurveMap:
+        if x not in self._audited:
+            f = self.boundary.evaluator(x)
+            osc = uniform_modulus(f, self.t0)
+            if 9 * max(self.t0, osc) >= self.displacement_budget:
+                raise CertificateError(
+                    f"modulus declaration fails at boundary point {x}: the map "
+                    f"oscillates {osc} over windows of width {self.t0}, so its "
+                    f"deformation cannot stay within {self.displacement_budget}"
                 )
-            )
-        return tuple(out)
+            self._audited[x] = f
+        return self._audited[x]
+
+    def _base(self, x: Q) -> Items:
+        """Box parameters of the step-t0 deformation of the map at x."""
+        if x not in self._bases:
+            f = self._checked(x)
+            self._bases[x] = tuple(box_data(f, self.t0, EXPANSION).items())
+        return self._bases[x]
 
     def evaluate_chain(self, x, t) -> Items:
-        """Box-parameter chain of the image at (x, t), for t in (0, 1]."""
-        t = as_scalar(t)
+        """Box-parameter chain of the image at (x, t), for t in (0, 1].
+
+        Above t0 every box moves straight from the step-t0 chain toward
+        its target.  Junction values agree along the whole path because
+        adjacent boxes start at a shared value and aim at a shared
+        target; band growth is monotone whenever the base bands sit
+        inside the hull bands.
+        """
+        x, t = as_scalar(x), as_scalar(t)
         if self.is_constant:
             raise DomainError("a constant extension has no box chains")
         if not (ZERO < t <= ONE):
             raise DomainError(f"box chains exist at heights in (0,1], not {t}")
-        if t <= self.t0:
+        if t < self.t0:
             return tuple(box_data(self._checked(x), t, EXPANSION).items())
-        return self.lerp_items(self.base_items(x), t)
+        u = (t - self.t0) / (ONE - self.t0)
+        c, hull = self.junction_targets, self.hull_bands
+        return tuple(
+            (
+                w,
+                BoxParams(
+                    left_value=p.left_value + u * (c[i] - p.left_value),
+                    right_value=p.right_value + u * (c[i + 1] - p.right_value),
+                    bottom=p.bottom + u * (hull[i].lo - p.bottom),
+                    top=p.top + u * (hull[i].hi - p.top),
+                    expansion=p.expansion,
+                ),
+            )
+            for i, (w, p) in enumerate(self._base(x))
+        )
 
     def evaluate(self, x, t) -> CurveMap:
         """The image map at cone point (x, t)."""
@@ -249,7 +259,7 @@ class ExtensionResult:
         if t == ZERO:
             return self.boundary.evaluator(x)
         if self.is_constant or t == ONE:
-            return self.apex_map
+            return self.apex()
         return concat_box_maps(list(self.evaluate_chain(x, t)))
 
 
@@ -270,22 +280,20 @@ def _junction_targets(hull: Sequence[Interval]) -> tuple[Q, ...]:
     return tuple(out)
 
 
-def simplex_extend(
-    phi: BoundaryMap,
-    simplex: SimplexSpec,
-    epsilon,
-    max_windows: int = 1 << 20,
-) -> ExtensionResult:
+def simplex_extend(phi: BoundaryMap, simplex: SimplexSpec, epsilon) -> ExtensionResult:
     """Extend the boundary family over the simplex.
 
-    The step t0 is the largest dyadic satisfying two demands measured on
-    the probe family: deformations with steps up to t0 move no probe map
-    by epsilon * diameter / 4 or more (their per-window bands are at
-    most 9 * max(step, oscillation) tall), and the family's joint bands
-    at step t0 are at most diameter + epsilon * diameter / 2 tall.  A
-    probe family too rough to meet both at any step down to 2^-200
-    raises DomainError; one that only meets them below 1/max_windows
-    raises PreconditionError rather than building an enormous tiling.
+    The step t0 is the largest dyadic at which t0 and the probe family's
+    oscillation over windows of width t0 are both below
+    epsilon * diameter / 36.  Per-window bands are at most
+    9 * max(step, oscillation) tall, so steps up to t0 move no probe map
+    by the budget epsilon * diameter / 4 or more.  A joint band adds the
+    same 8 * alpha to a value hull that exceeds the diameter by at most
+    one oscillation, so every hull band is under diameter + budget tall.
+    A probe family too rough to meet the demand at any step down to
+    2^-200 raises DomainError; one that only meets it below 2^-20 raises
+    PreconditionError rather than building an enormous tiling.  No map
+    is built here.
     """
     epsilon = as_scalar(epsilon)
     if epsilon <= ZERO:
@@ -302,28 +310,18 @@ def simplex_extend(
             windows=None,
             hull_bands=None,
             junction_targets=None,
-            target_boxes=None,
-            apex_map=phi.probe_maps[0],
         )
     beta = epsilon * d_hat / 4
-    t0_move = largest_dyadic_where(
-        lambda t: 9 * t < beta and 9 * family_modulus(phi.probe_maps, t) < beta
-    )
-    bounds = family_box_bounds(phi.probe_maps, epsilon * d_hat / 2)
-    t0 = min(t0_move, bounds.t0)
-    if t0.denominator > max_windows:
+    # family_box_bounds demands both below its epsilon / 10 = beta / 9
+    bounds = family_box_bounds(phi.probe_maps, 5 * epsilon * d_hat / 18)
+    t0 = bounds.t0
+    if t0.denominator > _MAX_WINDOWS:
         raise PreconditionError(
             f"the boundary family needs steps of {t0}, finer than the "
-            f"max_windows budget of {max_windows} windows allows"
+            f"cap of {_MAX_WINDOWS} windows allows"
         )
-    grid = partition(t0)
     hull = tuple(bounds.all_bands(t0))
-    assert max(h.width for h in hull) <= d_hat + bounds.epsilon
-    targets = _junction_targets(hull)
-    boxes = tuple(
-        BoxParams(targets[i], targets[i + 1], h.lo, h.hi, EXPANSION)
-        for i, h in enumerate(hull)
-    )
+    assert max(h.width for h in hull) < d_hat + beta
     return ExtensionResult(
         boundary=phi,
         simplex=simplex,
@@ -331,11 +329,9 @@ def simplex_extend(
         probe_diameter=d_hat,
         displacement_budget=beta,
         t0=t0,
-        windows=grid.windows,
+        windows=partition(t0).windows,
         hull_bands=hull,
-        junction_targets=targets,
-        target_boxes=boxes,
-        apex_map=concat_box_maps(list(zip(grid.windows, boxes))),
+        junction_targets=_junction_targets(hull),
     )
 
 

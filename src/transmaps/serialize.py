@@ -59,8 +59,9 @@ def map_from_document(doc) -> CurveMap:
     linear so encode/decode round-trips preserve the map's type."""
     if not isinstance(doc, dict):
         raise ParameterError("map document must be a JSON object")
-    if doc.get("version") != MAP_VERSION:
-        raise ParameterError(f"unsupported document version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != MAP_VERSION:  # True == 1 == 1.0
+        raise ParameterError(f"unsupported document version {version!r}")
     raw = doc.get("pieces")
     if not isinstance(raw, list) or not raw:
         raise ParameterError("map document needs a nonempty piece list")

@@ -9,6 +9,7 @@ same suite are byte-identical.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable
 
 from .boxmap import BoxParams, build_box_map
@@ -114,6 +115,7 @@ def _check_stability() -> bool:
 # -- extension: segment fill stays near its boundary pair ---------------------
 
 
+@cache
 def _reflection_extension():
     saw = sawtooth(3)
     return simplex_extend(segment_boundary(saw, one_minus(saw)), SimplexSpec(1), Q(1, 2))

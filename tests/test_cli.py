@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import transmaps.cli
+import transmaps.verify
 
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
 from transmaps.errors import ParameterError
 from transmaps.exact import FULL
+from transmaps.extension import simplex_extend
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import ladder_map, sawtooth, square_map
@@ -147,6 +149,15 @@ def test_reach_is_not_a_verdict(capsys, tmp_path):
     }
 
 
+def test_certify_rejects_a_non_integer_version(capsys, tmp_path):
+    doc = map_to_document(sawtooth(3))
+    for version in (True, 1.0):
+        path = tmp_path / "saw3.json"
+        path.write_text(json.dumps({**doc, "version": version}))
+        code, out, err = run_cli(capsys, "certify", "--map", str(path))
+        assert code == 1 and out == "" and "version" in err
+
+
 def test_missing_map_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "certify", "--map", "/nonexistent.json")
     assert code == 1 and err != ""
@@ -225,6 +236,23 @@ def test_python_dash_m_exits_two_on_a_failing_suite(tmp_path):
     proc = _run_module(tmp_path, "-c", script)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b"suite: examples\nalways_false: fail\nresult: fail\n"
+
+
+def test_extension_suite_builds_its_extension_once(monkeypatch):
+    calls = []
+
+    def counting_extend(*args):
+        calls.append(args)
+        return simplex_extend(*args)
+
+    monkeypatch.setattr(transmaps.verify, "simplex_extend", counting_extend)
+    transmaps.verify._reflection_extension.cache_clear()
+    try:
+        report, ok = run_suite("extension")
+    finally:
+        transmaps.verify._reflection_extension.cache_clear()
+    assert ok, report
+    assert len(calls) == 1
 
 
 def test_run_suite_rejects_unknown_names():

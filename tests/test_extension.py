@@ -10,7 +10,7 @@ landing on phase 5/9); and for the two-missing-edges complex (steps
 1/1024 and 1/4096 at tolerances 1/8 and 1/16).
 """
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transmaps.boxmap import BoxParams, concat_box_maps
@@ -20,7 +20,7 @@ from transmaps.errors import (
     ParameterError,
     PreconditionError,
 )
-from transmaps.exact import Interval, sup_distance
+from transmaps.exact import Interval, affine_transform, sup_distance
 from transmaps.extension import (
     BoundaryMap,
     ComplexSpec,
@@ -33,9 +33,16 @@ from transmaps.extension import (
     segment_boundary,
     simplex_extend,
 )
-from transmaps.homotopy import apply_homotopy, box_data, family_diameter
-from transmaps.rational import ONE, Q, ZERO
-from transmaps.spaces import one_minus, phase_sawtooth, sawtooth
+from transmaps.homotopy import (
+    apply_homotopy,
+    box_data,
+    family_box_bounds,
+    family_diameter,
+    family_modulus,
+    uniform_modulus,
+)
+from transmaps.rational import ONE, Q, ZERO, largest_dyadic_where
+from transmaps.spaces import ladder_map, one_minus, phase_sawtooth, sawtooth
 from transmaps.transitivity import box_chain_certify
 
 SAW3 = sawtooth(3)
@@ -124,8 +131,7 @@ def test_reflection_instance_boundary_fidelity(ext1):
 
 
 def test_branch_agreement_at_the_step(ext1):
-    base = ext1.base_items(ZERO)
-    assert ext1.lerp_items(base, ext1.t0) == base
+    base = ext1.evaluate_chain(ZERO, ext1.t0)
     assert base == tuple(box_data(SAW3, ext1.t0, Q(20)).items())
     direct = apply_homotopy(SAW3, ext1.t0, Q(20))
     assert ext1.evaluate(ZERO, ext1.t0).pieces == direct.pieces
@@ -139,7 +145,7 @@ def test_lerp_keeps_junctions_glued(ext1):
 
 
 def test_bands_grow_from_base_toward_hull(ext1):
-    base_bands = chain_bands(ext1.base_items(ZERO))
+    base_bands = chain_bands(ext1.evaluate_chain(ZERO, ext1.t0))
     mid_bands = chain_bands(ext1.evaluate_chain(ZERO, HALF))
     assert bands_within(base_bands, mid_bands)
     assert bands_within(base_bands, ext1.hull_bands)
@@ -215,21 +221,15 @@ def test_constant_family_extends_as_itself():
     assert family_diameter([ext.evaluate(ZERO, ZERO), ext.evaluate(ONE, HALF)]) == ZERO
     with pytest.raises(DomainError):
         ext.evaluate_chain(ZERO, HALF)
-    with pytest.raises(DomainError):
-        ext.base_items(ZERO)
 
 
 def test_height_domain_is_enforced(ext1):
     for t in (Q(-1, 2), Q(2)):
         with pytest.raises(DomainError):
             ext1.evaluate(ZERO, t)
-    with pytest.raises(DomainError):
-        ext1.evaluate_chain(ZERO, ZERO)
-    base = ext1.base_items(ZERO)
-    with pytest.raises(DomainError):
-        ext1.lerp_items(base, ext1.t0 / 2)
-    with pytest.raises(ParameterError):
-        ext1.lerp_items(base[:-1], HALF)
+    for t in (ZERO, Q(2)):
+        with pytest.raises(DomainError):
+            ext1.evaluate_chain(ZERO, t)
 
 
 def test_parameter_validation():
@@ -237,8 +237,116 @@ def test_parameter_validation():
     for eps in (ZERO, Q(-1, 2)):
         with pytest.raises(ParameterError):
             simplex_extend(b, SimplexSpec(1), eps)
+    # the pair is 2^-25 apart, so it needs steps of 2^-33, past the 2^20-window cap
+    near = affine_transform(SAW3, 1 - Q(1, 2**25), 0)
     with pytest.raises(PreconditionError):
-        simplex_extend(segment_boundary(SAW3, SAW5), SimplexSpec(1), HALF, max_windows=256)
+        simplex_extend(segment_boundary(SAW3, near), SimplexSpec(1), HALF)
+
+
+# -- the one-search extension against the two-search reference ----------------
+
+
+def reference_t0(phi, epsilon):
+    """The earlier step: the move search and the band search, whichever is
+    finer."""
+    d_hat = phi.probe_diameter
+    beta = epsilon * d_hat / 4
+    t0_move = largest_dyadic_where(
+        lambda t: 9 * t < beta and 9 * family_modulus(phi.probe_maps, t) < beta
+    )
+    return min(t0_move, family_box_bounds(phi.probe_maps, epsilon * d_hat / 2).t0)
+
+
+def reference_checked(ext, x):
+    """The earlier audit, repeated on every call."""
+    f = ext.boundary.evaluator(x)
+    osc = uniform_modulus(f, ext.t0)
+    if 9 * max(ext.t0, osc) >= ext.displacement_budget:
+        raise CertificateError(f"modulus declaration fails at boundary point {x}")
+    return f
+
+
+def reference_base_items(ext, x):
+    """The earlier ``base_items``: the step-t0 chain, rebuilt on every call."""
+    return tuple(box_data(reference_checked(ext, x), ext.t0, Q(20)).items())
+
+
+def reference_lerp_items(ext, base, t):
+    """The earlier ``lerp_items``: each box moved straight toward its target."""
+    u = (t - ext.t0) / (ONE - ext.t0)
+    c = ext.junction_targets
+    out = []
+    for i, (w, p) in enumerate(base):
+        hull = ext.hull_bands[i]
+        out.append(
+            (
+                w,
+                BoxParams(
+                    left_value=p.left_value + u * (c[i] - p.left_value),
+                    right_value=p.right_value + u * (c[i + 1] - p.right_value),
+                    bottom=p.bottom + u * (hull.lo - p.bottom),
+                    top=p.top + u * (hull.hi - p.top),
+                    expansion=p.expansion,
+                ),
+            )
+        )
+    return tuple(out)
+
+
+def reference_targets(hull):
+    """Band midpoints at the ends, overlap midpoints at the junctions."""
+    caps = [hull[0]] + [a.intersect(b) for a, b in zip(hull, hull[1:])] + [hull[-1]]
+    return tuple((c.lo + c.hi) / 2 for c in caps)
+
+
+# every pair here has t0 >= 1/2048 at epsilon 1/8, which keeps an example
+# to seconds: the apex has one box per window
+STOCK = [sawtooth(2), SAW3, REF3, phase_sawtooth(2, Q(1, 4)), ladder_map(5)]
+
+HEIGHTS = st.builds(
+    lambda k, m: Q(m % (2**k) + 1, 2**k),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**12),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    pair=st.tuples(st.sampled_from(STOCK), st.sampled_from(STOCK)),
+    epsilon=st.sampled_from([Q(1, 8), HALF, Q(2)]),
+    heights=st.lists(HEIGHTS, min_size=1, max_size=2),
+)
+def test_single_search_extension_matches_the_reference(pair, epsilon, heights):
+    f0, f1 = pair
+    d = sup_distance(f0, f1)
+    assume(d > ZERO)
+    rough = sawtooth(200)
+    table = {ZERO: f0, ONE: f1, Q(1, 4): rough}
+    phi = BoundaryMap(lambda x: table[x], lambda delta: d * delta, (ZERO, ONE))
+    ext = simplex_extend(phi, SimplexSpec(1), epsilon)
+    assert ext.t0 == reference_t0(phi, epsilon)
+    hull = family_box_bounds(phi.probe_maps, epsilon).all_bands(ext.t0)
+    assert ext.hull_bands == tuple(hull)
+    assert ext.junction_targets == reference_targets(hull)
+    for x in (ZERO, ONE):
+        base = reference_base_items(ext, x)
+        for t in [3 * ext.t0 / 4, ext.t0, *heights]:
+            chain = ext.evaluate_chain(x, t)
+            if t <= ext.t0:
+                expected = tuple(box_data(reference_checked(ext, x), t, Q(20)).items())
+            else:
+                expected = reference_lerp_items(ext, base, t)
+            assert chain == expected
+            assert ext.evaluate_chain(x, t) == chain
+    c = ext.junction_targets
+    targets = [
+        (w, BoxParams(c[i], c[i + 1], h.lo, h.hi, Q(20)))
+        for i, (w, h) in enumerate(zip(ext.windows, hull))
+    ]
+    assert ext.apex().pieces == concat_box_maps(targets).pieces
+    for _ in range(2):
+        with pytest.raises(CertificateError):
+            ext.evaluate_chain(Q(1, 4), heights[0])
 
 
 # -- chain-level helpers --------------------------------------------------------

@@ -10,6 +10,7 @@ import pkgutil
 import pytest
 
 import transmaps
+from transmaps.extension import ExtensionResult
 
 # importing __main__ would run the command line
 MODULES = sorted(
@@ -57,3 +58,9 @@ def test_removed_helpers_stay_removed(name):
     assert [r for r in REMOVED if hasattr(module, r)] == []
     assert not hasattr(getattr(module, "FamilyBoxBounds", None), "band")
 
+
+def test_extension_result_keeps_no_hand_reuse_api():
+    # chains are kept per boundary coordinate and the apex is built on
+    # first use, so neither the split nor the stored targets come back
+    for name in ("base_items", "lerp_items", "target_boxes", "apex_map"):
+        assert not hasattr(ExtensionResult, name)

@@ -61,6 +61,11 @@ def test_document_validation():
         map_from_document({"version": 1, "pieces": []})
     with pytest.raises(ParameterError):
         map_from_document({"version": 1, "pieces": [{"x0": "0"}]})
+    # True == 1 == 1.0, but only the integer 1 names the version
+    good = map_to_document(sawtooth(3))
+    for version in (True, 1.0):
+        with pytest.raises(ParameterError):
+            map_from_document({**good, "version": version})
     # well-formed entries that do not glue into a continuous map
     jump = {
         "version": 1,

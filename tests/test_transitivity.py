@@ -769,9 +769,8 @@ class TestChainCertificate:
         saw3 = sawtooth(3)
         ext = simplex_extend(segment_boundary(saw3, one_minus(saw3)), SimplexSpec(1), 2)
         for x in (ZERO, ONE):
-            base = ext.base_items(x)
             for t in (ext.t0, Q(1, 3), Q(1, 2), ONE):
-                for w, p in ext.lerp_items(base, t):
+                for w, p in ext.evaluate_chain(x, t):
                     assert p.expansion * p.height / w.width >= 20
 
 
