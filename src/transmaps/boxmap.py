@@ -139,19 +139,15 @@ def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
     return verts
 
 
-def build_box_map(window: Interval, p: BoxParams) -> PLMap:
-    """The box map as a standalone piecewise-linear self-map.
+def build_box_map(p: BoxParams) -> PLMap:
+    """The box map on the full window as a standalone piecewise-linear
+    self-map.
 
-    Only the full window yields a standalone map, because the package's map
-    type is a self-map of [0, 1].  A box on a proper subwindow exists as a
-    vertex list (``box_vertices``) and participates in concatenations.
+    The package's map type is a self-map of [0, 1], so a box on a proper
+    subwindow exists only as a vertex list (``box_vertices``) and
+    participates in concatenations.
     """
-    if window != FULL:
-        raise ParameterError(
-            "standalone box maps live on the whole interval; "
-            "use box_vertices or concat_box_maps for subwindows"
-        )
-    return pl_from_vertices(box_vertices(window, p))
+    return pl_from_vertices(box_vertices(FULL, p))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .boxmap import BoxParams, build_box_map
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
-from .exact import FULL, CurveMap, Interval
+from .exact import CurveMap, Interval
 from .homotopy import apply_homotopy
 from .rational import Q
 from .serialize import (
@@ -105,7 +105,7 @@ def _emit_map(f: CurveMap, out: str | None, svg: str | None) -> None:
 
 
 def _cmd_boxmap(args) -> int:
-    _emit_map(build_box_map(FULL, args.params), args.out, args.svg)
+    _emit_map(build_box_map(args.params), args.out, args.svg)
     return 0
 
 

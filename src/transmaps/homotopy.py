@@ -236,7 +236,6 @@ class FamilyBoxBounds:
     maps: tuple[CurveMap, ...]
     epsilon: Q
     t0: Q
-    diameter: Q
 
     def all_bands(self, t) -> list[Interval]:
         return [
@@ -255,12 +254,7 @@ def family_box_bounds(maps: Sequence[CurveMap], epsilon) -> FamilyBoxBounds:
     t0 = largest_dyadic_where(
         lambda t: t < eta and family_modulus(maps, t) < eta
     )
-    return FamilyBoxBounds(
-        maps=tuple(maps),
-        epsilon=epsilon,
-        t0=t0,
-        diameter=family_diameter(maps),
-    )
+    return FamilyBoxBounds(maps=tuple(maps), epsilon=epsilon, t0=t0)
 
 
 @dataclass(frozen=True)

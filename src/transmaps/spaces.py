@@ -18,6 +18,7 @@ from .exact import (
     FULL,
     CurveMap,
     Interval,
+    IntervalSet,
     PLMap,
     Piece,
     affine_transform,
@@ -26,7 +27,7 @@ from .exact import (
     sup_distance,
 )
 from .rational import ONE, Q, ZERO, as_scalar, is_dyadic, largest_dyadic_where
-from .transitivity import PipelineBudget, Verdict, is_transitive_pipeline
+from .transitivity import Verdict
 
 __all__ = [
     "identity_map",
@@ -186,11 +187,14 @@ class PerturbationRecord:
     """Construction record of a quadratic fixed-point perturbation.
 
     The perturbed map h agrees with the seed outside ``window``, equals
-    the tangent parabola on ``core`` and is linear in between.  ``core``
-    maps exactly onto itself with h <= x inside, which is what the
-    refutation verdict certifies.  ``ball_window``/``ball_radius`` (when
-    present) name a window that every map within ball_radius of h keeps
-    invariant, so that whole ball misses the transitive maps.
+    a parabola on ``core`` and is linear in between.  The parabola fixes
+    both core endpoints, so ``core`` maps exactly onto itself (h <= x
+    inside, except at fixed point 1, where the mirrored parabola has
+    h >= x); the refutation verdict's witness is the core itself.
+    ``refute_level`` is the dyadic grid level whose cells tile the core.
+    ``ball_window``/``ball_radius`` (when present) name a window that
+    every map within ball_radius of h keeps invariant, so that whole
+    ball misses the transitive maps.
     """
 
     fixed_point: Q
@@ -210,9 +214,12 @@ def _dyadic_level(x) -> int:
     return d.bit_length() - 1
 
 
-def _trimmed_pieces(g: CurveMap, lo, hi) -> list[Piece]:
+def _clip(lo, hi) -> Interval:
+    return Interval(max(ZERO, lo), min(ONE, hi))
+
+
+def _trimmed_pieces(g: CurveMap, window: Interval) -> list[Piece]:
     out: list[Piece] = []
-    window = Interval(lo, hi)
     for p in g.pieces:
         d = p.domain.intersect(window)
         if d is not None and not d.is_degenerate():
@@ -220,70 +227,29 @@ def _trimmed_pieces(g: CurveMap, lo, hi) -> list[Piece]:
     return out
 
 
-def _build_perturbed(g: PLMap, x0: Q, delta: Q) -> CurveMap:
-    """h = g outside (x0-delta, x0+delta), parabola fixing [x0 +- delta/2]."""
-    pieces: list[Piece] = []
-    if x0 == ZERO:
-        # one-sided: parabola 2x^2/delta on [0, delta/2], then a connector
-        pieces.append(Piece(Interval(ZERO, delta / 2), ZERO, ZERO, 2 / delta))
-        y0, y1 = delta / 2, g.value_at(delta)
-        slope = (y1 - y0) / (delta / 2)
-        pieces.append(
-            Piece(Interval(delta / 2, delta), y0 - slope * (delta / 2), slope, ZERO)
-        )
-        pieces += _trimmed_pieces(g, delta, ONE)
-    elif x0 == ONE:
-        pieces += _trimmed_pieces(g, ZERO, 1 - delta)
-        y0, y1 = g.value_at(1 - delta), 1 - delta / 2
-        slope = (y1 - y0) / (delta / 2)
-        pieces.append(
-            Piece(Interval(1 - delta, 1 - delta / 2), y0 - slope * (1 - delta), slope, ZERO)
-        )
-        # 1 - (2/delta)(1-x)^2, increasing onto [1 - delta/2, 1]
-        c2 = -2 / delta
-        pieces.append(
-            Piece(Interval(1 - delta / 2, ONE), ONE + c2, -2 * c2, c2)
-        )
+def _connector(x0: Q, y0: Q, x1: Q, y1: Q) -> Piece:
+    slope = (y1 - y0) / (x1 - x0)
+    return Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO)
+
+
+def _build_perturbed(g: PLMap, window: Interval, core: Interval) -> CurveMap:
+    """h = g outside ``window``, a parabola fixing both ends of ``core``
+    on it, and straight connectors in between."""
+    a, b = core.lo, core.hi
+    k = 1 / core.width
+    pieces = _trimmed_pieces(g, Interval(ZERO, window.lo))
+    if window.lo < a:
+        pieces.append(_connector(window.lo, g.value_at(window.lo), a, a))
+    if b == ONE:
+        # 1 - k(1 - x)^2, increasing onto [a, 1]
+        pieces.append(Piece(core, ONE - k, 2 * k, -k))
     else:
-        a = x0 - delta / 2
-        pieces += _trimmed_pieces(g, ZERO, x0 - delta)
-        y0 = g.value_at(x0 - delta)
-        slope = (a - y0) / (delta / 2)
-        pieces.append(
-            Piece(Interval(x0 - delta, a), y0 - slope * (x0 - delta), slope, ZERO)
-        )
-        # (1/delta)(x - a)^2 + a: fixes both core endpoints, h <= x inside
-        pieces.append(
-            Piece(Interval(a, x0 + delta / 2), a * a / delta + a, -2 * a / delta, 1 / delta)
-        )
-        y1 = g.value_at(x0 + delta)
-        slope = (y1 - (x0 + delta / 2)) / (delta / 2)
-        pieces.append(
-            Piece(
-                Interval(x0 + delta / 2, x0 + delta),
-                y1 - slope * (x0 + delta),
-                slope,
-                ZERO,
-            )
-        )
-        pieces += _trimmed_pieces(g, x0 + delta, ONE)
+        # k(x - a)^2 + a, increasing onto [a, b]
+        pieces.append(Piece(core, k * a * a + a, -2 * k * a, k))
+    if b < window.hi:
+        pieces.append(_connector(b, b, window.hi, g.value_at(window.hi)))
+    pieces += _trimmed_pieces(g, Interval(window.hi, ONE))
     return CurveMap(tuple(pieces))
-
-
-def _core_of(x0: Q, delta: Q) -> Interval:
-    if x0 == ZERO:
-        return Interval(ZERO, delta / 2)
-    if x0 == ONE:
-        return Interval(1 - delta / 2, ONE)
-    return Interval(x0 - delta / 2, x0 + delta / 2)
-
-
-def _window_of(x0: Q, delta: Q) -> Interval:
-    if x0 == ZERO:
-        return Interval(ZERO, delta)
-    if x0 == ONE:
-        return Interval(1 - delta, ONE)
-    return Interval(x0 - delta, x0 + delta)
 
 
 def _ball_certificate(
@@ -298,9 +264,7 @@ def _ball_certificate(
     """
     s = delta / 8
     for _ in range(8):
-        lo = max(ZERO, core.lo - s) if core.lo > ZERO else ZERO
-        hi = min(ONE, core.hi + s) if core.hi < ONE else ONE
-        w = Interval(lo, hi)
+        w = _clip(core.lo - s, core.hi + s)
         r = range_on(h, w)
         ok = True
         if w.lo > ZERO and r.lo - s / 2 < w.lo:
@@ -321,15 +285,16 @@ def _ball_certificate(
 def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
     """A surjection within epsilon of g that no transitive map approximates.
 
-    Flattens g onto the tangent parabola across a small window around a
-    fixed point: the parabola maps its core interval onto itself, so the
-    core is an invariant proper window and the result is certifiably not
-    transitive, with slack enough that a whole ball around the output
-    misses the transitive maps.  The construction is verified post hoc
-    (exact distance, surjectivity, refutation verdict) and retries with a
-    smaller window or the next fixed point when a check fails; fixed
-    points off the dyadic grid are skipped because the invariance
-    certificate needs grid-aligned windows.
+    Flattens g onto a parabola across a small window around a fixed
+    point: the parabola maps its core interval exactly onto itself, so
+    the core is an invariant proper window, the witness of the
+    refutation verdict, with slack enough that a whole ball around the
+    output misses the transitive maps.  The exact distance and
+    surjectivity are checked post hoc, retrying with a smaller window
+    when a check fails.  The invariance proof needs no grid, but fixed
+    points off the dyadic grid are still skipped, so that the core is
+    tiled by the cells of a dyadic grid level, recorded as
+    ``refute_level``, at which the refuters meet it.
     """
     epsilon = as_scalar(epsilon)
     if epsilon <= ZERO:
@@ -355,43 +320,38 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
         def small_enough(d) -> bool:
             if d >= bound:
                 return False
-            r = range_on(g, _window_of(x0, d))
+            r = range_on(g, _clip(x0 - d, x0 + d))
             return x0 - quarter < r.lo and r.hi < x0 + quarter
 
         try:
-            delta0 = largest_dyadic_where(small_enough, k_max=60)
+            delta = largest_dyadic_where(small_enough, k_max=60)
         except DomainError:
             continue
 
-        delta = delta0
         for _ in range(7):
-            h = _build_perturbed(g, x0, delta)
-            core = _core_of(x0, delta)
+            window = _clip(x0 - delta, x0 + delta)
+            core = _clip(x0 - delta / 2, x0 + delta / 2)
+            h = _build_perturbed(g, window, core)
             dist = sup_distance(g, h)
-            level = max(_dyadic_level(core.lo), _dyadic_level(core.hi))
-            if dist < epsilon and is_surjective(h) and level >= 1:
-                verdict = is_transitive_pipeline(
-                    h, PipelineBudget(refute_levels=(level,))
+            if dist < epsilon and is_surjective(h):
+                bw, br, bs = _ball_certificate(h, core, delta)
+                record = PerturbationRecord(
+                    fixed_point=x0,
+                    delta=delta,
+                    window=window,
+                    core=core,
+                    distance=dist,
+                    verdict=Verdict.refuted(h, IntervalSet((core,))),
+                    refute_level=max(_dyadic_level(core.lo), _dyadic_level(core.hi)),
+                    ball_window=bw,
+                    ball_radius=br,
+                    ball_slack=bs,
                 )
-                if verdict.is_refuted:
-                    bw, br, bs = _ball_certificate(h, core, delta)
-                    record = PerturbationRecord(
-                        fixed_point=x0,
-                        delta=delta,
-                        window=_window_of(x0, delta),
-                        core=core,
-                        distance=dist,
-                        verdict=verdict,
-                        refute_level=level,
-                        ball_window=bw,
-                        ball_radius=br,
-                        ball_slack=bs,
-                    )
-                    return CurveMap(h.pieces, provenance=record)
+                return CurveMap(h.pieces, provenance=record)
             delta = delta / 2
     raise PreconditionError(
         "no refutable perturbation window: every fixed point sits off the "
-        "dyadic grid or resists the invariance certificate"
+        "dyadic grid or no window keeps the perturbation close and onto"
     )
 
 

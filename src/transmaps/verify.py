@@ -43,7 +43,7 @@ Check = Callable[[], bool]
 
 
 def _check_reference_box() -> bool:
-    f = build_box_map(FULL, BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), Q(20)))
+    f = build_box_map(BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), Q(20)))
     return (
         all(abs(p.c1) == 4 for p in f.pieces)
         and f.value_at(ZERO) == Q(3, 20)

@@ -88,7 +88,7 @@ def total_variation(f) -> Q:
 
 
 def test_criterion_01_reference_box(report):
-    f = build_box_map(FULL, BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), GAMMA))
+    f = build_box_map(BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), GAMMA))
     ok = (
         all(abs(p.c1) == 4 for p in f.pieces)
         and f.value_at(ZERO) == Q(3, 20)

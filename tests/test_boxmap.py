@@ -52,7 +52,7 @@ class TestFrozenLayouts:
         # band [0, 1/5], edges 3/20 and 1/10, expansion 20 on [0,1]:
         # slope 4, twenty full sweeps, remainder 1/20 burnt at value 1/8
         p = BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), Q(20))
-        f = build_box_map(FULL, p)
+        f = build_box_map(p)
         assert len(f.pieces) == 22
         assert total_variation(f) == Q(4)
         assert all(abs(pc.c1) == Q(4) for pc in f.pieces)
@@ -64,7 +64,7 @@ class TestFrozenLayouts:
 
     def test_full_band_expansion_20(self):
         p = BoxParams(ZERO, ONE, ZERO, ONE, Q(20))
-        f = build_box_map(FULL, p)
+        f = build_box_map(p)
         assert len(f.pieces) == 21
         assert total_variation(f) == Q(20)
         assert box_values(p)[-2] == Q(1, 2)
@@ -72,13 +72,13 @@ class TestFrozenLayouts:
     def test_full_band_expansion_21_exact_fit(self):
         # budget fits an odd sweep count exactly: no remainder vertex
         p = BoxParams(ZERO, ONE, ZERO, ONE, Q(21))
-        f = build_box_map(FULL, p)
+        f = build_box_map(p)
         assert len(f.pieces) == 21
         assert total_variation(f) == Q(21)
 
     def test_full_band_expansion_22(self):
         p = BoxParams(ZERO, ONE, ZERO, ONE, Q(22))
-        f = build_box_map(FULL, p)
+        f = build_box_map(p)
         assert len(f.pieces) == 23
         assert total_variation(f) == Q(22)
 
@@ -91,8 +91,8 @@ class TestFrozenLayouts:
         # at expansion 21 the sweep count jumps 19 -> 21; the two sides of
         # the jump degenerate into the same map, so nearby parameters stay
         # close in the sup metric
-        lo = build_box_map(FULL, BoxParams(ZERO, ONE, ZERO, ONE, Q(21) - Q(1, 1000)))
-        hi = build_box_map(FULL, BoxParams(ZERO, ONE, ZERO, ONE, Q(21) + Q(1, 1000)))
+        lo = build_box_map(BoxParams(ZERO, ONE, ZERO, ONE, Q(21) - Q(1, 1000)))
+        hi = build_box_map(BoxParams(ZERO, ONE, ZERO, ONE, Q(21) + Q(1, 1000)))
         assert sup_distance(lo, hi) < Q(1, 50)
 
 
@@ -119,7 +119,7 @@ def random_params(rng: random.Random) -> BoxParams:
 def test_box_map_invariants(seed):
     rng = random.Random(seed)
     p = random_params(rng)
-    f = build_box_map(FULL, p)
+    f = build_box_map(p)
     width = ONE
     slope = p.expansion * p.height / width
     # constant absolute slope, exact variation budget, onto the band
@@ -140,7 +140,7 @@ def test_box_map_invariants(seed):
 def test_box_map_sweep_floor(seed):
     # expansion >= 20 forces at least 18 full sweeps, hence many pieces
     rng = random.Random(seed)
-    f = build_box_map(FULL, random_params(rng))
+    f = build_box_map(random_params(rng))
     assert len(f.pieces) >= 19
 
 

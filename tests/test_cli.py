@@ -14,7 +14,6 @@ import transmaps.verify
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
 from transmaps.errors import ParameterError
-from transmaps.exact import FULL
 from transmaps.extension import simplex_extend
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
@@ -41,7 +40,7 @@ def test_boxmap_reference_document(capsys):
     code, out, err = run_cli(capsys, "boxmap", "--params", "3/20,1/10,0,1/5,20")
     assert code == 0 and err == ""
     f = map_from_document(json.loads(out))
-    assert f == build_box_map(FULL, BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), Q(20)))
+    assert f == build_box_map(BoxParams(Q(3, 20), Q(1, 10), ZERO, Q(1, 5), Q(20)))
     assert all(abs(p.c1) == 4 for p in f.pieces)
 
 

@@ -7,15 +7,17 @@ from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_
 from transmaps.errors import DomainError, ParameterError, PreconditionError
 from transmaps.exact import (
     FULL,
+    CurveMap,
     Interval,
     IntervalSet,
+    Piece,
     affine_transform,
     evaluate,
     pl_from_vertices,
     range_on,
     sup_distance,
 )
-from transmaps.rational import ONE, Q, ZERO
+from transmaps.rational import ONE, Q, ZERO, is_dyadic, largest_dyadic_where
 from transmaps.spaces import (
     PerturbationRecord,
     constant_map,
@@ -31,7 +33,13 @@ from transmaps.spaces import (
     sawtooth,
     square_map,
 )
-from transmaps.transitivity import ball_refute, is_transitive_pipeline, leo_certify
+from transmaps.transitivity import (
+    PipelineBudget,
+    ball_refute,
+    invariant_region_refute,
+    is_transitive_pipeline,
+    leo_certify,
+)
 
 
 def iv(a, b):
@@ -57,6 +65,188 @@ def reference_is_surjective(f):
             xs.append(v)
         values += [p.value_at(x) for x in xs]
     return min(values) == ZERO and max(values) == ONE
+
+
+# -- the earlier perturbation: three-branch builder, pipeline self-check -----
+
+
+def _reference_trimmed(g, lo, hi):
+    out = []
+    window = Interval(lo, hi)
+    for p in g.pieces:
+        d = p.domain.intersect(window)
+        if d is not None and not d.is_degenerate():
+            out.append(Piece(d, p.c0, p.c1, p.c2))
+    return out
+
+
+def _reference_build(g, x0, delta):
+    pieces = []
+    if x0 == ZERO:
+        pieces.append(Piece(Interval(ZERO, delta / 2), ZERO, ZERO, 2 / delta))
+        y0, y1 = delta / 2, g.value_at(delta)
+        slope = (y1 - y0) / (delta / 2)
+        pieces.append(
+            Piece(Interval(delta / 2, delta), y0 - slope * (delta / 2), slope, ZERO)
+        )
+        pieces += _reference_trimmed(g, delta, ONE)
+    elif x0 == ONE:
+        pieces += _reference_trimmed(g, ZERO, 1 - delta)
+        y0, y1 = g.value_at(1 - delta), 1 - delta / 2
+        slope = (y1 - y0) / (delta / 2)
+        pieces.append(
+            Piece(Interval(1 - delta, 1 - delta / 2), y0 - slope * (1 - delta), slope, ZERO)
+        )
+        c2 = -2 / delta
+        pieces.append(Piece(Interval(1 - delta / 2, ONE), ONE + c2, -2 * c2, c2))
+    else:
+        a = x0 - delta / 2
+        pieces += _reference_trimmed(g, ZERO, x0 - delta)
+        y0 = g.value_at(x0 - delta)
+        slope = (a - y0) / (delta / 2)
+        pieces.append(
+            Piece(Interval(x0 - delta, a), y0 - slope * (x0 - delta), slope, ZERO)
+        )
+        pieces.append(
+            Piece(Interval(a, x0 + delta / 2), a * a / delta + a, -2 * a / delta, 1 / delta)
+        )
+        y1 = g.value_at(x0 + delta)
+        slope = (y1 - (x0 + delta / 2)) / (delta / 2)
+        pieces.append(
+            Piece(Interval(x0 + delta / 2, x0 + delta), y1 - slope * (x0 + delta), slope, ZERO)
+        )
+        pieces += _reference_trimmed(g, x0 + delta, ONE)
+    return CurveMap(tuple(pieces))
+
+
+def _reference_core(x0, delta):
+    if x0 == ZERO:
+        return Interval(ZERO, delta / 2)
+    if x0 == ONE:
+        return Interval(1 - delta / 2, ONE)
+    return Interval(x0 - delta / 2, x0 + delta / 2)
+
+
+def _reference_window(x0, delta):
+    if x0 == ZERO:
+        return Interval(ZERO, delta)
+    if x0 == ONE:
+        return Interval(1 - delta, ONE)
+    return Interval(x0 - delta, x0 + delta)
+
+
+def _reference_ball(h, core, delta):
+    s = delta / 8
+    for _ in range(8):
+        lo = max(ZERO, core.lo - s) if core.lo > ZERO else ZERO
+        hi = min(ONE, core.hi + s) if core.hi < ONE else ONE
+        w = Interval(lo, hi)
+        r = range_on(h, w)
+        ok = True
+        if w.lo > ZERO and r.lo - s / 2 < w.lo:
+            ok = False
+        if w.hi < ONE and w.hi < r.hi + s / 2:
+            ok = False
+        if ok:
+            sides = []
+            if w.lo > ZERO:
+                sides.append(r.lo - w.lo)
+            if w.hi < ONE:
+                sides.append(w.hi - r.hi)
+            return w, s / 2, min(sides)
+        s = s / 2
+    return None, None, None
+
+
+def reference_perturbation(g, epsilon):
+    """The earlier nowhere_dense_perturbation: one builder branch per
+    place of the fixed point, and a witness found by running the pipeline
+    at the grid level of the core's endpoints."""
+    epsilon = Q(epsilon)
+    if epsilon <= ZERO:
+        raise ParameterError("perturbation size must be positive")
+    if not g.is_pl:
+        raise PreconditionError("perturbation seed must be piecewise linear")
+    if not is_surjective(g):
+        raise DomainError("perturbation seed must be onto [0,1]")
+    cands = sorted(fixed_points(g), key=lambda x: (-min(x, 1 - x), x))
+    if not cands:
+        raise PreconditionError("no fixed point")
+    quarter = epsilon / 4
+    for x0 in cands:
+        if not is_dyadic(x0):
+            continue
+        if x0 == ZERO or x0 == ONE:
+            bound = min(quarter, ONE)
+        else:
+            bound = min(quarter, x0, 1 - x0)
+
+        def small_enough(d):
+            if d >= bound:
+                return False
+            r = range_on(g, _reference_window(x0, d))
+            return x0 - quarter < r.lo and r.hi < x0 + quarter
+
+        try:
+            delta = largest_dyadic_where(small_enough, k_max=60)
+        except DomainError:
+            continue
+        for _ in range(7):
+            h = _reference_build(g, x0, delta)
+            core = _reference_core(x0, delta)
+            dist = sup_distance(g, h)
+            level = max(
+                int(core.lo.denominator).bit_length() - 1,
+                int(core.hi.denominator).bit_length() - 1,
+            )
+            if dist < epsilon and is_surjective(h) and level >= 1:
+                verdict = is_transitive_pipeline(h, PipelineBudget(refute_levels=(level,)))
+                if verdict.is_refuted:
+                    bw, br, bs = _reference_ball(h, core, delta)
+                    record = PerturbationRecord(
+                        fixed_point=x0,
+                        delta=delta,
+                        window=_reference_window(x0, delta),
+                        core=core,
+                        distance=dist,
+                        verdict=verdict,
+                        refute_level=level,
+                        ball_window=bw,
+                        ball_radius=br,
+                        ball_slack=bs,
+                    )
+                    return CurveMap(h.pieces, provenance=record)
+            delta = delta / 2
+    raise PreconditionError("no refutable perturbation window")
+
+
+STOCK_SEEDS = {
+    "saw3": lambda: sawtooth(3),
+    "saw4": lambda: sawtooth(4),
+    "saw5": lambda: sawtooth(5),
+    "ladder5": lambda: ladder_map(5),
+    "ladder6": lambda: ladder_map(6),
+}
+
+
+def assert_matches_reference(g, eps):
+    try:
+        want = reference_perturbation(g, eps)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            nowhere_dense_perturbation(g, eps)
+        return
+    got = nowhere_dense_perturbation(g, eps)
+    assert got.pieces == want.pieces
+    rec, ref = got.provenance, want.provenance
+    for name in (
+        "fixed_point", "delta", "window", "core", "distance",
+        "refute_level", "ball_window", "ball_radius", "ball_slack",
+    ):
+        assert getattr(rec, name) == getattr(ref, name), name
+    assert rec.verdict.status == ref.verdict.status
+    assert rec.verdict.budget == ref.verdict.budget
+    assert rec.verdict.witness == IntervalSet((rec.core,))
 
 
 class TestCatalog:
@@ -298,7 +488,11 @@ class TestPerturbation:
         assert sup_distance(sawtooth(3), h) == Q(1, 64)
         assert rec.verdict.is_refuted
         assert rec.refute_level == 8
-        assert rec.verdict.witness == IntervalSet.single(Q(127, 256), Q(1, 2))
+        assert rec.verdict.witness == IntervalSet((rec.core,))
+        # the refuter at the core's grid level finds a smaller invariant region
+        assert invariant_region_refute(h, 8, 200).witness == IntervalSet.single(
+            Q(127, 256), Q(1, 2)
+        )
         assert rec.ball_window == iv("507/1024", "517/1024")
         assert rec.ball_radius == Q(1, 2048)
         assert rec.ball_slack == Q(1, 1024)
@@ -317,6 +511,49 @@ class TestPerturbation:
         assert rec.verdict.is_refuted
         assert is_surjective(h)
         assert sup_distance(g, h) < Q(1, 5)
+
+    def test_right_endpoint_fixed_point(self):
+        # only dyadic fixed point of this seed is x = 1
+        g = pl_from_vertices([(ZERO, Q(1, 2)), (Q(1, 4), ZERO), (ONE, ONE)])
+        h = nowhere_dense_perturbation(g, Q(1, 10))
+        rec = h.provenance
+        assert rec.fixed_point == ONE
+        assert rec.delta == Q(1, 64)
+        assert rec.window == iv("63/64", "1")
+        assert rec.core == iv("127/128", "1")
+        assert rec.distance == Q(1, 288)
+        assert sup_distance(g, h) == Q(1, 288)
+        assert rec.refute_level == 7
+        assert rec.ball_window is None
+        assert rec.ball_radius is None and rec.ball_slack is None
+        assert rec.verdict.witness == IntervalSet((rec.core,))
+        assert range_on(h, rec.core) == rec.core
+        # the mirrored parabola lies above the diagonal inside the core
+        for x in (Q(255, 256), Q(511, 512)):
+            assert x < h.value_at(x) < ONE
+        assert is_surjective(h)
+
+    @pytest.mark.parametrize("eps", [Q(1, 10), Q(1, 4)])
+    @pytest.mark.parametrize("seed_name", sorted(STOCK_SEEDS))
+    def test_stock_seeds_match_reference(self, seed_name, eps):
+        assert_matches_reference(STOCK_SEEDS[seed_name](), eps)
+
+    @given(
+        st.one_of(
+            st.integers(0, 10_000).map(lambda s: random_surjective_pl(random.Random(s))),
+            # (0, a/8), (b/8, 0), (1, 1): 1 is the only fixed point on the rising leg
+            st.tuples(st.integers(1, 8), st.integers(1, 7)).map(
+                lambda ab: pl_from_vertices(
+                    [(ZERO, Q(ab[0], 8)), (Q(ab[1], 8), ZERO), (ONE, ONE)]
+                )
+            ),
+            st.sampled_from(sorted(STOCK_SEEDS)).map(lambda name: STOCK_SEEDS[name]()),
+        ),
+        st.sampled_from([Q(1, 10), Q(1, 4), Q(1, 2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, g, eps):
+        assert_matches_reference(g, eps)
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
