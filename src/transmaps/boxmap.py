@@ -27,9 +27,10 @@ are attained and the map is onto the band.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
-from .exact import FULL, Interval, PLMap, pl_from_vertices
+from .exact import FULL, Interval, Piece, PLMap, _frozen, pl_from_vertices
 from .rational import ONE, Q, ZERO, as_scalar
 
 __all__ = [
@@ -157,6 +158,8 @@ class BoxChain:
     Stored as map provenance.  Consumers must not trust it blindly: the
     certificate code derives each box's vertices from its parameters and
     checks the map passes through them before using any of it.
+    ``_vertices`` is each box's ``box_vertices`` list, computed once from
+    the frozen items and shared by the map build and that check.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -176,6 +179,10 @@ class BoxChain:
                     f"{pa.right_value} != {pb.left_value}"
                 )
 
+    @cached_property
+    def _vertices(self) -> tuple[list[tuple[Q, Q]], ...]:
+        return tuple(box_vertices(w, p) for w, p in self.boxes)
+
 
 def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
     """Concatenate box maps on a tiling of [0, 1] into one map.
@@ -183,12 +190,49 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
     Continuity at the junctions is exact because adjacent boxes share the
     junction value by the chain validity check.  The chain is attached as
     provenance.
+
+    The pieces are built straight from the box vertices, without the
+    checks of ``pl_from_vertices``, which gives the same map.  That is
+    safe: the windows tile [0, 1] and every box's parameters were
+    validated, so each leg steps right by a positive amount, its ends lie
+    in the box's band inside [0, 1], and its slope is exactly
+    +-expansion * height / width.  Inside a box the legs alternate up and
+    down, so only a junction can join two collinear legs, and only there
+    are slopes compared.
     """
     chain = BoxChain(tuple(boxes))
-    verts: list[tuple[Q, Q]] = []
-    for window, p in chain.boxes:
-        vs = box_vertices(window, p)
-        if verts:
-            vs = vs[1:]  # junction vertex already present
-        verts.extend(vs)
-    return pl_from_vertices(verts, provenance=chain)
+    pieces: list[Piece] = []
+    lows: list[Q] = []
+    values: list[Q] = []
+    for (window, p), verts in zip(chain.boxes, chain._vertices):
+        up = p.expansion * p.height / window.width
+        down = -up
+        for k in range(1, len(verts)):
+            x0, y0 = verts[k - 1]
+            x1, y1 = verts[k]
+            slope = up if y0 < y1 else down
+            if k == 1 and pieces and pieces[-1].c1 == slope:
+                # collinear across the junction: widen the last piece
+                last = pieces.pop()
+                x0, c0 = last.domain.lo, last.c0
+            else:
+                c0 = y0 - slope * x0
+                lows.append(x0)
+                values.append(y0)
+            pieces.append(
+                _frozen(
+                    Piece,
+                    domain=_frozen(Interval, lo=x0, hi=x1),
+                    c0=c0,
+                    c1=slope,
+                    c2=ZERO,
+                )
+            )
+    values.append(chain.boxes[-1][1].right_value)
+    return _frozen(
+        PLMap,
+        pieces=tuple(pieces),
+        provenance=chain,
+        _lows=tuple(lows),
+        _values=tuple(values),
+    )

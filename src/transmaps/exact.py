@@ -26,6 +26,18 @@ may come from outside: documents, the CLI, hand-built pieces.
 ``pl_from_vertices`` is the one vertex-level path: it checks the vertex
 list once, at the vertices, with the same checks and messages, and then
 assembles pieces and map without validating them a second time.
+
+Every map keeps ``_values``, its values at its breakpoints, in the order
+of ``breakpoints``.  Each construction path fills it once, from numbers
+it has anyway: ``CurveMap`` from its continuity check, ``pl_from_vertices``
+from the vertex list, ``boxmap.concat_box_maps`` from the box vertices.
+The routines that walk pieces read piece-end values from it instead of
+evaluating the piece there: ``range_on`` (only J's own ends inside a
+piece and parabola vertices are evaluated), ``sup_distance`` (a
+refinement point takes its value from the map whose breakpoint it is),
+``total_variation``, ``svg.render_svg`` and the record check of
+``transitivity.box_chain_certify``.  Like ``_lows`` it is not a field, so
+equality and hashing ignore it.
 """
 from __future__ import annotations
 
@@ -180,15 +192,17 @@ class Piece:
             )
 
     def value_at(self, x) -> Q:
-        return self.c0 + x * (self.c1 + x * self.c2)
+        if self.c2:
+            return self.c0 + x * (self.c1 + x * self.c2)
+        return self.c0 + x * self.c1
 
     @property
     def is_affine(self) -> bool:
-        return self.c2 == 0
+        return not self.c2
 
     def vertex(self) -> "Q | None":
         """Abscissa of the parabola vertex, if quadratic and interior."""
-        if self.c2 == 0:
+        if not self.c2:
             return None
         v = -self.c1 / (2 * self.c2)
         if self.domain.lo < v < self.domain.hi:
@@ -237,7 +251,8 @@ class CurveMap:
     tuple is canonical (adjacent identical pieces merged), so structural
     equality is well defined.  ``provenance`` is an optional construction
     record (ignored by equality and hashing) that certificate routines may
-    consult after independently re-verifying it.
+    consult after independently re-verifying it.  ``_values`` holds the
+    map's value at each of its ``breakpoints``.
     """
 
     pieces: tuple[Piece, ...]
@@ -249,16 +264,18 @@ class CurveMap:
             raise DomainError("a map needs at least one piece")
         if pieces[0].domain.lo != ZERO or pieces[-1].domain.hi != ONE:
             raise DomainError("pieces do not tile [0,1]")
+        values = [pieces[0].value_at(ZERO)]
         for a, b in zip(pieces, pieces[1:]):
             if a.domain.hi != b.domain.lo:
                 raise DomainError("gap or overlap between piece domains")
-            if a.value_at(a.domain.hi) != b.value_at(b.domain.lo):
-                raise DomainError(
-                    f"discontinuity at x={a.domain.hi}: "
-                    f"{a.value_at(a.domain.hi)} != {b.value_at(b.domain.lo)}"
-                )
+            ya, yb = a.value_at(a.domain.hi), b.value_at(b.domain.lo)
+            if ya != yb:
+                raise DomainError(f"discontinuity at x={a.domain.hi}: {ya} != {yb}")
+            values.append(ya)
+        values.append(pieces[-1].value_at(ONE))
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_lows", tuple(p.domain.lo for p in pieces))
+        object.__setattr__(self, "_values", tuple(values))
 
     # -- point access -----------------------------------------------------
 
@@ -324,7 +341,7 @@ def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
     pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
     if len(pts) < 2:
         raise DomainError("need at least two vertices")
-    runs: list[list] = []  # [x0, x1, c0, slope] of each maximal collinear run
+    runs: list[list] = []  # [x0, x1, c0, slope, y0] of each maximal collinear run
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if not x0 < x1:
             raise DomainError("vertex abscissae must strictly increase")
@@ -339,20 +356,20 @@ def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
         if runs and runs[-1][3] == slope:
             runs[-1][1] = x1
         else:
-            runs.append([x0, x1, y0 - slope * x0, slope])
+            runs.append([x0, x1, y0 - slope * x0, slope, y0])
     if runs[0][0] != ZERO or runs[-1][1] != ONE:
         raise DomainError("pieces do not tile [0,1]")
     pieces = tuple(
         _frozen(Piece, domain=_frozen(Interval, lo=x0, hi=x1), c0=c0, c1=slope, c2=ZERO)
-        for x0, x1, c0, slope in runs
+        for x0, x1, c0, slope, _ in runs
     )
     return _frozen(
         PLMap,
         pieces=pieces,
         provenance=provenance,
         _lows=tuple(run[0] for run in runs),
+        _values=tuple(run[4] for run in runs) + (pts[-1][1],),
     )
-
 
 
 def evaluate(f: CurveMap, x) -> Q:
@@ -366,27 +383,27 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
     The image of a closed interval under a continuous map is the closed
     interval between the exact extrema, which occur at endpoints of the
     intersection with a piece or at an interior quadratic vertex.  Only
-    the pieces that meet J are read: bisection finds the one holding
-    J.lo, so a query costs O(log pieces + pieces meeting J).
+    the pieces that meet J are read: bisection finds the ones holding
+    J.lo and J.hi, so a query costs O(log pieces + pieces meeting J).
+    The breakpoints strictly inside J give their values from the table;
+    only J's ends, when they fall inside a piece, and the parabola
+    vertices inside J are evaluated.
     """
-    pieces = f.pieces
-    lo = hi = None
-    for i in range(f._piece_index(j.lo), len(pieces)):
-        p = pieces[i]
-        if p.domain.lo > j.hi:
-            break
-        a = max(p.domain.lo, j.lo)
-        b = min(p.domain.hi, j.hi)
-        if a == b:
-            plo = phi = p.value_at(a)
-        else:
-            plo, phi = p.range_over(a, b)
-        if lo is None or plo < lo:
-            lo = plo
-        if hi is None or phi > hi:
-            hi = phi
+    pieces, lows, values = f.pieces, f._lows, f._values
+    i = f._piece_index(j.lo)
+    # the piece holding J.hi: the last one starting before it, or i for a point
+    m = max(bisect.bisect_left(lows, j.hi, i) - 1, i)
+    ys = [
+        values[i] if lows[i] == j.lo else pieces[i].value_at(j.lo),
+        values[m + 1] if pieces[m].domain.hi == j.hi else pieces[m].value_at(j.hi),
+    ]
+    ys += values[i + 1 : m + 1]
+    for p in pieces[i : m + 1]:
+        v = p.vertex()
+        if v is not None and j.lo < v < j.hi:
+            ys.append(p.value_at(v))
     # a valid map's values on J lie in [0, 1], and lo <= hi by construction
-    return _frozen(Interval, lo=lo, hi=hi)
+    return _frozen(Interval, lo=min(ys), hi=max(ys))
 
 
 def image_set(f: CurveMap, u: IntervalSet) -> IntervalSet:
@@ -402,29 +419,37 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
     """
     if f is g:
         return ZERO
+    fp, gp, fv, gv = f.pieces, g.pieces, f._values, g._values
+    nf = len(fp)
     fi = gi = 0
-    fp, gp = f.pieces, g.pieces
     # f - g is continuous, so a segment's start value is the previous
     # segment's end value: start from |f(0) - g(0)| and read only right
-    # ends and interior vertices.
-    best = fp[0].c0 - gp[0].c0
+    # ends and interior vertices.  A right end is a breakpoint of f, of g
+    # or of both, and each map's value there is read from its own table
+    # when the end is its breakpoint.
+    best = fv[0] - gv[0]
     if best < 0:
         best = -best
     x = ZERO
-    while True:
+    while fi < nf:
         pf, pg = fp[fi], gp[gi]
         fh, gh = pf.domain.hi, pg.domain.hi
-        x1 = fh if fh <= gh else gh
-        d0 = pf.c0 - pg.c0
-        d1 = pf.c1 - pg.c1
-        d2 = pf.c2 - pg.c2
-        if d2 == 0:
-            vb = d0 + x1 * d1
+        if fh < gh:
+            x1, vb = fh, fv[fi + 1] - pg.value_at(fh)
+            fi += 1
+        elif gh < fh:
+            x1, vb = gh, pf.value_at(gh) - gv[gi + 1]
+            gi += 1
         else:
-            vb = d0 + x1 * (d1 + x1 * d2)
+            x1, vb = fh, fv[fi + 1] - gv[gi + 1]
+            fi += 1
+            gi += 1
+        if (pf.c2 or pg.c2) and pf.c2 != pg.c2:
+            d1 = pf.c1 - pg.c1
+            d2 = pf.c2 - pg.c2
             v = -d1 / (2 * d2)
             if x < v < x1:
-                vv = d0 + v * (d1 + v * d2)
+                vv = pf.c0 - pg.c0 + v * (d1 + v * d2)
                 if vv < 0:
                     vv = -vv
                 if vv > best:
@@ -433,22 +458,16 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
             vb = -vb
         if vb > best:
             best = vb
-        if x1 == ONE:
-            break
         x = x1
-        if fh == x1:
-            fi += 1
-        if gh == x1:
-            gi += 1
     return best
 
 
 def total_variation(f: CurveMap) -> Q:
     """Exact total variation: per piece, split at an interior vertex."""
     tv = ZERO
-    for p in f.pieces:
-        a = p.value_at(p.domain.lo)
-        b = p.value_at(p.domain.hi)
+    values = f._values
+    for i, p in enumerate(f.pieces):
+        a, b = values[i], values[i + 1]
         v = p.vertex()
         if v is None:
             tv += b - a if b >= a else a - b

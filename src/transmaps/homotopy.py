@@ -109,15 +109,17 @@ def _window_band(ranges: Sequence[Interval], width: Q) -> tuple[Q, Interval]:
 def box_data(f: CurveMap, t, gamma) -> BoxData:
     gamma = as_scalar(gamma)
     grid = partition(t)
+    # f at each grid point once: a window's right edge is the next one's left
+    ys = [f.value_at(w.lo) for w in grid.windows] + [f.value_at(ONE)]
     alphas: list[Q] = []
     boxes: list[BoxParams] = []
-    for w in grid.windows:
+    for k, w in enumerate(grid.windows):
         alpha, band = _window_band([range_on(f, w)], w.width)
         alphas.append(alpha)
         boxes.append(
             BoxParams(
-                left_value=f.value_at(w.lo),
-                right_value=f.value_at(w.hi),
+                left_value=ys[k],
+                right_value=ys[k + 1],
                 bottom=band.lo,
                 top=band.hi,
                 expansion=gamma,

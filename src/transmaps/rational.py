@@ -28,8 +28,12 @@ def as_scalar(x) -> "Q":
 
     Strings accept "p/q", integer literals, and exact decimal literals
     ("0.15" -> 3/20).  Floats are rejected: a float argument is almost
-    always an accidental precision leak.
+    always an accidental precision leak.  A rational of the scalar type
+    comes back as itself: it is immutable, so a copy would only cost time
+    and keep two equal objects alive where one would do.
     """
+    if type(x) is Q:
+        return x
     if isinstance(x, float):
         raise DomainError("floats are not accepted; pass a string or rational")
     try:

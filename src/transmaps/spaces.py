@@ -192,9 +192,13 @@ class PerturbationRecord:
     inside, except at fixed point 1, where the mirrored parabola has
     h >= x); the refutation verdict's witness is the core itself.
     ``refute_level`` is the dyadic grid level whose cells tile the core.
-    ``ball_window``/``ball_radius`` (when present) name a window that
-    every map within ball_radius of h keeps invariant, so that whole
-    ball misses the transitive maps.
+    ``ball_window``/``ball_radius``/``ball_slack`` are set only when
+    ``_ball_certificate`` finds a window around the core that every map
+    within ball_radius of h keeps invariant; that ball then misses the
+    transitive maps.  Otherwise all three are None and nothing is claimed
+    about a ball: at epsilon 1/10 that is the case for ``sawtooth(4)``,
+    ``sawtooth(5)`` and ``ladder_map(5)``, and ``ball_refute`` at grid
+    level 8 finds no ball around those outputs either.
     """
 
     fixed_point: Q
@@ -288,8 +292,10 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
     Flattens g onto a parabola across a small window around a fixed
     point: the parabola maps its core interval exactly onto itself, so
     the core is an invariant proper window, the witness of the
-    refutation verdict, with slack enough that a whole ball around the
-    output misses the transitive maps.  The exact distance and
+    refutation verdict.  The output itself is never transitive; a whole
+    ball around it is shown to miss the transitive maps only when the
+    record holds a ball window (see ``PerturbationRecord``).  The exact
+    distance and
     surjectivity are checked post hoc, retrying with a smaller window
     when a check fails.  The invariance proof needs no grid, but fixed
     points off the dyadic grid are still skipped, so that the core is

@@ -1,9 +1,10 @@
 """Presentation-only SVG plots of maps. Nothing reads these back.
 
 Fixed 800x800 canvas with 40px margins and a flipped y axis.  Linear
-pieces contribute their exact endpoints; quadratic pieces are sampled
-at 256 points.  Coordinates are formatted to three decimals from exact
-rationals, so repeated renders of the same map are byte-identical.
+pieces contribute their exact endpoints, read from the map's breakpoint
+table; quadratic pieces are sampled at 256 points.  Coordinates are
+formatted to three decimals from exact rationals, so repeated renders of
+the same map are byte-identical.
 """
 from __future__ import annotations
 
@@ -34,16 +35,15 @@ def _py(y: Q) -> str:
 
 def _plot_points(f: CurveMap):
     points = []
-    for p in f.pieces:
+    values = f._values
+    for i, p in enumerate(f.pieces):
         if p.is_affine:
-            xs = (p.domain.lo, p.domain.hi)
+            pts = ((p.domain.lo, values[i]), (p.domain.hi, values[i + 1]))
         else:
             w = p.domain.width
-            xs = tuple(
-                p.domain.lo + w * Q(j, QUAD_SAMPLES - 1) for j in range(QUAD_SAMPLES)
-            )
-        for x in xs:
-            pt = (x, p.value_at(x))
+            xs = (p.domain.lo + w * Q(j, QUAD_SAMPLES - 1) for j in range(QUAD_SAMPLES))
+            pts = [(x, p.value_at(x)) for x in xs]
+        for pt in pts:
             if not points or points[-1] != pt:
                 points.append(pt)
     return points

@@ -45,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .boxmap import BoxChain, BoxParams, box_values, box_vertices
+from .boxmap import BoxChain, BoxParams, box_values
 from .errors import ParameterError, PreconditionError
 from .exact import (
     FULL,
@@ -438,28 +438,31 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
     return coverage_closure_full(windows, bands)
 
 
-def _reproduces(f: CurveMap, chain: BoxChain) -> bool:
-    """Whether f is exactly the concatenation the chain describes.
+def _reproduces(f: CurveMap, vertex_lists: Sequence[Sequence[tuple[Q, Q]]]) -> bool:
+    """Whether f is exactly the concatenation whose per-box vertex lists
+    are given.
 
     Both are piecewise linear, so they agree when every breakpoint of f
     is a chain vertex and f passes through every chain vertex: between
     consecutive vertices each is then one affine piece with the same end
-    values.  The walk is over vertices; no map is rebuilt.
+    values.  The walk is over vertices; no map is rebuilt.  A vertex at a
+    breakpoint is compared with the breakpoint table; a vertex inside a
+    piece, one the collinear merge dropped, is evaluated.
     """
     if not f.is_pl:
         return False
-    pieces = f.pieces
-    i = 0
-    # A junction vertex is visited twice, as the end of one box and the
-    # start of the next; chain validity gives it one value, so the
-    # second visit only repeats a check that already passed.
-    for window, params in chain.boxes:
-        for x, y in box_vertices(window, params):
-            piece = pieces[i]
-            if x > piece.domain.hi or piece.value_at(x) != y:
+    pieces, xs, ys = f.pieces, f.breakpoints, f._values
+    k = 0  # the next breakpoint of f still to be met
+    for verts in vertex_lists:
+        # a junction vertex closes one list and opens the next; chain
+        # validity gives it one value, so it is checked once
+        for x, y in verts[1:] if k else verts:
+            if x == xs[k]:
+                if ys[k] != y:
+                    return False
+                k += 1
+            elif x > xs[k] or pieces[k - 1].value_at(x) != y:
                 return False
-            if x == piece.domain.hi and i + 1 < len(pieces):
-                i += 1
     return True
 
 
@@ -472,7 +475,7 @@ def box_chain_certify(f: CurveMap) -> Verdict:
     fails; never Refuted (this routine has no refutation power).
     """
     chain = f.provenance
-    if not isinstance(chain, BoxChain) or not _reproduces(f, chain):
+    if not isinstance(chain, BoxChain) or not _reproduces(f, chain._vertices):
         return Verdict.inconclusive(0)
     if not chain_certified(chain.boxes):
         return Verdict.inconclusive(0)

@@ -30,6 +30,16 @@ class TestAsScalar:
         assert as_scalar(value) == expected
         assert str(as_scalar(value)) == str(expected)
 
+    @pytest.mark.parametrize("value", [Q(2, 5), Q(0), Q(-7, 3), Q(10**30 + 1, 3)])
+    def test_scalar_comes_back_itself(self, value):
+        # rationals are immutable, so the coercion shares rather than copies
+        assert as_scalar(value) is value
+
+    @pytest.mark.parametrize("text, expected", [("5/10", Q(1, 2)), ("1.25", Q(5, 4))])
+    def test_strings_still_parse(self, text, expected):
+        got = as_scalar(text)
+        assert type(got) is Q and got == expected
+
     @pytest.mark.parametrize("value", [0.5, 1.0, 0.0])
     def test_floats_rejected(self, value):
         with pytest.raises(DomainError, match="floats"):

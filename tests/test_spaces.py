@@ -596,6 +596,25 @@ class TestPerturbation:
                 assert rec.ball_window.hi - r.hi >= rec.ball_slack
 
 
+def test_stock_seed_balls_at_one_tenth():
+    """A ball is recorded only where the certificate finds one: the radii
+    criterion 10 reports, and no ball for the other three seeds."""
+    radii = {
+        name: nowhere_dense_perturbation(make(), Q(1, 10)).provenance.ball_radius
+        for name, make in STOCK_SEEDS.items()
+    }
+    assert radii == {
+        "saw3": Q(1, 2048),
+        "saw4": None,
+        "saw5": None,
+        "ladder5": None,
+        "ladder6": Q(1, 8192),
+    }
+    for name in ("saw4", "saw5", "ladder5"):
+        rec = nowhere_dense_perturbation(STOCK_SEEDS[name](), Q(1, 10)).provenance
+        assert rec.ball_window is None and rec.ball_slack is None
+
+
 class TestNonconvexity:
     def test_witness_triple(self):
         f, g, mid = nonconvexity_witness()
