@@ -80,11 +80,12 @@ def _floor(x: Q) -> int:
     return int(x.numerator // x.denominator)
 
 
-def box_values(p: BoxParams) -> list[Q]:
-    """The sequence of values at the turning points, edges included.
+def _sweeps(p: BoxParams) -> tuple[list[Q], int]:
+    """``box_values(p)`` and its full extremum count k.
 
-    Consecutive entries always differ, and the absolute increments sum to
-    exactly expansion * height.
+    Entries 1..k of the list are the extrema, alternating between top and
+    bottom; after them come the optional overshoot and the right value,
+    the latter dropped when it equals the last extremum.
     """
     h = p.height
     budget = p.expansion * h
@@ -107,33 +108,54 @@ def box_values(p: BoxParams) -> list[Q]:
     k = best_k
     if k < 18:  # expansion >= 20 guarantees this; a failure is a bug here
         raise AssertionError(f"sweep count {k} impossibly small")
-    used = d_first + (k - 1) * h + abs(p.right_value - extremum(k))
-    remainder = budget - used
+    last = extremum(k)
+    remainder = budget - (d_first + (k - 1) * h + abs(p.right_value - last))
 
+    # The first extremum is the band edge the left value is not at, the
+    # extrema alternate, and the overshoot lies strictly inside the band,
+    # so the one possible repeat is a right value equal to the last extremum.
     values = [p.left_value] + [extremum(i) for i in range(1, k + 1)]
     if remainder > 0:
-        if extremum(k) == p.top:  # final leg descends: dip below right_value
+        if last == p.top:  # final leg descends: dip below right_value
             values.append(p.right_value - remainder / 2)
         else:
             values.append(p.right_value + remainder / 2)
-    values.append(p.right_value)
+        values.append(p.right_value)
+    elif p.right_value != last:
+        values.append(p.right_value)
+    return values, k
 
-    out = [values[0]]
-    for v in values[1:]:
-        if v != out[-1]:
-            out.append(v)
-    return out
+
+def box_values(p: BoxParams) -> list[Q]:
+    """The sequence of values at the turning points, edges included.
+
+    Consecutive entries always differ, and the absolute increments sum to
+    exactly expansion * height.  After the first leg come k - 1 full
+    sweeps between top and bottom, each of variation height; only the
+    first leg and the one or two legs after the last extremum are partial.
+    """
+    return _sweeps(p)[0]
 
 
 def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
-    """Graph vertices of the box map on the window, exact abscissae."""
+    """Graph vertices of the box map on the window, exact abscissae.
+
+    Every full sweep moves x by the same step, width / expansion (a
+    height's worth of variation at slope expansion * height / width), so
+    the extrema after the first sit one addition apart.  Only the first
+    leg and the partial legs after the last extremum divide by the slope.
+    """
     if window.is_degenerate():
         raise ParameterError("box window must be nondegenerate")
-    values = box_values(p)
+    values, k = _sweeps(p)
     slope = p.expansion * p.height / window.width
-    verts = [(window.lo, values[0])]
-    x = window.lo
-    for a, b in zip(values, values[1:]):
+    step = window.width / p.expansion
+    x = window.lo + abs(values[1] - values[0]) / slope
+    verts = [(window.lo, values[0]), (x, values[1])]
+    for v in values[2 : k + 1]:
+        x = x + step
+        verts.append((x, v))
+    for a, b in zip(values[k:], values[k + 1 :]):
         x = x + abs(b - a) / slope
         verts.append((x, b))
     assert verts[-1][0] == window.hi  # increments sum to the exact budget

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .boxmap import BoxParams, concat_box_maps
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
-from .exact import CurveMap, Interval, sup_distance
+from .exact import CurveMap, Interval, _frozen, sup_distance
 from .homotopy import box_data, family_box_bounds, partition, uniform_modulus
 from .rational import ONE, Q, ZERO, as_scalar
 from .transitivity import chain_certified
@@ -172,15 +172,19 @@ class ExtensionResult:
         return self.t0 is None
 
     @cached_property
-    def _apex(self) -> CurveMap:
-        if self.is_constant:
-            return self.boundary.probe_maps[0]
+    def _targets(self) -> tuple[BoxParams, ...]:
+        """The t = 1 box of every window, validated once."""
         c = self.junction_targets
-        boxes = (
+        return tuple(
             BoxParams(c[i], c[i + 1], h.lo, h.hi, EXPANSION)
             for i, h in enumerate(self.hull_bands)
         )
-        return concat_box_maps(list(zip(self.windows, boxes)))
+
+    @cached_property
+    def _apex(self) -> CurveMap:
+        if self.is_constant:
+            return self.boundary.probe_maps[0]
+        return concat_box_maps(list(zip(self.windows, self._targets)))
 
     def apex(self) -> CurveMap:
         """The single t = 1 map, the same for every boundary point."""
@@ -227,6 +231,13 @@ class ExtensionResult:
         adjacent boxes start at a shared value and aim at a shared
         target; band growth is monotone whenever the base bands sit
         inside the hull bands.
+
+        The boxes above t0 skip ``BoxParams`` validation.  Each is the
+        convex combination (1 - u) * base + u * target of two validated
+        boxes with the same expansion, and the admissible set is cut out
+        by linear inequalities (0 <= bottom < top <= 1, both edge values
+        in [bottom, top], expansion >= 20), so it is convex and holds the
+        combination.  Its fields are exact scalars already.
         """
         x, t = as_scalar(x), as_scalar(t)
         if self.is_constant:
@@ -236,19 +247,19 @@ class ExtensionResult:
         if t < self.t0:
             return tuple(box_data(self._checked(x), t, EXPANSION).items())
         u = (t - self.t0) / (ONE - self.t0)
-        c, hull = self.junction_targets, self.hull_bands
         return tuple(
             (
                 w,
-                BoxParams(
-                    left_value=p.left_value + u * (c[i] - p.left_value),
-                    right_value=p.right_value + u * (c[i + 1] - p.right_value),
-                    bottom=p.bottom + u * (hull[i].lo - p.bottom),
-                    top=p.top + u * (hull[i].hi - p.top),
+                _frozen(
+                    BoxParams,
+                    left_value=p.left_value + u * (q.left_value - p.left_value),
+                    right_value=p.right_value + u * (q.right_value - p.right_value),
+                    bottom=p.bottom + u * (q.bottom - p.bottom),
+                    top=p.top + u * (q.top - p.top),
                     expansion=p.expansion,
                 ),
             )
-            for i, (w, p) in enumerate(self._base(x))
+            for (w, p), q in zip(self._base(x), self._targets)
         )
 
     def evaluate(self, x, t) -> CurveMap:

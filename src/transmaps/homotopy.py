@@ -28,6 +28,7 @@ The companions quantify that closeness:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .boxmap import BoxParams, concat_box_maps
@@ -66,7 +67,16 @@ class PartitionData:
 
 
 def partition(t) -> PartitionData:
-    t = as_scalar(t)
+    """The windows of step t.
+
+    The grid is pure and frozen, and every deformation at step t asks for
+    it again, so the grids of the last 16 steps asked for are kept.
+    """
+    return _partition(as_scalar(t))
+
+
+@lru_cache(maxsize=16)
+def _partition(t: Q) -> PartitionData:
     if not (ZERO < t <= ONE):
         raise DomainError(f"window length {t} outside (0,1]")
     # largest s with s*t < 1; when 1/t is an integer this is 1/t - 1

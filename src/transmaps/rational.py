@@ -44,7 +44,7 @@ def as_scalar(x) -> "Q":
 
 def scalar_str(x) -> str:
     """Canonical text form: 'p/q' in lowest terms, or bare 'p' for integers."""
-    return str(Q(x))
+    return str(x) if type(x) is Q else str(Q(x))
 
 
 def is_dyadic(x) -> bool:

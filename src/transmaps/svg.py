@@ -2,9 +2,11 @@
 
 Fixed 800x800 canvas with 40px margins and a flipped y axis.  Linear
 pieces contribute their exact endpoints, read from the map's breakpoint
-table; quadratic pieces are sampled at 256 points.  Coordinates are
-formatted to three decimals from exact rationals, so repeated renders of
-the same map are byte-identical.
+table; quadratic pieces are sampled at 256 points.  A coordinate
+MARGIN + SPAN * n/d is formatted to three decimals from one correctly
+rounded integer division, (MARGIN * d + SPAN * n) / d, with no rational
+arithmetic; that is the float of the exact coordinate, so repeated
+renders of the same map are byte-identical on either scalar backend.
 """
 from __future__ import annotations
 
@@ -21,16 +23,14 @@ SPAN = SIZE - 2 * MARGIN
 QUAD_SAMPLES = 256
 
 
-def _fmt(value: Q) -> str:
-    return f"{float(value):.3f}"
-
-
 def _px(x: Q) -> str:
-    return _fmt(MARGIN + SPAN * x)
+    n, d = int(x.numerator), int(x.denominator)
+    return f"{(MARGIN * d + SPAN * n) / d:.3f}"
 
 
 def _py(y: Q) -> str:
-    return _fmt(SIZE - MARGIN - SPAN * y)
+    n, d = int(y.numerator), int(y.denominator)
+    return f"{((SIZE - MARGIN) * d - SPAN * n) / d:.3f}"
 
 
 def _plot_points(f: CurveMap):

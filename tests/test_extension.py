@@ -400,6 +400,20 @@ def test_every_cone_chain_certifies(ext1, k, data):
     assert chain_certified(items)
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lerped_boxes_pass_the_checked_constructor(ext1, data):
+    # above t0 the boxes are built without validation; every one must be
+    # a box the checked constructor accepts, and equal to what it builds
+    m = data.draw(st.integers(min_value=1, max_value=2**12))
+    t = ext1.t0 + (ONE - ext1.t0) * Q(m, 2**12)
+    x = data.draw(st.sampled_from([ZERO, ONE]))
+    for _, p in ext1.evaluate_chain(x, t):
+        checked = BoxParams(p.left_value, p.right_value, p.bottom, p.top, p.expansion)
+        assert checked == p
+        assert type(p.bottom) is Q and type(p.expansion) is Q
+
+
 # -- complexes -----------------------------------------------------------------
 
 TRIANGLE = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]

@@ -6,11 +6,13 @@ deformation at full step, moduli of the identity/tent/bowl/square maps,
 and the stability step 1/128 for the identity at radius 1/100.
 """
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transmaps import homotopy
 from transmaps.boxmap import BoxChain, BoxParams, build_box_map
 from transmaps.corpus import (
     perturb_pl,
@@ -84,6 +86,23 @@ class TestPartition:
             partition(0)
         with pytest.raises(DomainError):
             partition(Q(3, 2))
+
+    def test_cached_grid_equals_a_fresh_build(self):
+        for t in (Q(1, 3), Q(2, 5), Q(1, 64)):
+            cached = partition(t)
+            assert partition(t) is cached
+            assert cached == homotopy._partition.__wrapped__(t)
+
+    def test_equal_steps_share_one_grid(self):
+        grids = [partition(t) for t in ("1/4", Q(1, 4), Fraction(1, 4), "0.25")]
+        assert all(g is grids[0] for g in grids)
+        assert grids[0].windows[-1] == Interval(Q(3, 4), ONE)
+
+    def test_bad_step_raises_on_every_call(self):
+        for t in (0, Q(3, 2), 0.25):
+            for _ in range(3):
+                with pytest.raises(DomainError):
+                    partition(t)
 
 
 def window_ranges_sweep(f, windows):
