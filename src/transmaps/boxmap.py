@@ -26,11 +26,22 @@ are attained and the map is onto the band.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError
-from .exact import FULL, Interval, Piece, PLMap, _frozen, pl_from_vertices
+from .exact import (
+    FULL,
+    CurveMap,
+    Interval,
+    Piece,
+    PLMap,
+    _frozen,
+    _piece_range,
+    _walk_gap,
+    pl_from_vertices,
+)
 from .rational import ONE, Q, ZERO, as_scalar
 
 __all__ = [
@@ -145,6 +156,13 @@ def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
     the extrema after the first sit one addition apart.  Only the first
     leg and the partial legs after the last extremum divide by the slope.
     """
+    return _layout(window, p)[0]
+
+
+def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], int, Q]:
+    """``box_vertices(window, p)``, its full extremum count k and the
+    sweep step width / expansion.  Vertices 1..k are the extrema, the
+    i-th at x_1 + (i - 1) * step."""
     if window.is_degenerate():
         raise ParameterError("box window must be nondegenerate")
     values, k = _sweeps(p)
@@ -159,7 +177,7 @@ def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
         x = x + abs(b - a) / slope
         verts.append((x, b))
     assert verts[-1][0] == window.hi  # increments sum to the exact budget
-    return verts
+    return verts, k, step
 
 
 def build_box_map(p: BoxParams) -> PLMap:
@@ -177,9 +195,13 @@ def build_box_map(p: BoxParams) -> PLMap:
 class BoxChain:
     """Construction record for a concatenation of box maps.
 
-    Stored as map provenance.  Consumers must not trust it blindly: the
-    certificate code derives each box's vertices from its parameters and
-    checks the map passes through them before using any of it.
+    Stored as map provenance.  A record attached from outside, by a
+    caller's ``PLMap(pieces, provenance=chain)`` or a document read back,
+    is not trusted: the certificate code derives each box's vertices from
+    its parameters and checks the map passes through them before using
+    any of it.  Only the map ``concat_box_maps`` builds is its chain by
+    construction; it carries a private link to it (``_ChainLink``) that
+    the exact queries and the certificate read without that check.
     ``_vertices`` is each box's ``box_vertices`` list, computed once from
     the frozen items and shared by the map build and that check.
     """
@@ -202,8 +224,139 @@ class BoxChain:
                 )
 
     @cached_property
+    def _layouts(self) -> tuple[tuple[list[tuple[Q, Q]], int, Q], ...]:
+        return tuple(_layout(w, p) for w, p in self.boxes)
+
+    @cached_property
     def _vertices(self) -> tuple[list[tuple[Q, Q]], ...]:
-        return tuple(box_vertices(w, p) for w, p in self.boxes)
+        return tuple(verts for verts, _, _ in self._layouts)
+
+
+def _ceil(x: Q) -> int:
+    return -int(-x.numerator // x.denominator)
+
+
+class _ChainLink:
+    """The box chain of a map built by ``concat_box_maps``, laid out for
+    the exact queries; held as the map's ``_chain``.
+
+    Per box: its vertices, its full extremum count k, its sweep step and
+    its slope.  Vertices 1..k are the extrema, alternating between top
+    and bottom, the i-th at x_1 + (i - 1) * step; only vertex 0 and the
+    one or two tail vertices after vertex k lie off that lattice.
+    """
+
+    __slots__ = ("chain", "los", "his", "boxes")
+
+    def __init__(self, chain: BoxChain, slopes: list[Q]):
+        self.chain = chain
+        self.los = tuple(w.lo for w, _ in chain.boxes)
+        self.his = tuple(w.hi for w, _ in chain.boxes)
+        self.boxes = tuple(
+            (verts, k, step, up)
+            for (verts, k, step), up in zip(chain._layouts, slopes)
+        )
+
+    def range_on(self, g: CurveMap, j: Interval) -> Interval:
+        """``range_on(g, J)`` for g this chain's map.  Every box whose
+        window J holds attains its whole band (k >= 18 extrema reach top
+        and bottom); the at most two partly covered windows read g's
+        pieces on their part of J, and so does a J without a whole box."""
+        a = bisect.bisect_left(self.los, j.lo)
+        z = bisect.bisect_right(self.his, j.hi)
+        if a >= z:
+            return _piece_range(g, j)
+        whole = self.chain.boxes[a:z]
+        lows = [p.bottom for _, p in whole]
+        highs = [p.top for _, p in whole]
+        for x0, x1 in ((j.lo, self.los[a]), (self.his[z - 1], j.hi)):
+            if x0 < x1:
+                r = _piece_range(g, _frozen(Interval, lo=x0, hi=x1))
+                lows.append(r.lo)
+                highs.append(r.hi)
+        return _frozen(Interval, lo=min(lows), hi=max(highs))
+
+    def distance(self, f: CurveMap, g: CurveMap) -> Q:
+        """``sup_distance(f, g)`` for g this chain's map and f any map.
+
+        f - g is continuous, so after |f(0) - g(0)| only each stretch's
+        right end and the vertices of g inside it count, a stretch being
+        the part of one box's window under one piece of f.  Under a
+        curved piece f walks g's pieces.  Under an affine piece f(x_i) -
+        g(x_i) is affine in the extremum index i within each parity class,
+        so of the extrema in a stretch only the first two and the last two
+        count; the off-lattice vertices are read one by one.
+        """
+        his, boxes = self.his, self.boxes
+        best = f._values[0] - g._values[0]
+        if best < 0:
+            best = -best
+        b = 0
+        for fi, pf in enumerate(f.pieces):
+            lo, hi = pf.domain.lo, pf.domain.hi
+            if pf.c2:
+                gap = _walk_gap(f, g, fi, fi + 1, g._piece_index(lo))
+                if gap > best:
+                    best = gap
+                continue
+            while his[b] <= lo:
+                b += 1
+            while True:
+                whi = his[b]
+                gap = _stretch_gap(pf.c0, pf.c1, *boxes[b], lo, hi if hi < whi else whi)
+                if gap > best:
+                    best = gap
+                if whi >= hi:
+                    break
+                b += 1
+        return best
+
+
+def _stretch_gap(c0: Q, c1: Q, verts, k: int, step: Q, up: Q, lo: Q, e: Q) -> Q:
+    """Largest |f - g| over g's vertices in [lo, e] and at e, where g is
+    the box with these vertices, extremum count, step and slope, and f is
+    c0 + c1 * x on [lo, e], a part of the window from lo or earlier."""
+    x1, xk = verts[1][0], verts[k][0]
+    n = len(verts)
+    # the first and the last extremum index inside [lo, e]
+    if lo <= x1:
+        first = 1
+    elif lo > xk:
+        first = k + 1
+    else:
+        first = 1 + _ceil((lo - x1) / step)
+    if e >= xk:
+        last = k
+    elif e < x1:
+        last = 0
+    else:
+        last = 1 + _floor((e - x1) / step)
+    if last - first >= 3:
+        idx = [first, first + 1, last - 1, last]
+    else:
+        idx = list(range(first, last + 1))
+    idx += [i for i in range(k + 1, n) if lo <= verts[i][0] <= e]
+    best = ZERO
+    for i in idx:
+        x, y = verts[i]
+        d = c0 + c1 * x - y
+        if d < 0:
+            d = -d
+        if d > best:
+            best = d
+    if e < verts[-1][0]:
+        # g(e) on the leg from the last vertex at or before e
+        j = last if e >= x1 else 0
+        while verts[j + 1][0] <= e:
+            j += 1
+        xj, yj = verts[j]
+        ge = yj + (e - xj) * up if verts[j + 1][1] > yj else yj - (e - xj) * up
+        d = c0 + c1 * e - ge
+        if d < 0:
+            d = -d
+        if d > best:
+            best = d
+    return best
 
 
 def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
@@ -211,7 +364,8 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
 
     Continuity at the junctions is exact because adjacent boxes share the
     junction value by the chain validity check.  The chain is attached as
-    provenance.
+    provenance, and as the trusted link ``_chain`` that ``range_on``,
+    ``sup_distance`` and ``transitivity.box_chain_certify`` read.
 
     The pieces are built straight from the box vertices, without the
     checks of ``pl_from_vertices``, which gives the same map.  That is
@@ -226,9 +380,11 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
     pieces: list[Piece] = []
     lows: list[Q] = []
     values: list[Q] = []
+    slopes: list[Q] = []
     for (window, p), verts in zip(chain.boxes, chain._vertices):
         up = p.expansion * p.height / window.width
         down = -up
+        slopes.append(up)
         for k in range(1, len(verts)):
             x0, y0 = verts[k - 1]
             x1, y1 = verts[k]
@@ -257,4 +413,5 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
         provenance=chain,
         _lows=tuple(lows),
         _values=tuple(values),
+        _chain=_ChainLink(chain, slopes),
     )

@@ -18,7 +18,8 @@ rational interval occur at rational points (endpoints or the vertex), so
 every predicate is decided by rational comparison, never by sampling.
 ``range_on`` is the one routine that computes a map's range over an
 interval; it bisects on the piece lows, so a query reads only the pieces
-the interval meets, and ``image_set`` is one ``range_on`` per component.
+the interval meets (a box chain's map reads its chain, see below), and
+``image_set`` is one ``range_on`` per component.
 
 Construction validates once.  The public constructors (``Interval``,
 ``Piece``, ``CurveMap``, ``PLMap``) check everything, because their input
@@ -38,6 +39,19 @@ refinement point takes its value from the map whose breakpoint it is),
 ``total_variation``, ``svg.render_svg`` and the record check of
 ``transitivity.box_chain_certify``.  Like ``_lows`` it is not a field, so
 equality and hashing ignore it.
+
+A map built by ``boxmap.concat_box_maps`` is its box chain by
+construction and carries a private link to it, ``_chain``; every other
+map has the class default ``None``.  Three exact queries read the link:
+``range_on`` takes each box its query covers whole as that box's band,
+``sup_distance`` against a map without a link reads each box's zigzag
+from its sweep lattice instead of leg by leg, and
+``transitivity.box_chain_certify`` skips its record check.  The pieces
+are still built, and everything else reads them.  Only
+``concat_box_maps`` sets the link.  A chain attached from outside, as the
+``provenance`` of a constructor call or of a document read back, is not
+trusted: such a map has no link and is walked piece by piece.  A copy
+made by ``copy.deepcopy`` keeps the link, since it copies the pieces with it.
 """
 from __future__ import annotations
 
@@ -257,6 +271,8 @@ class CurveMap:
 
     pieces: tuple[Piece, ...]
     provenance: object = field(default=None, compare=False, repr=False, hash=False)
+    # the trusted box-chain link; only boxmap.concat_box_maps sets it
+    _chain = None
 
     def __post_init__(self):
         pieces = _merge_pieces(tuple(self.pieces))
@@ -382,12 +398,21 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
 
     The image of a closed interval under a continuous map is the closed
     interval between the exact extrema, which occur at endpoints of the
-    intersection with a piece or at an interior quadratic vertex.  Only
-    the pieces that meet J are read: bisection finds the ones holding
-    J.lo and J.hi, so a query costs O(log pieces + pieces meeting J).
-    The breakpoints strictly inside J give their values from the table;
-    only J's ends, when they fall inside a piece, and the parabola
-    vertices inside J are evaluated.
+    intersection with a piece or at an interior quadratic vertex.  A map
+    built by ``boxmap.concat_box_maps`` answers from its box chain; any
+    other map reads its pieces (``_piece_range``).
+    """
+    if f._chain is not None:
+        return f._chain.range_on(f, j)
+    return _piece_range(f, j)
+
+
+def _piece_range(f: CurveMap, j: Interval) -> Interval:
+    """``range_on`` from the pieces.  Only the pieces that meet J are
+    read: bisection finds the ones holding J.lo and J.hi, so a query
+    costs O(log pieces + pieces meeting J).  The breakpoints strictly
+    inside J give their values from the table; only J's ends, when they
+    fall inside a piece, and the parabola vertices inside J are evaluated.
     """
     pieces, lows, values = f.pieces, f._lows, f._values
     i = f._piece_index(j.lo)
@@ -416,22 +441,36 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
 
     On the common refinement the difference is a single quadratic, whose
     maximum absolute value occurs at a refinement endpoint or its vertex.
+    When exactly one of the maps was built by ``boxmap.concat_box_maps``,
+    its box chain answers without walking its legs one by one.  Two such
+    maps have zigzags of different steps, so they walk the refinement.
     """
     if f is g:
         return ZERO
-    fp, gp, fv, gv = f.pieces, g.pieces, f._values, g._values
-    nf = len(fp)
-    fi = gi = 0
+    if g._chain is not None and f._chain is None:
+        return g._chain.distance(f, g)
+    if f._chain is not None and g._chain is None:
+        return f._chain.distance(g, f)
     # f - g is continuous, so a segment's start value is the previous
     # segment's end value: start from |f(0) - g(0)| and read only right
-    # ends and interior vertices.  A right end is a breakpoint of f, of g
-    # or of both, and each map's value there is read from its own table
-    # when the end is its breakpoint.
-    best = fv[0] - gv[0]
+    # ends and interior vertices
+    best = f._values[0] - g._values[0]
     if best < 0:
         best = -best
-    x = ZERO
-    while fi < nf:
+    gap = _walk_gap(f, g, 0, len(f.pieces), 0)
+    return gap if gap > best else best
+
+
+def _walk_gap(f: CurveMap, g: CurveMap, fi: int, stop: int, gi: int) -> Q:
+    """Largest |f - g| at the right ends and the interior vertices of the
+    common refinement over f's pieces fi .. stop - 1; g's piece gi must
+    hold the start of piece fi.  A right end is a breakpoint of f, of g
+    or of both, and each map's value there is read from its own table
+    when the end is its breakpoint."""
+    fp, gp, fv, gv = f.pieces, g.pieces, f._values, g._values
+    best = ZERO
+    x = fp[fi].domain.lo
+    while fi < stop:
         pf, pg = fp[fi], gp[gi]
         fh, gh = pf.domain.hi, pg.domain.hi
         if fh < gh:
@@ -445,6 +484,7 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
             fi += 1
             gi += 1
         if (pf.c2 or pg.c2) and pf.c2 != pg.c2:
+            # the vertex of the difference, when inside the segment
             d1 = pf.c1 - pg.c1
             d2 = pf.c2 - pg.c2
             v = -d1 / (2 * d2)

@@ -175,9 +175,8 @@ def uniform_modulus(f: CurveMap, delta) -> Q:
         raise DomainError("negative window width")
     if delta == ZERO:
         return ZERO
-    full = range_on(f, Interval(ZERO, ONE))
     if delta >= ONE:
-        return full.width
+        return range_on(f, Interval(ZERO, ONE)).width
 
     crit: set[Q] = set(f.breakpoints)
     for p in f.pieces:

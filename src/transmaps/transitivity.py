@@ -21,8 +21,9 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   only itself; one Tarjan pass over the window runs finds the sinks.
   Nothing builds a map, so the certificate scales to chains with
   thousands of laps where grid iteration would not.  ``box_chain_certify``
-  applies it to a map whose attached record reproduces the map vertex
-  for vertex.
+  applies it to a map built by ``boxmap.concat_box_maps``, which is its
+  chain by construction, or to a map whose attached record reproduces
+  the map vertex for vertex.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 
@@ -469,14 +470,20 @@ def _reproduces(f: CurveMap, vertex_lists: Sequence[Sequence[tuple[Q, Q]]]) -> b
 def box_chain_certify(f: CurveMap) -> Verdict:
     """Certify a concatenation of box maps from its construction record.
 
-    The record is never trusted: its vertices must reproduce the map
-    exactly, and then ``chain_certified`` decides from the record alone.
+    A map built by ``boxmap.concat_box_maps`` is its chain by
+    construction, and its trusted link ``_chain`` gives the chain without
+    a check.  Any other record, attached from outside or read back from a
+    document, is not trusted: its vertices must reproduce the map
+    exactly.  Then ``chain_certified`` decides from the chain alone.
     Inconclusive when the record is absent, stale, or the certificate
     fails; never Refuted (this routine has no refutation power).
     """
-    chain = f.provenance
-    if not isinstance(chain, BoxChain) or not _reproduces(f, chain._vertices):
-        return Verdict.inconclusive(0)
+    if f._chain is not None:
+        chain = f._chain.chain
+    else:
+        chain = f.provenance
+        if not isinstance(chain, BoxChain) or not _reproduces(f, chain._vertices):
+            return Verdict.inconclusive(0)
     if not chain_certified(chain.boxes):
         return Verdict.inconclusive(0)
     return Verdict.certified()

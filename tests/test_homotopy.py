@@ -7,6 +7,7 @@ and the stability step 1/128 for the identity at radius 1/100.
 """
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +277,12 @@ class TestUniformModulus:
         assert uniform_modulus(tent(), 2) == ONE
         with pytest.raises(DomainError):
             uniform_modulus(tent(), Q(-1, 2))
+
+    @pytest.mark.parametrize("delta, full_reads", [(Q(1, 8), 0), (Q(3, 4), 0), (ONE, 1), (2, 1)])
+    def test_full_range_read_only_for_the_whole_interval(self, delta, full_reads):
+        with mock.patch.object(homotopy, "range_on", wraps=range_on) as read:
+            uniform_modulus(tent(), delta)
+        assert sum(call.args[1] == FULL for call in read.call_args_list) == full_reads
 
 
 @settings(max_examples=30, deadline=None)
