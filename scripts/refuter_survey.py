@@ -2,10 +2,12 @@
 
 Runs is_transitive_pipeline at increasing refutation depth and reports,
 per map, the verdict, the depth that settled it, and wall time.  Useful
-for picking a default depth budget: a refutation level reads f once
-per grid cell, so each extra level doubles the exact range queries; the
-search from each of the 2^level seeds over the 2^(level+1) + 1 grid
-points and cells is integer work that at worst quadruples.
+for picking a default depth budget: a refutation level reads f in one
+walk over its breakpoints and the 2^level + 1 grid points, so each extra
+level doubles the grid points the walk visits; the search from each of
+the 2^level seeds over the 2^(level+1) + 1 grid points and cells is
+integer work that at worst quadruples, and a seed stops once it holds a
+seed already known to reach every node.
 
     python3 scripts/refuter_survey.py --max-level 8
 """

@@ -16,10 +16,14 @@ parabola, the random curved maps of ``corpus``); nothing needs more.
 All min/max/sup computations are exact: extrema of a quadratic on a
 rational interval occur at rational points (endpoints or the vertex), so
 every predicate is decided by rational comparison, never by sampling.
-``range_on`` is the one routine that computes a map's range over an
-interval; it bisects on the piece lows, so a query reads only the pieces
-the interval meets (a box chain's map reads its chain, see below), and
-``image_set`` is one ``range_on`` per component.
+``range_on`` computes a map's range over one interval; it bisects on the
+piece lows, so a query reads only the pieces the interval meets (a box
+chain's map reads its chain, see below), and ``image_set`` is one
+``range_on`` per component.  A caller that needs the range on every
+window of a partition of [0, 1] (the grid stages of ``transitivity``,
+``homotopy.box_data`` and ``FamilyBoxBounds.all_bands``) calls
+``_partition_ranges`` instead, which walks the breakpoints and the
+window edges together once and also gives f at every edge.
 
 Construction validates once.  The public constructors (``Interval``,
 ``Piece``, ``CurveMap``, ``PLMap``) check everything, because their input
@@ -33,12 +37,12 @@ of ``breakpoints``.  Each construction path fills it once, from numbers
 it has anyway: ``CurveMap`` from its continuity check, ``pl_from_vertices``
 from the vertex list, ``boxmap.concat_box_maps`` from the box vertices.
 The routines that walk pieces read piece-end values from it instead of
-evaluating the piece there: ``range_on`` (only J's own ends inside a
-piece and parabola vertices are evaluated), ``sup_distance`` (a
-refinement point takes its value from the map whose breakpoint it is),
-``total_variation``, ``svg.render_svg`` and the record check of
-``transitivity.box_chain_certify``.  Like ``_lows`` it is not a field, so
-equality and hashing ignore it.
+evaluating the piece there: ``range_on`` and ``_partition_ranges`` (only
+window ends inside a piece and parabola vertices are evaluated),
+``sup_distance`` (a refinement point takes its value from the map whose
+breakpoint it is), ``total_variation``, ``svg.render_svg`` and the
+record check of ``transitivity.box_chain_certify``.  Like ``_lows`` it
+is not a field, so equality and hashing ignore it.
 
 A map built by ``boxmap.concat_box_maps`` is its box chain by
 construction and carries a private link to it, ``_chain``; every other
@@ -429,6 +433,59 @@ def _piece_range(f: CurveMap, j: Interval) -> Interval:
             ys.append(p.value_at(v))
     # a valid map's values on J lie in [0, 1], and lo <= hi by construction
     return _frozen(Interval, lo=min(ys), hi=max(ys))
+
+
+def _partition_ranges(f: CurveMap, edges: Sequence) -> tuple[list[Q], list[Interval]]:
+    """f at every edge and the exact range of f on every window between
+    consecutive edges, for strictly increasing edges in [0, 1].
+
+    One walk takes f's breakpoints and the edges together, so a whole
+    partition costs O(pieces + windows).  A window's range comes from its
+    two edge values, the table values of the breakpoints strictly inside
+    it and any parabola vertex strictly inside it; an edge value is read
+    from the table at a breakpoint and evaluated elsewhere.  A map built
+    by ``boxmap.concat_box_maps`` answers each window from its chain
+    (``range_on``), which takes a box the window covers whole as its band.
+    """
+    if f._chain is not None:
+        return [f.value_at(x) for x in edges], [
+            range_on(f, _frozen(Interval, lo=a, hi=b)) for a, b in zip(edges, edges[1:])
+        ]
+    pieces, xs, values = f.pieces, f.breakpoints, f._values
+    vertices = [p.vertex() for p in pieces]
+    a = edges[0]
+    i = f._piece_index(a)  # the piece holding a, the current window's left edge
+    ya = values[i] if xs[i] == a else pieces[i].value_at(a)
+    ys, ranges = [ya], []
+    for b in edges[1:]:
+        m = i  # the piece holding b from the left
+        while xs[m + 1] < b:
+            m += 1
+        if xs[m + 1] == b:
+            # b ends piece m, so the next window starts in piece m + 1
+            yb, nxt = values[m + 1], m + 1
+        else:
+            yb, nxt = pieces[m].value_at(b), m
+        lo, hi = (ya, yb) if ya <= yb else (yb, ya)
+        for k in range(i, m + 1):
+            if k > i:
+                y = values[k]
+                if y < lo:
+                    lo = y
+                elif y > hi:
+                    hi = y
+            v = vertices[k]
+            if v is not None and a < v < b:
+                y = pieces[k].value_at(v)
+                if y < lo:
+                    lo = y
+                elif y > hi:
+                    hi = y
+        # a valid map's values lie in [0, 1], and lo <= hi by construction
+        ranges.append(_frozen(Interval, lo=lo, hi=hi))
+        ys.append(yb)
+        a, ya, i = b, yb, nxt
+    return ys, ranges
 
 
 def image_set(f: CurveMap, u: IntervalSet) -> IntervalSet:

@@ -6,10 +6,12 @@ where ``f`` sends each window, widen that value range into a band, and
 fill every window with a box map onto its band.  At ``t = 0`` the
 deformation is the identity on maps; for small ``t`` the output tracks
 ``f`` closely because the bands are built from ``f``'s local behaviour.
-Every value range read here is one ``exact.range_on`` call, which
-bisects to the pieces a window meets, and ``_window_band`` alone turns
-ranges into a band, both for one map (``box_data``) and jointly for a
-family (``FamilyBoxBounds``).
+The window ranges of a map, and its values at the window edges, come
+from one ordered walk over its breakpoints and the edges
+(``exact._partition_ranges``), and ``_window_band`` alone turns ranges
+into a band, both for one map (``box_data``) and jointly for a family
+(``FamilyBoxBounds``).  ``uniform_modulus`` reads one ``exact.range_on``
+per candidate window.
 
 The companions quantify that closeness:
 
@@ -33,7 +35,7 @@ from typing import Sequence
 
 from .boxmap import BoxParams, concat_box_maps
 from .errors import DomainError, ParameterError
-from .exact import CurveMap, Interval, range_on, sup_distance
+from .exact import CurveMap, Interval, _partition_ranges, range_on, sup_distance
 from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
 
 __all__ = [
@@ -89,6 +91,11 @@ def _partition(t: Q) -> PartitionData:
     return PartitionData(t, s, windows)
 
 
+def _edges(grid: PartitionData) -> list[Q]:
+    """The window edges of a grid: 0, t, 2t, ..., count*t, 1."""
+    return [w.lo for w in grid.windows] + [ONE]
+
+
 @dataclass(frozen=True)
 class BoxData:
     """Per-window box parameters for one (f, t, gamma) deformation."""
@@ -119,12 +126,11 @@ def _window_band(ranges: Sequence[Interval], width: Q) -> tuple[Q, Interval]:
 def box_data(f: CurveMap, t, gamma) -> BoxData:
     gamma = as_scalar(gamma)
     grid = partition(t)
-    # f at each grid point once: a window's right edge is the next one's left
-    ys = [f.value_at(w.lo) for w in grid.windows] + [f.value_at(ONE)]
+    ys, ranges = _partition_ranges(f, _edges(grid))
     alphas: list[Q] = []
     boxes: list[BoxParams] = []
     for k, w in enumerate(grid.windows):
-        alpha, band = _window_band([range_on(f, w)], w.width)
+        alpha, band = _window_band([ranges[k]], w.width)
         alphas.append(alpha)
         boxes.append(
             BoxParams(
@@ -249,9 +255,12 @@ class FamilyBoxBounds:
     t0: Q
 
     def all_bands(self, t) -> list[Interval]:
+        grid = partition(t)
+        edges = _edges(grid)
+        per_map = [_partition_ranges(f, edges)[1] for f in self.maps]
         return [
-            _window_band([range_on(f, w) for f in self.maps], w.width)[1]
-            for w in partition(t).windows
+            _window_band(ranges, w.width)[1]
+            for w, ranges in zip(grid.windows, zip(*per_map))
         ]
 
 

@@ -28,17 +28,20 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   windows, the latter robust under a sup-metric perturbation radius.
 
 The grid stages read f once per grid level, through ``_cell_ranges``:
-one exact ``range_on`` per dyadic cell, and for the refuter at most one
-value per grid point.  The rest is integer and set work that reproduces the
-exact queries it replaces.  The range of a union of adjacent closed
-cells is the hull of their ranges, so ``ball_refute`` keeps a running
-hull.  Rounding a union outward to the grid is the union of the
-roundings, so ``invariant_region_refute`` is breadth-first reachability
-on the grid points and open cells.  ``leo_certify`` still iterates exact
-images, and stops a cell early once an image holds a whole cell already
-known to reach [0, 1] within the remaining budget.  The cells form the
-set-oriented outer approximation of Dellnitz and Hohmann (Numer. Math.
-75, 1997), used here only where it provably gives the exact answer.
+one ordered walk over f's breakpoints and the grid points gives f at
+every grid point and its exact range on every dyadic cell
+(``exact._partition_ranges``).  The rest is integer and set work that
+reproduces the exact queries it replaces.  The range of a union of
+adjacent closed cells is the hull of their ranges, so ``ball_refute``
+keeps a running hull.  Rounding a union outward to the grid is the union
+of the roundings, so ``invariant_region_refute`` is breadth-first
+reachability on the grid points and open cells; a seed that holds a
+seed already known to reach every node stops there.  ``leo_certify``
+propagates every settled depth back over "the range of cell i holds
+cell j whole" and iterates exact images only for the cells no settled
+depth reaches.  The cells form the set-oriented outer approximation of
+Dellnitz and Hohmann (Numer. Math. 75, 1997), used here only where it
+provably gives the exact answer.
 """
 from __future__ import annotations
 
@@ -55,6 +58,7 @@ from .exact import (
     Interval,
     IntervalSet,
     _frozen,
+    _partition_ranges,
     image_set,
     range_on,
 )
@@ -160,15 +164,17 @@ def min_breakpoint_gap(f: CurveMap) -> Q:
     return min(p.domain.width for p in f.pieces)
 
 
-def _cell_ranges(f: CurveMap, grid_level: int) -> tuple[list[Q], list[Interval]]:
-    """The grid points k/2^level, k = 0..2^level, and the exact range of f
-    on each closed cell between consecutive points, one ``range_on`` per
-    cell.  Beyond this the refuter reads one value per grid point it
-    reaches, and ``leo_certify`` iterates exact images only for cells
-    whose depth the cells already settled do not give."""
+def _cell_ranges(
+    f: CurveMap, grid_level: int
+) -> tuple[list[Q], list[Q], list[Interval]]:
+    """The grid points k/2^level, k = 0..2^level, f at each of them, and
+    the exact range of f on each closed cell between consecutive points,
+    from one ordered walk over f's breakpoints and the grid
+    (``exact._partition_ranges``)."""
     cells = 1 << grid_level
     xs = [Q(k, cells) for k in range(cells + 1)]
-    return xs, [range_on(f, Interval(a, b)) for a, b in zip(xs, xs[1:])]
+    ys, ranges = _partition_ranges(f, xs)
+    return xs, ys, ranges
 
 
 def _floor_index(x: Q, cells: int) -> int:
@@ -192,13 +198,18 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     contains a whole grid cell, and every grid cell is checked to reach
     image [0, 1] within n_max exact iterations.
 
-    Cells are taken in order, and each gets a depth: a number of steps
-    within which its images reach [0, 1].  When the k-th image of cell i
-    holds a whole earlier cell j, then f^(k + d_j)(cell i) contains
-    f^(d_j)(cell j) = [0, 1], so i gets depth k + d_j without further
-    iteration, but only when that is at most n_max.  A depth is never
-    below the true number of steps, so the verdict is the one full
-    iteration of every cell gives.
+    Each cell gets a depth: a number of steps within which its images
+    reach [0, 1].  A cell whose range is [0, 1] has depth 1.  When the
+    k-th image of cell i holds a whole cell j of depth d_j, then
+    f^(k + d_j)(cell i) contains f^(d_j)(cell j) = [0, 1], so i gets depth
+    k + d_j, but only when that is at most n_max.  Every depth settled
+    propagates breadth-first back over "the range of cell i holds cell j
+    whole", the case k = 1, and only cells that no settled depth reaches
+    iterate exact images, in index order, each stopping at the first
+    image that is [0, 1] or holds a settled cell within the remaining
+    budget.  A depth is never below the true number of steps, and a cell
+    that iterates fails only when n_max exact images miss [0, 1], so the
+    verdict is the one full iteration of every cell gives.
     """
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
@@ -214,32 +225,84 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
         raise PreconditionError(
             f"grid too coarse: need 2^(1-level) <= {gap}, level {grid_level}"
         )
-    _, ranges = _cell_ranges(f, grid_level)
+    _, _, ranges = _cell_ranges(f, grid_level)
     cells = len(ranges)
-    depths: list[int] = []
-    for r in ranges:
+    depths: list = [None] * cells
+    # the cells whose range holds a cell whole, in a segment tree
+    holders: dict[int, list[int]] = {}
+    settled = []
+    for i, r in enumerate(ranges):
+        if r == FULL:
+            depths[i] = 1
+            settled.append(i)
+        else:
+            _file_run(holders, cells, _ceil_index(r.lo, cells), _floor_index(r.hi, cells), i)
+    _propagate(settled, depths, holders, n_max)
+    for i, r in enumerate(ranges):
+        if depths[i] is not None:
+            continue
         s, k = IntervalSet((r,)), 1
         while True:
             if s == FULL_SET:
-                depths.append(k)
+                depths[i] = k
                 break
             d = _depth_within(s, depths, cells, n_max - k)
             if d is not None:
-                depths.append(k + d)
+                depths[i] = k + d
                 break
             if k == n_max:
                 return Verdict.inconclusive(n_max)
             s, k = image_set(f, s), k + 1
+        _propagate([i], depths, holders, n_max)
     return Verdict.certified()
 
 
-def _depth_within(s: IntervalSet, depths: list[int], cells: int, spare: int):
-    """The depth of some cell with a known depth of at most ``spare`` that
-    lies wholly inside s, or None."""
+def _file_run(holders: dict, cells: int, a: int, z: int, i: int) -> None:
+    """File cell i, whose range holds cells a .. z - 1 whole, in the
+    segment tree ``holders`` over the cells: node 1 is the root, node n
+    has children 2n and 2n + 1, and cell j is leaf cells + j.  The run is
+    filed at the at most 2 log2(cells) nodes that tile it, so the cells
+    whose range holds cell j are those filed on j's path to the root."""
+    a += cells
+    z += cells
+    while a < z:
+        if a & 1:
+            holders.setdefault(a, []).append(i)
+            a += 1
+        if z & 1:
+            z -= 1
+            holders.setdefault(z, []).append(i)
+        a >>= 1
+        z >>= 1
+
+
+def _propagate(queue: list[int], depths: list, holders: dict, n_max: int) -> None:
+    """Give every cell without a depth whose range holds a queued cell
+    whole the depth one more than that cell's, breadth-first, while that
+    is at most n_max.  Every cell filed at a node on the queued cell's
+    path holds it, so the node is emptied once it is read."""
+    cells = len(depths)
+    for j in queue:
+        d = depths[j] + 1
+        if d > n_max:
+            continue
+        node = j + cells
+        while node:
+            for i in holders.pop(node, ()):
+                if depths[i] is None:
+                    depths[i] = d
+                    queue.append(i)
+            node >>= 1
+
+
+def _depth_within(s: IntervalSet, depths: list, cells: int, spare: int):
+    """The depth of some cell with a settled depth of at most ``spare``
+    that lies wholly inside s, or None."""
     for c in s.components:
-        for j in range(_ceil_index(c.lo, cells), min(_floor_index(c.hi, cells), len(depths))):
-            if depths[j] <= spare:
-                return depths[j]
+        for j in range(_ceil_index(c.lo, cells), _floor_index(c.hi, cells)):
+            d = depths[j]
+            if d is not None and d <= spare:
+                return d
     return None
 
 
@@ -268,7 +331,7 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     """
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
-    xs, ranges = _cell_ranges(f, grid_level)
+    xs, ys, ranges = _cell_ranges(f, grid_level)
     cells = len(ranges)
 
     def node_run(u: int) -> tuple[int, int]:
@@ -276,14 +339,15 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
         if u % 2:
             lo, hi = ranges[u // 2].lo, ranges[u // 2].hi
         else:
-            lo = hi = f.value_at(xs[u // 2])
+            lo = hi = ys[u // 2]
         return 2 * _floor_index(lo, cells), 2 * _ceil_index(hi, cells)
 
     runs: list = [None] * (2 * cells + 1)
+    full = [False] * cells
     # the step that finds the fixpoint may come one after the budget
     layers = max(n_max, 0) + 1
     for k in sorted(range(cells), key=lambda k: ranges[k].width):
-        reached = _reach(runs, node_run, (2 * k, 2 * k + 1, 2 * k + 2), layers)
+        reached = _reach(runs, node_run, full, k, layers)
         if reached is not None:
             witness = IntervalSet.from_intervals(
                 Interval(xs[u // 2], xs[(u + 1) // 2]) for u, flag in enumerate(reached) if flag
@@ -292,12 +356,20 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     return Verdict.inconclusive(n_max)
 
 
-def _reach(runs: list, node_run, seed: tuple[int, ...], layers: int):
-    """Breadth-first reach from seed for at most ``layers`` layers, a node
-    reaching every node of its run.  When a layer adds nothing before
-    every node is reached, which nodes were reached; otherwise None.
-    ``runs`` keeps each run ``node_run`` gives, across seeds, so f is read
-    only at nodes some seed reaches.
+def _reach(runs: list, node_run, full: list[bool], k: int, layers: int):
+    """Breadth-first reach from cell k's three nodes for at most
+    ``layers`` layers, a node reaching every node of its run.  When a
+    layer adds nothing before every node is reached, which nodes were
+    reached; otherwise None.  ``runs`` keeps each run ``node_run`` gives,
+    across seeds, so f is read only at nodes some seed reaches.
+
+    ``full`` marks the cells whose reach is every node, and a seed whose
+    reach is every node is marked.  A seed that holds all three nodes of
+    a marked cell reaches every node too, so it stops there, marked, and
+    gives None, as the whole search would.  It holds them once it holds
+    the open cell: a run starts and ends at a point, so it holds both
+    points of every open cell it holds.  A seed that only runs out of
+    layers is not marked: its reach may still stop short of every node.
 
     ``nxt`` skips reached nodes: following it from u leads to the first
     unreached node at or after u, so each node is taken once, and a node
@@ -305,9 +377,10 @@ def _reach(runs: list, node_run, seed: tuple[int, ...], layers: int):
     """
     n = len(runs)
     nxt = list(range(n + 1))
-    for u in seed:
+    frontier = [2 * k, 2 * k + 1, 2 * k + 2]
+    for u in frontier:
         nxt[u] = u + 1
-    frontier, count = list(seed), len(seed)
+    count = len(frontier)
     for _ in range(layers):
         grown = []
         for v in frontier:
@@ -319,11 +392,15 @@ def _reach(runs: list, node_run, seed: tuple[int, ...], layers: int):
             while u <= b:
                 nxt[u] = u + 1
                 grown.append(u)
+                if u % 2 and full[u // 2]:
+                    full[k] = True
+                    return None
                 u = _next_unreached(nxt, u + 1)
         if not grown:
             return [nxt[u] != u for u in range(n)]
         count += len(grown)
         if count == n:
+            full[k] = True
             return None
         frontier = grown
     return None
@@ -357,7 +434,7 @@ def ball_refute(
         raise ParameterError("perturbation radius must be positive")
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
-    xs, ranges = _cell_ranges(f, grid_level)
+    xs, _, ranges = _cell_ranges(f, grid_level)
     cells = len(ranges)
     best: Optional[tuple[Interval, Q]] = None
     for i in range(cells):

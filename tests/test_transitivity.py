@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transmaps import transitivity
 from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
@@ -26,6 +26,7 @@ from transmaps.exact import (
 from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
 from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO, as_scalar
+from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import (
     ladder_map,
     nowhere_dense_perturbation,
@@ -441,8 +442,34 @@ def zigzags(draw):
     return pl_from_vertices(list(zip(xs, ys)))
 
 
+# At level 2 the narrowest cell [1/4, 1/2] is the first seed.  Its reach
+# closes only in the third layer, so with budget 1 (two layers) it stops
+# on the budget, short of every node.  The next seed [0, 1/4] reaches all
+# three of its nodes in the first layer and closes at [0, 3/4] in the
+# second, which the reference returns as the witness.
+BUDGET_STOPPED_SEED = pl_from_vertices(
+    [
+        (ZERO, Q(3, 8)),
+        (Q(1, 4), Q(5, 8)),
+        (Q(1, 2), Q(9, 16)),
+        (Q(5, 8), Q(1, 8)),
+        (Q(3, 4), Q(5, 8)),
+        (ONE, ONE),
+    ]
+)
+
+# At level 2 the first seed [3/4, 1] reaches every node.  The next seed
+# [1/4, 1/2] reaches the point 3/4, a node of the first seed, and closes
+# at [0, 3/4] without its open cell (3/4, 1).
+SHARED_POINT = pl_from_vertices(
+    [(ZERO, ZERO), (Q(1, 4), Q(3, 8)), (Q(1, 2), Q(5, 8)), (Q(3, 4), ZERO), (ONE, Q(1, 8))]
+)
+
+
 class TestGridStagesAgainstReferences:
     @given(grid_maps(), st.integers(1, 6), st.sampled_from([-1, 0, 1, 2, 3, 5, 200]))
+    @example(BUDGET_STOPPED_SEED, 2, 1)
+    @example(SHARED_POINT, 2, 200)
     @settings(max_examples=150, deadline=None)
     def test_invariant_region_refute(self, f, level, budget):
         assert invariant_region_refute(f, level, budget) == (
@@ -505,6 +532,25 @@ class TestGridEdgeCases:
         assert v.witness == IntervalSet((iv(0, "1/4"), iv("1/2", "1/2")))
         assert v == reference_invariant_region_refute(ISOLATED_POINT, 2, 1)
 
+    def test_budget_stopped_seed_prunes_no_later_seed(self):
+        # a seed that ran out of layers is not known to reach every node,
+        # so a later seed that holds its three nodes must still run
+        f = BUDGET_STOPPED_SEED
+        assert reference_invariant_region_refute(f, 2, 1) == Verdict.refuted(
+            f, IntervalSet.single(0, Q(3, 4))
+        )
+        assert invariant_region_refute(f, 2, 1) == reference_invariant_region_refute(f, 2, 1)
+        # with a larger budget the first seed closes at [0, 3/4] itself
+        assert invariant_region_refute(f, 2, 2).witness == IntervalSet.single(0, Q(3, 4))
+
+    def test_a_shared_point_prunes_no_seed(self):
+        # only a seed's open cell says that its whole reach is held
+        f = SHARED_POINT
+        assert invariant_region_refute(f, 2, 200) == Verdict.refuted(
+            f, IntervalSet.single(0, Q(3, 4))
+        )
+        assert reference_invariant_region_refute(f, 2, 200) == invariant_region_refute(f, 2, 200)
+
     def test_leo_depth_shortcut_at_the_budget(self, monkeypatch):
         # cell 5 reaches [0, 1] in 3 steps, and cell 7's second image holds
         # cell 5, so cell 7 gets depth 2 + 3 = 5, the budget, without its
@@ -529,6 +575,24 @@ class TestGridEdgeCases:
         assert images(f, iv("7/16", "1/2"), 4)[-1] != FULL_SET
         assert leo_certify(f, level, 4) == Verdict.inconclusive(4)
         assert reference_leo_certify(f, level, 4) == Verdict.inconclusive(4)
+
+    @pytest.mark.parametrize("source, level", [(sawtooth(4), 9), (ladder_map(5), 8)])
+    def test_leo_images_on_re_read_deformations(self, source, level, monkeypatch):
+        # settled depths propagate back over "the range of cell i holds cell
+        # j whole", so almost no cell of these 512 and 256 iterates images
+        f = map_from_document(map_to_document(apply_homotopy(source, Q(1, 4), Q(20))))
+        assert f.provenance is None
+        gap = min_breakpoint_gap(f)
+        assert Q(2, 1 << level) <= gap < Q(2, 1 << (level - 1))
+        iterated = []
+
+        def recording(g, s):
+            iterated.append(s)
+            return image_set(g, s)
+
+        monkeypatch.setattr(transitivity, "image_set", recording)
+        assert leo_certify(f, level, PipelineBudget().leo_steps).is_certified
+        assert len(iterated) <= 8
 
     def test_leo_partly_covered_cell_gives_no_depth(self):
         # a wrong depth from a cell an image only partly covers certifies
