@@ -23,7 +23,8 @@ chain's map reads its chain, see below), and ``image_set`` is one
 window of a partition of [0, 1] (the grid stages of ``transitivity``,
 ``homotopy.box_data`` and ``FamilyBoxBounds.all_bands``) calls
 ``_partition_ranges`` instead, which walks the breakpoints and the
-window edges together once and also gives f at every edge.
+window edges together once and also gives f at every edge.  Both read a
+window through ``_window_range``, the one rule for an exact range.
 
 Construction validates once.  The public constructors (``Interval``,
 ``Piece``, ``CurveMap``, ``PLMap``) check everything, because their input
@@ -412,80 +413,70 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
 
 
 def _piece_range(f: CurveMap, j: Interval) -> Interval:
-    """``range_on`` from the pieces.  Only the pieces that meet J are
-    read: bisection finds the ones holding J.lo and J.hi, so a query
-    costs O(log pieces + pieces meeting J).  The breakpoints strictly
-    inside J give their values from the table; only J's ends, when they
-    fall inside a piece, and the parabola vertices inside J are evaluated.
-    """
-    pieces, lows, values = f.pieces, f._lows, f._values
+    """``range_on`` from the pieces: the one-window case of
+    ``_window_range``.  Bisection finds the piece holding J.lo, so a query
+    costs O(log pieces + pieces meeting J)."""
     i = f._piece_index(j.lo)
-    # the piece holding J.hi: the last one starting before it, or i for a point
-    m = max(bisect.bisect_left(lows, j.hi, i) - 1, i)
-    ys = [
-        values[i] if lows[i] == j.lo else pieces[i].value_at(j.lo),
-        values[m + 1] if pieces[m].domain.hi == j.hi else pieces[m].value_at(j.hi),
-    ]
-    ys += values[i + 1 : m + 1]
-    for p in pieces[i : m + 1]:
-        v = p.vertex()
-        if v is not None and j.lo < v < j.hi:
-            ys.append(p.value_at(v))
-    # a valid map's values on J lie in [0, 1], and lo <= hi by construction
-    return _frozen(Interval, lo=min(ys), hi=max(ys))
+    ya = f._values[i] if f._lows[i] == j.lo else f.pieces[i].value_at(j.lo)
+    return _window_range(f, i, j.lo, ya, j.hi)[0]
 
 
 def _partition_ranges(f: CurveMap, edges: Sequence) -> tuple[list[Q], list[Interval]]:
     """f at every edge and the exact range of f on every window between
     consecutive edges, for strictly increasing edges in [0, 1].
 
-    One walk takes f's breakpoints and the edges together, so a whole
-    partition costs O(pieces + windows).  A window's range comes from its
-    two edge values, the table values of the breakpoints strictly inside
-    it and any parabola vertex strictly inside it; an edge value is read
-    from the table at a breakpoint and evaluated elsewhere.  A map built
-    by ``boxmap.concat_box_maps`` answers each window from its chain
-    (``range_on``), which takes a box the window covers whole as its band.
+    One walk takes f's breakpoints and the edges together: each window
+    starts in the piece where the last one ended, so a whole partition
+    costs O(pieces + windows).
     """
-    if f._chain is not None:
-        return [f.value_at(x) for x in edges], [
-            range_on(f, _frozen(Interval, lo=a, hi=b)) for a, b in zip(edges, edges[1:])
-        ]
-    pieces, xs, values = f.pieces, f.breakpoints, f._values
-    vertices = [p.vertex() for p in pieces]
     a = edges[0]
-    i = f._piece_index(a)  # the piece holding a, the current window's left edge
-    ya = values[i] if xs[i] == a else pieces[i].value_at(a)
+    i = f._piece_index(a)
+    ya = f._values[i] if f._lows[i] == a else f.pieces[i].value_at(a)
     ys, ranges = [ya], []
     for b in edges[1:]:
-        m = i  # the piece holding b from the left
-        while xs[m + 1] < b:
-            m += 1
-        if xs[m + 1] == b:
-            # b ends piece m, so the next window starts in piece m + 1
-            yb, nxt = values[m + 1], m + 1
-        else:
-            yb, nxt = pieces[m].value_at(b), m
-        lo, hi = (ya, yb) if ya <= yb else (yb, ya)
-        for k in range(i, m + 1):
-            if k > i:
-                y = values[k]
-                if y < lo:
-                    lo = y
-                elif y > hi:
-                    hi = y
-            v = vertices[k]
-            if v is not None and a < v < b:
-                y = pieces[k].value_at(v)
-                if y < lo:
-                    lo = y
-                elif y > hi:
-                    hi = y
-        # a valid map's values lie in [0, 1], and lo <= hi by construction
-        ranges.append(_frozen(Interval, lo=lo, hi=hi))
-        ys.append(yb)
-        a, ya, i = b, yb, nxt
+        r, ya, i = _window_range(f, i, a, ya, b)
+        ranges.append(r)
+        ys.append(ya)
+        a = b
     return ys, ranges
+
+
+def _window_range(f: CurveMap, i: int, a, ya: Q, b) -> tuple[Interval, Q, int]:
+    """The exact range of f on [a, b], f(b), and the piece a window
+    starting at b starts in; a <= b, a lies in piece i and ya = f(a).
+
+    Only the pieces that meet [a, b] are read.  The range comes from the
+    two end values, the table values of the breakpoints strictly inside
+    and any parabola vertex strictly inside; f(b) is read from the table
+    when b ends a piece and evaluated otherwise.
+    """
+    pieces, lows, values = f.pieces, f._lows, f._values
+    m = i  # the piece holding b from the left
+    last = len(lows) - 1
+    while m < last and lows[m + 1] < b:
+        m += 1
+    if pieces[m].domain.hi == b:
+        # b ends piece m, so a window starting at b starts in piece m + 1
+        yb, nxt = values[m + 1], m + 1
+    else:
+        yb, nxt = pieces[m].value_at(b), m
+    lo, hi = (ya, yb) if ya <= yb else (yb, ya)
+    for k in range(i, m + 1):
+        if k > i:
+            y = values[k]
+            if y < lo:
+                lo = y
+            elif y > hi:
+                hi = y
+        v = pieces[k].vertex()
+        if v is not None and a < v < b:
+            y = pieces[k].value_at(v)
+            if y < lo:
+                lo = y
+            elif y > hi:
+                hi = y
+    # a valid map's values lie in [0, 1], and lo <= hi by construction
+    return _frozen(Interval, lo=lo, hi=hi), yb, nxt
 
 
 def image_set(f: CurveMap, u: IntervalSet) -> IntervalSet:
