@@ -40,7 +40,6 @@ from .exact import (
     _frozen,
     _piece_range,
     _walk_gap,
-    pl_from_vertices,
 )
 from .rational import ONE, Q, ZERO, as_scalar
 
@@ -159,10 +158,10 @@ def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
     return _layout(window, p)[0]
 
 
-def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], int, Q]:
-    """``box_vertices(window, p)``, its full extremum count k and the
-    sweep step width / expansion.  Vertices 1..k are the extrema, the
-    i-th at x_1 + (i - 1) * step."""
+def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], int, Q, Q]:
+    """``box_vertices(window, p)``, its full extremum count k, the sweep
+    step width / expansion and the slope expansion * height / width.
+    Vertices 1..k are the extrema, the i-th at x_1 + (i - 1) * step."""
     if window.is_degenerate():
         raise ParameterError("box window must be nondegenerate")
     values, k = _sweeps(p)
@@ -177,33 +176,35 @@ def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], int, Q]:
         x = x + abs(b - a) / slope
         verts.append((x, b))
     assert verts[-1][0] == window.hi  # increments sum to the exact budget
-    return verts, k, step
+    return verts, k, step, slope
 
 
 def build_box_map(p: BoxParams) -> PLMap:
     """The box map on the full window as a standalone piecewise-linear
-    self-map.
+    self-map: the one-box chain ``concat_box_maps`` builds, so it carries
+    its chain like every other concatenation.
 
     The package's map type is a self-map of [0, 1], so a box on a proper
     subwindow exists only as a vertex list (``box_vertices``) and
     participates in concatenations.
     """
-    return pl_from_vertices(box_vertices(FULL, p))
+    return concat_box_maps([(FULL, p)])
 
 
 @dataclass(frozen=True)
 class BoxChain:
     """Construction record for a concatenation of box maps.
 
-    Stored as map provenance.  A record attached from outside, by a
-    caller's ``PLMap(pieces, provenance=chain)`` or a document read back,
-    is not trusted: the certificate code derives each box's vertices from
-    its parameters and checks the map passes through them before using
-    any of it.  Only the map ``concat_box_maps`` builds is its chain by
-    construction; it carries a private link to it (``_ChainLink``) that
-    the exact queries and the certificate read without that check.
-    ``_vertices`` is each box's ``box_vertices`` list, computed once from
-    the frozen items and shared by the map build and that check.
+    Stored as map provenance.  The map ``concat_box_maps`` builds is its
+    chain by construction and also holds the record as its trusted
+    ``_chain``, which the exact queries and the certificate read without
+    a check.  A record attached from outside, by a caller's
+    ``PLMap(pieces, provenance=chain)`` or a document read back, is not
+    trusted: the certificate rebuilds its map and compares pieces first.
+    ``_layouts`` holds each box's vertices, full extremum count k, sweep
+    step and slope, computed once from the frozen items; vertices 1..k
+    are the extrema, alternating between top and bottom, the i-th at
+    x_1 + (i - 1) * step.  ``_los`` and ``_his`` are the window ends.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -224,59 +225,37 @@ class BoxChain:
                 )
 
     @cached_property
-    def _layouts(self) -> tuple[tuple[list[tuple[Q, Q]], int, Q], ...]:
+    def _layouts(self) -> tuple[tuple[list[tuple[Q, Q]], int, Q, Q], ...]:
         return tuple(_layout(w, p) for w, p in self.boxes)
 
     @cached_property
-    def _vertices(self) -> tuple[list[tuple[Q, Q]], ...]:
-        return tuple(verts for verts, _, _ in self._layouts)
+    def _los(self) -> tuple[Q, ...]:
+        return tuple(w.lo for w, _ in self.boxes)
 
+    @cached_property
+    def _his(self) -> tuple[Q, ...]:
+        return tuple(w.hi for w, _ in self.boxes)
 
-def _ceil(x: Q) -> int:
-    return -int(-x.numerator // x.denominator)
-
-
-class _ChainLink:
-    """The box chain of a map built by ``concat_box_maps``, laid out for
-    the exact queries; held as the map's ``_chain``.
-
-    Per box: its vertices, its full extremum count k, its sweep step and
-    its slope.  Vertices 1..k are the extrema, alternating between top
-    and bottom, the i-th at x_1 + (i - 1) * step; only vertex 0 and the
-    one or two tail vertices after vertex k lie off that lattice.
-    """
-
-    __slots__ = ("chain", "los", "his", "boxes")
-
-    def __init__(self, chain: BoxChain, slopes: list[Q]):
-        self.chain = chain
-        self.los = tuple(w.lo for w, _ in chain.boxes)
-        self.his = tuple(w.hi for w, _ in chain.boxes)
-        self.boxes = tuple(
-            (verts, k, step, up)
-            for (verts, k, step), up in zip(chain._layouts, slopes)
-        )
-
-    def range_on(self, g: CurveMap, j: Interval) -> Interval:
+    def _range_on(self, g: CurveMap, j: Interval) -> Interval:
         """``range_on(g, J)`` for g this chain's map.  Every box whose
         window J holds attains its whole band (k >= 18 extrema reach top
         and bottom); the at most two partly covered windows read g's
         pieces on their part of J, and so does a J without a whole box."""
-        a = bisect.bisect_left(self.los, j.lo)
-        z = bisect.bisect_right(self.his, j.hi)
+        a = bisect.bisect_left(self._los, j.lo)
+        z = bisect.bisect_right(self._his, j.hi)
         if a >= z:
             return _piece_range(g, j)
-        whole = self.chain.boxes[a:z]
+        whole = self.boxes[a:z]
         lows = [p.bottom for _, p in whole]
         highs = [p.top for _, p in whole]
-        for x0, x1 in ((j.lo, self.los[a]), (self.his[z - 1], j.hi)):
+        for x0, x1 in ((j.lo, self._los[a]), (self._his[z - 1], j.hi)):
             if x0 < x1:
                 r = _piece_range(g, _frozen(Interval, lo=x0, hi=x1))
                 lows.append(r.lo)
                 highs.append(r.hi)
         return _frozen(Interval, lo=min(lows), hi=max(highs))
 
-    def distance(self, f: CurveMap, g: CurveMap) -> Q:
+    def _distance(self, f: CurveMap, g: CurveMap) -> Q:
         """``sup_distance(f, g)`` for g this chain's map and f any map.
 
         f - g is continuous, so after |f(0) - g(0)| only each stretch's
@@ -287,7 +266,7 @@ class _ChainLink:
         so of the extrema in a stretch only the first two and the last two
         count; the off-lattice vertices are read one by one.
         """
-        his, boxes = self.his, self.boxes
+        his, layouts = self._his, self._layouts
         best = f._values[0] - g._values[0]
         if best < 0:
             best = -best
@@ -303,13 +282,17 @@ class _ChainLink:
                 b += 1
             while True:
                 whi = his[b]
-                gap = _stretch_gap(pf.c0, pf.c1, *boxes[b], lo, hi if hi < whi else whi)
+                gap = _stretch_gap(pf.c0, pf.c1, *layouts[b], lo, hi if hi < whi else whi)
                 if gap > best:
                     best = gap
                 if whi >= hi:
                     break
                 b += 1
         return best
+
+
+def _ceil(x: Q) -> int:
+    return -int(-x.numerator // x.denominator)
 
 
 def _stretch_gap(c0: Q, c1: Q, verts, k: int, step: Q, up: Q, lo: Q, e: Q) -> Q:
@@ -364,8 +347,9 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
 
     Continuity at the junctions is exact because adjacent boxes share the
     junction value by the chain validity check.  The chain is attached as
-    provenance, and as the trusted link ``_chain`` that ``range_on``,
-    ``sup_distance`` and ``transitivity.box_chain_certify`` read.
+    provenance, and the same object as the trusted ``_chain`` that
+    ``range_on``, ``sup_distance`` and ``transitivity.box_chain_certify``
+    read.
 
     The pieces are built straight from the box vertices, without the
     checks of ``pl_from_vertices``, which gives the same map.  That is
@@ -380,11 +364,8 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
     pieces: list[Piece] = []
     lows: list[Q] = []
     values: list[Q] = []
-    slopes: list[Q] = []
-    for (window, p), verts in zip(chain.boxes, chain._vertices):
-        up = p.expansion * p.height / window.width
+    for verts, _, _, up in chain._layouts:
         down = -up
-        slopes.append(up)
         for k in range(1, len(verts)):
             x0, y0 = verts[k - 1]
             x1, y1 = verts[k]
@@ -413,5 +394,5 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
         provenance=chain,
         _lows=tuple(lows),
         _values=tuple(values),
-        _chain=_ChainLink(chain, slopes),
+        _chain=chain,
     )

@@ -41,22 +41,22 @@ The routines that walk pieces read piece-end values from it instead of
 evaluating the piece there: ``range_on`` and ``_partition_ranges`` (only
 window ends inside a piece and parabola vertices are evaluated),
 ``sup_distance`` (a refinement point takes its value from the map whose
-breakpoint it is), ``total_variation``, ``svg.render_svg`` and the
-record check of ``transitivity.box_chain_certify``.  Like ``_lows`` it
-is not a field, so equality and hashing ignore it.
+breakpoint it is), ``total_variation`` and ``svg.render_svg``.  Like
+``_lows`` it is not a field, so equality and hashing ignore it.
 
 A map built by ``boxmap.concat_box_maps`` is its box chain by
-construction and carries a private link to it, ``_chain``; every other
-map has the class default ``None``.  Three exact queries read the link:
-``range_on`` takes each box its query covers whole as that box's band,
-``sup_distance`` against a map without a link reads each box's zigzag
-from its sweep lattice instead of leg by leg, and
-``transitivity.box_chain_certify`` skips its record check.  The pieces
-are still built, and everything else reads them.  Only
-``concat_box_maps`` sets the link.  A chain attached from outside, as the
-``provenance`` of a constructor call or of a document read back, is not
-trusted: such a map has no link and is walked piece by piece.  A copy
-made by ``copy.deepcopy`` keeps the link, since it copies the pieces with it.
+construction, and its ``provenance`` is also its private, trusted
+``_chain``; every other map has the class default ``None``.  Three exact
+queries read ``_chain``: ``range_on`` takes each box its query covers
+whole as that box's band, ``sup_distance`` against a map without one
+reads each box's zigzag from its sweep lattice instead of leg by leg,
+and ``transitivity.box_chain_certify`` takes the chain unchecked.  The
+pieces are still built, and everything else reads them.  A chain
+attached from outside, as the ``provenance`` of a constructor call or of
+a document read back, is not trusted: such a map has no ``_chain``, is
+walked piece by piece, and is certified from its record only when
+``concat_box_maps`` rebuilds it exactly.  A copy made by
+``copy.deepcopy`` keeps ``_chain``, since it copies the pieces with it.
 """
 from __future__ import annotations
 
@@ -276,7 +276,7 @@ class CurveMap:
 
     pieces: tuple[Piece, ...]
     provenance: object = field(default=None, compare=False, repr=False, hash=False)
-    # the trusted box-chain link; only boxmap.concat_box_maps sets it
+    # the trusted box chain; only boxmap.concat_box_maps sets it
     _chain = None
 
     def __post_init__(self):
@@ -408,7 +408,7 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
     other map reads its pieces (``_piece_range``).
     """
     if f._chain is not None:
-        return f._chain.range_on(f, j)
+        return f._chain._range_on(f, j)
     return _piece_range(f, j)
 
 
@@ -496,9 +496,9 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
     if f is g:
         return ZERO
     if g._chain is not None and f._chain is None:
-        return g._chain.distance(f, g)
+        return g._chain._distance(f, g)
     if f._chain is not None and g._chain is None:
-        return f._chain.distance(g, f)
+        return f._chain._distance(g, f)
     # f - g is continuous, so a segment's start value is the previous
     # segment's end value: start from |f(0) - g(0)| and read only right
     # ends and interior vertices

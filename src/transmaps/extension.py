@@ -140,8 +140,6 @@ def segment_boundary(f0: CurveMap, f1: CurveMap) -> BoundaryMap:
 
 Items = tuple[tuple[Interval, BoxParams], ...]
 
-_MAX_WINDOWS = 1 << 20  # steps finer than 2^-20 tile [0, 1] too finely
-
 
 @dataclass(frozen=True, eq=False)
 class ExtensionResult:
@@ -302,9 +300,9 @@ def simplex_extend(phi: BoundaryMap, simplex: SimplexSpec, epsilon) -> Extension
     same 8 * alpha to a value hull that exceeds the diameter by at most
     one oscillation, so every hull band is under diameter + budget tall.
     A probe family too rough to meet the demand at any step down to
-    2^-200 raises DomainError; one that only meets it below 2^-20 raises
-    PreconditionError rather than building an enormous tiling.  No map
-    is built here.
+    2^-200 raises DomainError; one that only meets it below 2^-20 gets
+    PreconditionError from ``partition`` rather than an enormous tiling.
+    No map is built here.
     """
     epsilon = as_scalar(epsilon)
     if epsilon <= ZERO:
@@ -326,11 +324,6 @@ def simplex_extend(phi: BoundaryMap, simplex: SimplexSpec, epsilon) -> Extension
     # family_box_bounds demands both below its epsilon / 10 = beta / 9
     bounds = family_box_bounds(phi.probe_maps, 5 * epsilon * d_hat / 18)
     t0 = bounds.t0
-    if t0.denominator > _MAX_WINDOWS:
-        raise PreconditionError(
-            f"the boundary family needs steps of {t0}, finer than the "
-            f"cap of {_MAX_WINDOWS} windows allows"
-        )
     hull = tuple(bounds.all_bands(t0))
     assert max(h.width for h in hull) < d_hat + beta
     return ExtensionResult(

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .boxmap import BoxParams, concat_box_maps
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, PreconditionError
 from .exact import CurveMap, Interval, _partition_ranges, range_on, sup_distance
 from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
 
@@ -73,14 +73,20 @@ def partition(t) -> PartitionData:
 
     The grid is pure and frozen, and every deformation at step t asks for
     it again, so the grids of the last 16 steps asked for are kept.
+    Steps below ``_MIN_STEP`` raise PreconditionError.
     """
     return _partition(as_scalar(t))
+
+
+_MIN_STEP = Q(1, 1 << 20)  # finer steps tile [0, 1] with over a million windows
 
 
 @lru_cache(maxsize=16)
 def _partition(t: Q) -> PartitionData:
     if not (ZERO < t <= ONE):
         raise DomainError(f"window length {t} outside (0,1]")
+    if t < _MIN_STEP:
+        raise PreconditionError(f"window length {t} below the cap {_MIN_STEP}")
     # largest s with s*t < 1; when 1/t is an integer this is 1/t - 1
     s = int(ONE.numerator * t.denominator // (t.numerator * ONE.denominator))
     if Q(s) * t >= ONE:

@@ -22,8 +22,8 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   Nothing builds a map, so the certificate scales to chains with
   thousands of laps where grid iteration would not.  ``box_chain_certify``
   applies it to a map built by ``boxmap.concat_box_maps``, which is its
-  chain by construction, or to a map whose attached record reproduces
-  the map vertex for vertex.
+  chain by construction, or to a map whose attached record
+  ``concat_box_maps`` rebuilds into exactly the map's pieces.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 
@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .boxmap import BoxChain, BoxParams, box_values
+from .boxmap import BoxChain, BoxParams, box_values, concat_box_maps
 from .errors import ParameterError, PreconditionError
 from .exact import (
     FULL,
@@ -164,13 +164,18 @@ def min_breakpoint_gap(f: CurveMap) -> Q:
     return min(p.domain.width for p in f.pieces)
 
 
+_MAX_GRID_LEVEL = 20  # finer grids would hold more than a million cells
+
+
 def _cell_ranges(
     f: CurveMap, grid_level: int
 ) -> tuple[list[Q], list[Q], list[Interval]]:
     """The grid points k/2^level, k = 0..2^level, f at each of them, and
     the exact range of f on each closed cell between consecutive points,
     from one ordered walk over f's breakpoints and the grid
-    (``exact._partition_ranges``)."""
+    (``exact._partition_ranges``).  Levels above ``_MAX_GRID_LEVEL`` raise."""
+    if grid_level > _MAX_GRID_LEVEL:
+        raise ParameterError(f"grid level {grid_level} above the cap {_MAX_GRID_LEVEL}")
     cells = 1 << grid_level
     xs = [Q(k, cells) for k in range(cells + 1)]
     ys, ranges = _partition_ranges(f, xs)
@@ -516,50 +521,24 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
     return coverage_closure_full(windows, bands)
 
 
-def _reproduces(f: CurveMap, vertex_lists: Sequence[Sequence[tuple[Q, Q]]]) -> bool:
-    """Whether f is exactly the concatenation whose per-box vertex lists
-    are given.
-
-    Both are piecewise linear, so they agree when every breakpoint of f
-    is a chain vertex and f passes through every chain vertex: between
-    consecutive vertices each is then one affine piece with the same end
-    values.  The walk is over vertices; no map is rebuilt.  A vertex at a
-    breakpoint is compared with the breakpoint table; a vertex inside a
-    piece, one the collinear merge dropped, is evaluated.
-    """
-    if not f.is_pl:
-        return False
-    pieces, xs, ys = f.pieces, f.breakpoints, f._values
-    k = 0  # the next breakpoint of f still to be met
-    for verts in vertex_lists:
-        # a junction vertex closes one list and opens the next; chain
-        # validity gives it one value, so it is checked once
-        for x, y in verts[1:] if k else verts:
-            if x == xs[k]:
-                if ys[k] != y:
-                    return False
-                k += 1
-            elif x > xs[k] or pieces[k - 1].value_at(x) != y:
-                return False
-    return True
-
-
 def box_chain_certify(f: CurveMap) -> Verdict:
     """Certify a concatenation of box maps from its construction record.
 
     A map built by ``boxmap.concat_box_maps`` is its chain by
-    construction, and its trusted link ``_chain`` gives the chain without
-    a check.  Any other record, attached from outside or read back from a
-    document, is not trusted: its vertices must reproduce the map
-    exactly.  Then ``chain_certified`` decides from the chain alone.
-    Inconclusive when the record is absent, stale, or the certificate
-    fails; never Refuted (this routine has no refutation power).
+    construction, and its trusted ``_chain`` is taken without a check.
+    Any other record, attached from outside or read back from a
+    document, is not trusted: it must be a ``BoxChain`` from which
+    ``concat_box_maps`` rebuilds exactly the map's pieces.  Then
+    ``chain_certified`` decides from the chain alone.  Inconclusive when
+    the record is absent, stale, or the certificate fails; never Refuted
+    (this routine has no refutation power).
     """
-    if f._chain is not None:
-        chain = f._chain.chain
-    else:
+    chain = f._chain
+    if chain is None:
         chain = f.provenance
-        if not isinstance(chain, BoxChain) or not _reproduces(f, chain._vertices):
+        if not isinstance(chain, BoxChain):
+            return Verdict.inconclusive(0)
+        if concat_box_maps(chain.boxes).pieces != f.pieces:
             return Verdict.inconclusive(0)
     if not chain_certified(chain.boxes):
         return Verdict.inconclusive(0)

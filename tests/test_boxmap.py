@@ -22,6 +22,7 @@ from transmaps.exact import (
     FULL,
     Interval,
     evaluate,
+    pl_from_vertices,
     range_on,
     sup_distance,
     total_variation,
@@ -158,6 +159,18 @@ def test_vertices_on_subwindow_scale(seed):
     slope = p.expansion * p.height / window.width
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
         assert abs(y1 - y0) == slope * (x1 - x0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_build_box_map_matches_the_vertex_build(seed):
+    # the one-box chain against the vertex-list build it replaced
+    p = random_params(random.Random(seed))
+    f = build_box_map(p)
+    want = pl_from_vertices(box_vertices(FULL, p))
+    assert (f.pieces, f._values) == (want.pieces, want._values)
+    assert f._chain is f.provenance
+    assert f.provenance == BoxChain(((FULL, p),))
 
 
 class TestConcatenation:

@@ -2,9 +2,9 @@
 
 Every map keeps ``_values``, its value at each breakpoint, filled once by
 each construction path.  ``range_on``, ``sup_distance``,
-``total_variation``, ``render_svg`` and the record check of
-``box_chain_certify`` read piece-end values from it; the earlier bodies,
-which evaluated every piece end, are kept here as oracles.
+``total_variation`` and ``render_svg`` read piece-end values from it; the
+earlier bodies, which evaluated every piece end, are kept here as
+oracles, and so is an evaluating record check for ``box_chain_certify``.
 ``concat_box_maps`` builds its pieces straight from the box vertices and
 is checked against ``pl_from_vertices`` on the same vertices.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from transmaps import svg
+from transmaps import svg, transitivity
 from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError, PreconditionError
@@ -34,7 +34,7 @@ from transmaps.homotopy import apply_homotopy
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import identity_map, nowhere_dense_perturbation, square_map
-from transmaps.transitivity import Verdict, _reproduces, box_chain_certify, chain_certified
+from transmaps.transitivity import Verdict, box_chain_certify, chain_certified
 
 from test_exact import vertex_lists
 from test_spaces import STOCK_SEEDS
@@ -305,9 +305,13 @@ def test_concat_box_maps_fixed_chains(boxes):
 
 def test_chain_vertices_are_computed_once():
     g = concat_box_maps(list(COLLINEAR_JUNCTION))
-    lists = g.provenance._vertices
-    assert g.provenance._vertices is lists
-    assert list(lists) == [box_vertices(w, p) for w, p in COLLINEAR_JUNCTION]
+    layouts = g.provenance._layouts
+    assert g.provenance._layouts is layouts and g._chain is g.provenance
+    lists = [verts for verts, *_ in layouts]
+    assert lists == [box_vertices(w, p) for w, p in COLLINEAR_JUNCTION]
+    assert [up for *_, up in layouts] == [
+        p.expansion * p.height / w.width for w, p in COLLINEAR_JUNCTION
+    ]
     # the map's breakpoints are the chain's own vertex objects
     assert g._lows[0] is lists[0][0][0] and g._values[-1] is lists[-1][-1][1]
 
@@ -386,14 +390,25 @@ def test_box_chain_certify_matches_evaluated(boxes, other):
 
 def test_stale_vertex_merged_away_is_caught():
     # the junction vertex of COLLINEAR_JUNCTION is no breakpoint of the map;
-    # vertex lists that differ from the chain's only there must not pass
+    # the true record attached from outside must pass, and a valid record
+    # whose junction value is moved must not
     f = concat_box_maps(list(COLLINEAR_JUNCTION))
-    first, second = (list(vs) for vs in f.provenance._vertices)
-    x, y = first[-1]
+    x, y = f.provenance._layouts[0][0][-1]
     assert x not in f.breakpoints
-    assert _reproduces(f, (first, second))
+    (w1, p1), (w2, p2) = COLLINEAR_JUNCTION
     moved = y + Q(1, 64)
-    assert not _reproduces(f, (first[:-1] + [(x, moved)], [(x, moved)] + second[1:]))
+    stale = BoxChain((
+        (w1, BoxParams(p1.left_value, moved, p1.bottom, p1.top, p1.expansion)),
+        (w2, BoxParams(moved, p2.right_value, p2.bottom, moved, p2.expansion)),
+    ))
+    true_record = PLMap(f.pieces, provenance=BoxChain(COLLINEAR_JUNCTION))
+    stale_record = PLMap(f.pieces, provenance=stale)
+    assert box_chain_certify(true_record) == box_chain_certify(f)
+    assert box_chain_certify(stale_record) == Verdict.inconclusive(0)
+    # with the chain certificate forced to pass, only the record check decides
+    with mock.patch.object(transitivity, "chain_certified", return_value=True):
+        assert box_chain_certify(true_record) == box_chain_certify(f) == Verdict.certified()
+        assert box_chain_certify(stale_record) == Verdict.inconclusive(0)
 
 
 def test_dropped_vertex_is_caught():

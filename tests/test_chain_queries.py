@@ -1,11 +1,12 @@
 """The exact queries a map built by ``concat_box_maps`` answers from its chain.
 
-Such a map carries a trusted link to its ``BoxChain``.  ``sup_distance``
-against a map without one, ``range_on`` and ``box_chain_certify`` read
-the chain instead of walking the legs.  The piece-walking bodies they
-replaced are kept here as oracles.  Maps whose chain is attached from
-outside, by a constructor or a document read back, carry no link and
-keep the piece walk and the record check.
+Such a map holds its ``BoxChain``, its provenance, as the trusted
+``_chain``.  ``sup_distance`` against a map without one, ``range_on`` and
+``box_chain_certify`` read the chain instead of walking the legs.  The
+piece-walking bodies they replaced are kept here as oracles.  Maps whose
+chain is attached from outside, by a constructor or a document read
+back, have no ``_chain``; they keep the piece walk, and the certificate
+rebuilds their record before trusting it.
 """
 import bisect
 import copy
@@ -121,7 +122,7 @@ def special_points(g):
     points and tail vertices of g's boxes: every kind of place a breakpoint
     of f can meet the chain."""
     lattice, edges, legs, tails = [], [], [], []
-    for verts, k, _, _ in g._chain.boxes:
+    for verts, k, _, _ in g._chain._layouts:
         xs = [x for x, _ in verts]
         edges += [xs[0], xs[-1]]
         lattice += xs[1 : k + 1]
@@ -154,7 +155,7 @@ def partners(seed, g, source):
 @given(chain_maps(), st.integers(0, 10_000))
 def test_distance_matches_the_walk(chain, seed):
     g, source = chain
-    assert g._chain is not None
+    assert g._chain is g.provenance
     for f in partners(seed, g, source):
         want = sup_distance_walk(f, g)
         assert sup_distance(f, g) == want
@@ -165,7 +166,7 @@ def test_distance_matches_the_walk(chain, seed):
 @given(chain_maps(), chain_maps())
 def test_two_chain_maps_walk_the_refinement(a, b):
     g, h = a[0], b[0]
-    with mock.patch.object(boxmap._ChainLink, "distance", side_effect=AssertionError):
+    with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError):
         assert sup_distance(g, h) == sup_distance_walk(g, h)
         assert sup_distance(h, g) == sup_distance_walk(h, g)
 
@@ -176,7 +177,7 @@ def test_distance_from_lines_through_every_extremum():
     # unique peak at each kind of place in turn
     for boxes in (COLLINEAR_JUNCTION, box_data(sawtooth(3), Q(1, 3), Q(41, 2)).items()):
         g = concat_box_maps(list(boxes))
-        for x, y in {v for verts in g.provenance._vertices for v in verts}:
+        for x, y in {v for verts, *_ in g.provenance._layouts for v in verts}:
             for slope in (Q(-1, 2), Q(-1, 16), ZERO, Q(1, 16), Q(1, 2)):
                 c0 = y - slope * x
                 pts = [(ZERO, c0), (ONE, c0 + slope)]
@@ -200,7 +201,7 @@ def query_windows(rng, g):
     """J = [0, 1]; J inside one box; J over whole boxes with clipped ends;
     a degenerate J at a vertex and one at a window edge."""
     lattice, edges, legs, _ = special_points(g)
-    los, his = g._chain.los, g._chain.his
+    los, his = g._chain._los, g._chain._his
     b = rng.randrange(len(los))
     a, c = sorted(Q(rng.randint(0, 64), 64) for _ in range(2))
     inside = Interval(los[b] + a * (his[b] - los[b]), los[b] + c * (his[b] - los[b]))
@@ -238,8 +239,9 @@ def outside_copies(g):
 
 
 def certify_counting_record_checks(f):
+    """The verdict and how many times the certificate rebuilt a record."""
     with mock.patch.object(
-        transitivity, "_reproduces", wraps=transitivity._reproduces
+        transitivity, "concat_box_maps", wraps=transitivity.concat_box_maps
     ) as check:
         verdict = box_chain_certify(f)
     return verdict, check.call_count
@@ -252,8 +254,8 @@ def assert_untrusted(f):
     if isinstance(f.provenance, boxmap.BoxChain):
         assert checks == 1
     probe = random_pl_map(random.Random(7))
-    with mock.patch.object(boxmap._ChainLink, "distance", side_effect=AssertionError), \
-            mock.patch.object(boxmap._ChainLink, "range_on", side_effect=AssertionError):
+    with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError), \
+            mock.patch.object(boxmap.BoxChain, "_range_on", side_effect=AssertionError):
         assert sup_distance(probe, f) == sup_distance_walk(probe, f)
         assert range_on(f, FULL) == range_on_pieces(f, FULL)
 
@@ -263,7 +265,7 @@ def assert_untrusted(f):
 def test_record_variants_are_not_trusted(boxes, other):
     for i, f in enumerate(record_variants(boxes, other)):
         if i == 0:
-            assert f._chain is not None  # the chain's own map
+            assert f._chain is f.provenance  # the chain's own map
         else:
             assert_untrusted(f)
 
@@ -283,13 +285,13 @@ def test_outside_attached_chains_are_not_trusted(t, gamma):
 def test_a_deep_copy_still_answers_from_its_chain():
     g = apply_homotopy(sawtooth(3), Q(1, 8), Q(20))
     h = copy.deepcopy(g)
-    assert h._chain is not None and h._chain.chain == g.provenance
-    assert h._chain.chain is h.provenance
+    assert h._chain is not None and h._chain == g.provenance
+    assert h._chain is h.provenance
     verdict, checks = certify_counting_record_checks(h)
     assert verdict.is_certified and checks == 0
     f = random_pl_map(random.Random(3))
     with mock.patch.object(
-        boxmap._ChainLink, "distance", autospec=True, side_effect=boxmap._ChainLink.distance
+        boxmap.BoxChain, "_distance", autospec=True, side_effect=boxmap.BoxChain._distance
     ) as spy:
         assert sup_distance(f, h) == sup_distance_walk(f, h)
     assert spy.call_count == 1

@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 
 import transmaps.cli
 import transmaps.verify
+from transmaps import homotopy, transitivity
 
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
@@ -94,6 +97,20 @@ def test_homotopy_zero_step_reproduces_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "homotopy", "--map", path, "--t", "0")
     assert code == 0
     assert json.loads(out) == map_to_document(sawtooth(3))
+
+
+def test_grid_sizes_past_their_caps_exit_1(capsys, tmp_path):
+    # the patches make a missing cap fail at once instead of building
+    # 10^9 windows or 2^40 grid points
+    path = write_map(tmp_path, sawtooth(3), "saw3.json")
+    with mock.patch.object(homotopy, "Interval", side_effect=AssertionError):
+        code, out, err = run_cli(capsys, "homotopy", "--map", path, "--t", "1/1000000000")
+    assert code == 1 and out == "" and "cap" in err
+    with mock.patch.object(transitivity, "Q", side_effect=AssertionError):
+        code, out, err = run_cli(
+            capsys, "certify", "--map", path, "--method", "refute", "--grid-level", "40"
+        )
+    assert code == 1 and out == "" and "grid level 40" in err
 
 
 def test_homotopy_frames(capsys, tmp_path):

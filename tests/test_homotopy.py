@@ -21,7 +21,7 @@ from transmaps.corpus import (
     random_gentle_pl,
     random_pl_map,
 )
-from transmaps.errors import DomainError, ParameterError
+from transmaps.errors import DomainError, ParameterError, PreconditionError
 from transmaps.exact import (
     FULL,
     CurveMap,
@@ -104,6 +104,19 @@ class TestPartition:
             for _ in range(3):
                 with pytest.raises(DomainError):
                     partition(t)
+
+    def test_steps_below_the_cap_are_refused(self):
+        # Interval is patched so a missing cap fails at the first window
+        # instead of building up to 10^9 of them
+        with mock.patch.object(homotopy, "Interval", side_effect=AssertionError):
+            for t in (Q(1, 2**20 + 1), Q(1, 10**9)):
+                with pytest.raises(PreconditionError):
+                    partition(t)
+                bounds = FamilyBoxBounds(maps=(identity(),), epsilon=ONE, t0=t)
+                with pytest.raises(PreconditionError):
+                    bounds.all_bands(t)
+            with pytest.raises(AssertionError):  # 2^-20 passes the cap
+                homotopy._partition.__wrapped__(Q(1, 2**20))
 
 
 def window_ranges_sweep(f, windows):

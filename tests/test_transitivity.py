@@ -1,5 +1,6 @@
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -212,6 +213,20 @@ class TestInvariantRegionRefute:
             assert c != FULL_SET and not c.is_empty()
             assert c.measure() > ZERO
             assert c.contains_set(image_set(f, c))
+
+
+def test_grid_levels_above_the_cap_are_refused():
+    # Q is patched so a missing cap fails at the first grid point instead
+    # of building 2^40 of them
+    f = saw(3)
+    with mock.patch.object(transitivity, "Q", side_effect=AssertionError):
+        for level in (21, 40):
+            with pytest.raises(ParameterError):
+                invariant_region_refute(f, level, 10)
+            with pytest.raises(ParameterError):
+                ball_refute(f, Q(1, 100), level)
+        with pytest.raises(AssertionError):  # level 20 passes the cap
+            invariant_region_refute(f, 20, 10)
 
 
 class TestBallRefute:
