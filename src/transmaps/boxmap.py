@@ -158,10 +158,8 @@ def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
     return _layout(window, p)[0]
 
 
-def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], int, Q, Q]:
-    """``box_vertices(window, p)``, its full extremum count k, the sweep
-    step width / expansion and the slope expansion * height / width.
-    Vertices 1..k are the extrema, the i-th at x_1 + (i - 1) * step."""
+def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], Q]:
+    """``box_vertices(window, p)`` and the slope expansion * height / width."""
     if window.is_degenerate():
         raise ParameterError("box window must be nondegenerate")
     values, k = _sweeps(p)
@@ -176,7 +174,7 @@ def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], int, Q, 
         x = x + abs(b - a) / slope
         verts.append((x, b))
     assert verts[-1][0] == window.hi  # increments sum to the exact budget
-    return verts, k, step, slope
+    return verts, slope
 
 
 def build_box_map(p: BoxParams) -> PLMap:
@@ -201,10 +199,8 @@ class BoxChain:
     a check.  A record attached from outside, by a caller's
     ``PLMap(pieces, provenance=chain)`` or a document read back, is not
     trusted: the certificate rebuilds its map and compares pieces first.
-    ``_layouts`` holds each box's vertices, full extremum count k, sweep
-    step and slope, computed once from the frozen items; vertices 1..k
-    are the extrema, alternating between top and bottom, the i-th at
-    x_1 + (i - 1) * step.  ``_los`` and ``_his`` are the window ends.
+    ``_layouts`` holds each box's vertices and slope, computed once from
+    the frozen items.  ``_los`` and ``_his`` are the window ends.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -225,7 +221,7 @@ class BoxChain:
                 )
 
     @cached_property
-    def _layouts(self) -> tuple[tuple[list[tuple[Q, Q]], int, Q, Q], ...]:
+    def _layouts(self) -> tuple[tuple[list[tuple[Q, Q]], Q], ...]:
         return tuple(_layout(w, p) for w, p in self.boxes)
 
     @cached_property
@@ -258,88 +254,57 @@ class BoxChain:
     def _distance(self, f: CurveMap, g: CurveMap) -> Q:
         """``sup_distance(f, g)`` for g this chain's map and f any map.
 
-        f - g is continuous, so after |f(0) - g(0)| only each stretch's
-        right end and the vertices of g inside it count, a stretch being
-        the part of one box's window under one piece of f.  Under a
-        curved piece f walks g's pieces.  Under an affine piece f(x_i) -
-        g(x_i) is affine in the extremum index i within each parity class,
-        so of the extrema in a stretch only the first two and the last two
-        count; the off-lattice vertices are read one by one.
+        f - g is continuous, so after |f(0) - g(0)| only e and g's
+        breakpoints in each stretch (a, e] count, a stretch being the part
+        of one box's window under one piece of f.  Under a curved piece f
+        walks g's pieces.  Under an affine piece the breakpoints are box
+        extrema, alternating between top and bottom one step apart, then
+        at most two tail vertices; f - g at the extrema of one parity is
+        affine in their index, so only the first two breakpoints and the
+        last four count.  g(e) is evaluated only when e is no breakpoint.
         """
         his, layouts = self._his, self._layouts
-        best = f._values[0] - g._values[0]
+        lows, gv, gp = g._lows, g._values, g.pieces
+        n = len(lows)
+        best = f._values[0] - gv[0]
         if best < 0:
             best = -best
         b = 0
+        i = 1  # g's first breakpoint right of the last stretch
         for fi, pf in enumerate(f.pieces):
             lo, hi = pf.domain.lo, pf.domain.hi
             if pf.c2:
-                gap = _walk_gap(f, g, fi, fi + 1, g._piece_index(lo))
+                gap = _walk_gap(f, g, fi, fi + 1, i - 1)
                 if gap > best:
                     best = gap
+                i = bisect.bisect_right(lows, hi, i)
                 continue
+            c0, c1 = pf.c0, pf.c1
             while his[b] <= lo:
                 b += 1
             while True:
                 whi = his[b]
-                gap = _stretch_gap(pf.c0, pf.c1, *layouts[b], lo, hi if hi < whi else whi)
-                if gap > best:
-                    best = gap
+                e = hi if hi < whi else whi
+                # a stretch holds fewer breakpoints than its box has vertices
+                j = bisect.bisect_right(lows, e, i, min(i + len(layouts[b][0]) - 1, n))
+                ts = range(i, j) if j - i <= 6 else (i, i + 1, *range(j - 4, j))
+                for t in ts:
+                    d = c0 + c1 * lows[t] - gv[t]
+                    if d < 0:
+                        d = -d
+                    if d > best:
+                        best = d
+                if lows[j - 1] != e:
+                    d = c0 + c1 * e - gp[j - 1].value_at(e)
+                    if d < 0:
+                        d = -d
+                    if d > best:
+                        best = d
+                i = j
                 if whi >= hi:
                     break
                 b += 1
         return best
-
-
-def _ceil(x: Q) -> int:
-    return -int(-x.numerator // x.denominator)
-
-
-def _stretch_gap(c0: Q, c1: Q, verts, k: int, step: Q, up: Q, lo: Q, e: Q) -> Q:
-    """Largest |f - g| over g's vertices in [lo, e] and at e, where g is
-    the box with these vertices, extremum count, step and slope, and f is
-    c0 + c1 * x on [lo, e], a part of the window from lo or earlier."""
-    x1, xk = verts[1][0], verts[k][0]
-    n = len(verts)
-    # the first and the last extremum index inside [lo, e]
-    if lo <= x1:
-        first = 1
-    elif lo > xk:
-        first = k + 1
-    else:
-        first = 1 + _ceil((lo - x1) / step)
-    if e >= xk:
-        last = k
-    elif e < x1:
-        last = 0
-    else:
-        last = 1 + _floor((e - x1) / step)
-    if last - first >= 3:
-        idx = [first, first + 1, last - 1, last]
-    else:
-        idx = list(range(first, last + 1))
-    idx += [i for i in range(k + 1, n) if lo <= verts[i][0] <= e]
-    best = ZERO
-    for i in idx:
-        x, y = verts[i]
-        d = c0 + c1 * x - y
-        if d < 0:
-            d = -d
-        if d > best:
-            best = d
-    if e < verts[-1][0]:
-        # g(e) on the leg from the last vertex at or before e
-        j = last if e >= x1 else 0
-        while verts[j + 1][0] <= e:
-            j += 1
-        xj, yj = verts[j]
-        ge = yj + (e - xj) * up if verts[j + 1][1] > yj else yj - (e - xj) * up
-        d = c0 + c1 * e - ge
-        if d < 0:
-            d = -d
-        if d > best:
-            best = d
-    return best
 
 
 def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
@@ -364,7 +329,7 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
     pieces: list[Piece] = []
     lows: list[Q] = []
     values: list[Q] = []
-    for verts, _, _, up in chain._layouts:
+    for verts, up in chain._layouts:
         down = -up
         for k in range(1, len(verts)):
             x0, y0 = verts[k - 1]

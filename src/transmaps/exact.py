@@ -31,7 +31,8 @@ Construction validates once.  The public constructors (``Interval``,
 may come from outside: documents, the CLI, hand-built pieces.
 ``pl_from_vertices`` is the one vertex-level path: it checks the vertex
 list once, at the vertices, with the same checks and messages, and then
-assembles pieces and map without validating them a second time.
+assembles pieces and map without validating them a second time; it
+attaches no construction record.
 
 Every map keeps ``_values``, its values at its breakpoints, in the order
 of ``breakpoints``.  Each construction path fills it once, from numbers
@@ -49,8 +50,9 @@ construction, and its ``provenance`` is also its private, trusted
 ``_chain``; every other map has the class default ``None``.  Three exact
 queries read ``_chain``: ``range_on`` takes each box its query covers
 whole as that box's band, ``sup_distance`` against a map without one
-reads each box's zigzag from its sweep lattice instead of leg by leg,
-and ``transitivity.box_chain_certify`` takes the chain unchecked.  The
+reads from the table only the first two and the last four breakpoints
+of each box's zigzag under an affine piece, and
+``transitivity.box_chain_certify`` takes the chain unchecked.  The
 pieces are still built, and everything else reads them.  A chain
 attached from outside, as the ``provenance`` of a constructor call or of
 a document read back, is not trusted: such a map has no ``_chain``, is
@@ -347,10 +349,8 @@ def _frozen(cls, **fields):
     return obj
 
 
-def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
+def pl_from_vertices(points: Sequence[tuple]) -> PLMap:
     """PL map through (x_i, y_i) vertices; x strictly increasing, 0 to 1.
-
-    ``provenance`` is stored on the map as its construction record.
 
     The vertex list is validated once, segment by segment, with the checks
     and messages of ``Interval``, ``Piece`` and ``PLMap``: on an affine
@@ -387,7 +387,6 @@ def pl_from_vertices(points: Sequence[tuple], provenance=None) -> PLMap:
     return _frozen(
         PLMap,
         pieces=pieces,
-        provenance=provenance,
         _lows=tuple(run[0] for run in runs),
         _values=tuple(run[4] for run in runs) + (pts[-1][1],),
     )

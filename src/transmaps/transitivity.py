@@ -167,15 +167,23 @@ def min_breakpoint_gap(f: CurveMap) -> Q:
 _MAX_GRID_LEVEL = 20  # finer grids would hold more than a million cells
 
 
+def _check_grid_level(grid_level: int) -> None:
+    """Refuse a grid level outside 1.._MAX_GRID_LEVEL; every grid stage
+    calls this before it computes anything with the level."""
+    if grid_level < 1:
+        raise ParameterError("grid level must be positive")
+    if grid_level > _MAX_GRID_LEVEL:
+        raise ParameterError(f"grid level {grid_level} above the cap {_MAX_GRID_LEVEL}")
+
+
 def _cell_ranges(
     f: CurveMap, grid_level: int
 ) -> tuple[list[Q], list[Q], list[Interval]]:
     """The grid points k/2^level, k = 0..2^level, f at each of them, and
     the exact range of f on each closed cell between consecutive points,
     from one ordered walk over f's breakpoints and the grid
-    (``exact._partition_ranges``).  Levels above ``_MAX_GRID_LEVEL`` raise."""
-    if grid_level > _MAX_GRID_LEVEL:
-        raise ParameterError(f"grid level {grid_level} above the cap {_MAX_GRID_LEVEL}")
+    (``exact._partition_ranges``), for a level ``_check_grid_level``
+    passed."""
     cells = 1 << grid_level
     xs = [Q(k, cells) for k in range(cells + 1)]
     ys, ranges = _partition_ranges(f, xs)
@@ -216,8 +224,7 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     that iterates fails only when n_max exact images miss [0, 1], so the
     verdict is the one full iteration of every cell gives.
     """
-    if grid_level < 1:
-        raise ParameterError("grid level must be positive")
+    _check_grid_level(grid_level)
     if n_max < 1:
         raise ParameterError("need a positive iteration budget")
     if not f.is_pl:
@@ -334,8 +341,7 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     A grid point is a node of its own because a region can hold an
     isolated point.
     """
-    if grid_level < 1:
-        raise ParameterError("grid level must be positive")
+    _check_grid_level(grid_level)
     xs, ys, ranges = _cell_ranges(f, grid_level)
     cells = len(ranges)
 
@@ -437,8 +443,7 @@ def ball_refute(
     rho = as_scalar(rho)
     if rho <= ZERO:
         raise ParameterError("perturbation radius must be positive")
-    if grid_level < 1:
-        raise ParameterError("grid level must be positive")
+    _check_grid_level(grid_level)
     xs, _, ranges = _cell_ranges(f, grid_level)
     cells = len(ranges)
     best: Optional[tuple[Interval, Q]] = None

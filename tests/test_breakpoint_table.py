@@ -284,11 +284,13 @@ def test_pl_from_vertices_fills_the_table(points):
 
 def assert_direct_build_matches(boxes):
     g = concat_box_maps(list(boxes))
-    want = pl_from_vertices(chain_vertices(boxes), provenance=g.provenance)
+    direct = pl_from_vertices(chain_vertices(boxes))
+    want = PLMap(direct.pieces, provenance=g.provenance)
     assert type(g) is PLMap
     assert g.provenance == BoxChain(tuple(boxes))
-    assert (g.pieces, g._lows, g._values) == (want.pieces, want._lows, want._values)
-    assert want.provenance is g.provenance
+    assert (g.pieces, g._lows, g._values) == (direct.pieces, direct._lows, direct._values)
+    assert (want._lows, want._values) == (direct._lows, direct._values)
+    assert want.provenance is g.provenance and want._chain is None
     assert_table(g)
 
 
@@ -307,11 +309,11 @@ def test_chain_vertices_are_computed_once():
     g = concat_box_maps(list(COLLINEAR_JUNCTION))
     layouts = g.provenance._layouts
     assert g.provenance._layouts is layouts and g._chain is g.provenance
-    lists = [verts for verts, *_ in layouts]
-    assert lists == [box_vertices(w, p) for w, p in COLLINEAR_JUNCTION]
-    assert [up for *_, up in layouts] == [
-        p.expansion * p.height / w.width for w, p in COLLINEAR_JUNCTION
-    ]
+    assert layouts == tuple(
+        (box_vertices(w, p), p.expansion * p.height / w.width)
+        for w, p in COLLINEAR_JUNCTION
+    )
+    lists = [verts for verts, _ in layouts]
     # the map's breakpoints are the chain's own vertex objects
     assert g._lows[0] is lists[0][0][0] and g._values[-1] is lists[-1][-1][1]
 
@@ -418,6 +420,6 @@ def test_dropped_vertex_is_caught():
     chain = two_box_chain(True).provenance
     assert box_chain_certify(two_box_chain(True)).is_certified
     verts = chain_vertices(chain.boxes)
-    f = pl_from_vertices(verts[:5] + verts[6:], provenance=chain)
+    f = PLMap(pl_from_vertices(verts[:5] + verts[6:]).pieces, provenance=chain)
     assert set(f.breakpoints) < {x for x, _ in verts}
     assert box_chain_certify(f) == box_chain_certify_evaluated(f) == Verdict.inconclusive(0)

@@ -122,7 +122,8 @@ def special_points(g):
     points and tail vertices of g's boxes: every kind of place a breakpoint
     of f can meet the chain."""
     lattice, edges, legs, tails = [], [], [], []
-    for verts, k, _, _ in g._chain._layouts:
+    for (verts, _), (_, p) in zip(g._chain._layouts, g._chain.boxes):
+        k = boxmap._sweeps(p)[1]
         xs = [x for x, _ in verts]
         edges += [xs[0], xs[-1]]
         lattice += xs[1 : k + 1]
@@ -177,7 +178,7 @@ def test_distance_from_lines_through_every_extremum():
     # unique peak at each kind of place in turn
     for boxes in (COLLINEAR_JUNCTION, box_data(sawtooth(3), Q(1, 3), Q(41, 2)).items()):
         g = concat_box_maps(list(boxes))
-        for x, y in {v for verts, *_ in g.provenance._layouts for v in verts}:
+        for x, y in {v for verts, _ in g.provenance._layouts for v in verts}:
             for slope in (Q(-1, 2), Q(-1, 16), ZERO, Q(1, 16), Q(1, 2)):
                 c0 = y - slope * x
                 pts = [(ZERO, c0), (ONE, c0 + slope)]

@@ -101,7 +101,7 @@ def test_homotopy_zero_step_reproduces_input(capsys, tmp_path):
 
 def test_grid_sizes_past_their_caps_exit_1(capsys, tmp_path):
     # the patches make a missing cap fail at once instead of building
-    # 10^9 windows or 2^40 grid points
+    # 10^9 windows or 2^40 grid points, or computing 2^(10^7)
     path = write_map(tmp_path, sawtooth(3), "saw3.json")
     with mock.patch.object(homotopy, "Interval", side_effect=AssertionError):
         code, out, err = run_cli(capsys, "homotopy", "--map", path, "--t", "1/1000000000")
@@ -111,6 +111,11 @@ def test_grid_sizes_past_their_caps_exit_1(capsys, tmp_path):
             capsys, "certify", "--map", path, "--method", "refute", "--grid-level", "40"
         )
     assert code == 1 and out == "" and "grid level 40" in err
+    with mock.patch.object(transitivity, "Q", side_effect=AssertionError):
+        code, out, err = run_cli(
+            capsys, "certify", "--map", path, "--method", "leo", "--grid-level", "10000000"
+        )
+    assert code == 1 and out == "" and "grid level 10000000" in err
 
 
 def test_homotopy_frames(capsys, tmp_path):

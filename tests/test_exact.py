@@ -232,7 +232,7 @@ def test_range_on_matches_linear_scan(seed, data):
 # -- pl_from_vertices against the validating constructors it bypasses ------
 
 
-def pl_from_vertices_oracle(points, provenance=None):
+def pl_from_vertices_oracle(points):
     """Reference: a validated ``Piece`` per segment, then ``PLMap(...)``."""
     pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
     if len(pts) < 2:
@@ -243,16 +243,16 @@ def pl_from_vertices_oracle(points, provenance=None):
             raise DomainError("vertex abscissae must strictly increase")
         slope = (y1 - y0) / (x1 - x0)
         pieces.append(Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO))
-    return PLMap(tuple(pieces), provenance=provenance)
+    return PLMap(tuple(pieces))
 
 
-def construction_outcome(build, points, provenance):
+def construction_outcome(build, points):
     try:
-        f = build(points, provenance=provenance)
+        f = build(points)
     except DomainError as e:
         return "error", str(e)
     assert type(f) is PLMap
-    assert f.provenance is provenance
+    assert f.provenance is None
     return "map", f.pieces, f._lows
 
 
@@ -331,9 +331,12 @@ def vertex_lists(draw):
 @settings(max_examples=400, deadline=None)
 @given(vertex_lists(), st.sampled_from([None, "record", ("a", 1)]))
 def test_pl_from_vertices_matches_validating_constructors(points, provenance):
-    assert construction_outcome(pl_from_vertices, points, provenance) == (
-        construction_outcome(pl_from_vertices_oracle, points, provenance)
-    ), points
+    outcome = construction_outcome(pl_from_vertices, points)
+    assert outcome == construction_outcome(pl_from_vertices_oracle, points), points
+    if outcome[0] == "map":
+        # a construction record is attached by the validating constructor
+        f = PLMap(outcome[1], provenance=provenance)
+        assert f.provenance is provenance and f._lows == outcome[2]
 
 
 def test_pl_from_vertices_error_messages():

@@ -31,6 +31,7 @@ REMOVED = (
     "SurjectionWitness",
     "_ChainLink",
     "_reproduces",
+    "_stretch_gap",
 )
 
 # exported names the benchmark harness imports

@@ -217,7 +217,8 @@ class TestInvariantRegionRefute:
 
 def test_grid_levels_above_the_cap_are_refused():
     # Q is patched so a missing cap fails at the first grid point instead
-    # of building 2^40 of them
+    # of building 2^40 of them, and so leo_certify fails if it computes
+    # with the level, as in its coarseness check, before the cap refuses it
     f = saw(3)
     with mock.patch.object(transitivity, "Q", side_effect=AssertionError):
         for level in (21, 40):
@@ -225,6 +226,8 @@ def test_grid_levels_above_the_cap_are_refused():
                 invariant_region_refute(f, level, 10)
             with pytest.raises(ParameterError):
                 ball_refute(f, Q(1, 100), level)
+        with pytest.raises(ParameterError):
+            leo_certify(f, 10**7, 10)
         with pytest.raises(AssertionError):  # level 20 passes the cap
             invariant_region_refute(f, 20, 10)
 
