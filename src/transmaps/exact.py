@@ -42,8 +42,10 @@ The routines that walk pieces read piece-end values from it instead of
 evaluating the piece there: ``range_on`` and ``_partition_ranges`` (only
 window ends inside a piece and parabola vertices are evaluated),
 ``sup_distance`` (a refinement point takes its value from the map whose
-breakpoint it is), ``total_variation`` and ``svg.render_svg``.  Like
-``_lows`` it is not a field, so equality and hashing ignore it.
+breakpoint it is), ``total_variation`` and ``svg.render_svg`` (a plot
+starts at f(0) and appends each piece's right end, after a parabola's
+interior samples).  Like ``_lows`` it is not a field, so equality and
+hashing ignore it.
 
 A map built by ``boxmap.concat_box_maps`` is its box chain by
 construction, and its ``provenance`` is also its private, trusted

@@ -4,11 +4,23 @@ Scalars cross the boundary as canonical strings, "p/q" in lowest terms
 or a bare integer, never as binary floats; documents are emitted with
 sorted keys and a trailing newline so identical inputs produce
 byte-identical files.
+
+``document_to_json`` writes a document with a writer of its own whose
+text is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline, the form ``python -m json.tool --indent 2 --sort-keys``
+prints.  With ``indent`` set, ``json`` encodes through its pure-Python
+generators; the writer instead makes one recursive pass, escapes every
+string with ``json``'s own C escaper and hands every other leaf (ints,
+bools, ``None``, floats) to ``json.dumps``.  A list of flat string
+dicts that share their keys, such as a map's ``pieces``, is written
+from one template in one formatting call.  A dict with a key that is
+not a string is written by ``json.dumps`` itself, re-indented.
 """
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .errors import ParameterError
@@ -35,7 +47,10 @@ def parse_scalar(text) -> Q:
     """Inverse of scalar_str, restricted to its exact output grammar."""
     if not isinstance(text, str) or not _SCALAR.match(text):
         raise ParameterError(f"not a rational literal: {text!r}")
-    return Q(text)
+    try:
+        return Q(text)
+    except ValueError as e:  # the Fraction backend's int-string digit limit
+        raise ParameterError(f"cannot read rational literal: {e}") from None
 
 
 def map_to_document(f: CurveMap) -> dict:
@@ -122,4 +137,72 @@ def reach_to_document(
 
 
 def document_to_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write(doc, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list, open_ids: set) -> None:
+    """Append value's text; indent is a newline and the spaces that start
+    the line value begins on, and open_ids holds the ids of the containers
+    value sits in.  The type tests are ``json``'s own."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+        return
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    if isinstance(value, dict) and not all(isinstance(key, str) for key in value):
+        text = json.dumps(value, indent=2, sort_keys=True)
+        out.append(text.replace("\n", indent))  # escaped text holds no newline
+        return
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")  # json's error
+    open_ids.add(id(value))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        head = "{"
+        for key in sorted(value):
+            out.append(f"{head}{inner}{_quote(key)}: ")
+            _write(value[key], inner, out, open_ids)
+            head = ","
+        out.append(indent + "}")
+    else:
+        rows = _flat_rows(value, inner)
+        if rows is not None:
+            out.append(f"[{inner}{rows}{indent}]")
+        else:
+            head = "["
+            for item in value:
+                out.append(head + inner)
+                _write(item, inner, out, open_ids)
+                head = ","
+            out.append(indent + "]")
+    open_ids.remove(id(value))
+
+
+def _flat_rows(rows, indent: str):
+    """The entries of rows written at indent, when every entry is a
+    nonempty dict with the first one's string keys and only str values;
+    None otherwise."""
+    first = rows[0]
+    if not isinstance(first, dict) or not first:
+        return None
+    keys = first.keys()
+    if not all(isinstance(key, str) for key in keys):
+        return None
+    if not all(isinstance(row, dict) and row.keys() == keys for row in rows):
+        return None
+    order = sorted(keys)
+    values = [row[key] for row in rows for key in order]
+    if not all(isinstance(v, str) for v in values):
+        return None
+    inner = indent + "  "
+    # keys are escaped into the template, so a '%' in one is doubled
+    row = ",".join(f"{inner}{_quote(key).replace('%', '%%')}: %s" for key in order)
+    template = f",{indent}".join(["{" + row + indent + "}"] * len(rows))
+    return template % tuple(map(_quote, values))

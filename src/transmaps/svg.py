@@ -1,8 +1,10 @@
 """Presentation-only SVG plots of maps. Nothing reads these back.
 
-Fixed 800x800 canvas with 40px margins and a flipped y axis.  Linear
-pieces contribute their exact endpoints, read from the map's breakpoint
-table; quadratic pieces are sampled at 256 points.  A coordinate
+Fixed 800x800 canvas with 40px margins and a flipped y axis.  The path
+starts at (0, f(0)) and each piece appends its right end, read from the
+map's breakpoint table; a quadratic piece appends samples j = 1..255 of
+its 256 equally spaced points, the last of which is its right end.
+Abscissae strictly increase, so no point repeats.  A coordinate
 MARGIN + SPAN * n/d is formatted to three decimals from one correctly
 rounded integer division, (MARGIN * d + SPAN * n) / d, with no rational
 arithmetic; that is the float of the exact coordinate, so repeated
@@ -34,26 +36,20 @@ def _py(y: Q) -> str:
 
 
 def _plot_points(f: CurveMap):
-    points = []
     values = f._values
+    points = [(ZERO, values[0])]
     for i, p in enumerate(f.pieces):
         if p.is_affine:
-            pts = ((p.domain.lo, values[i]), (p.domain.hi, values[i + 1]))
+            points.append((p.domain.hi, values[i + 1]))
         else:
-            w = p.domain.width
-            xs = (p.domain.lo + w * Q(j, QUAD_SAMPLES - 1) for j in range(QUAD_SAMPLES))
-            pts = [(x, p.value_at(x)) for x in xs]
-        for pt in pts:
-            if not points or points[-1] != pt:
-                points.append(pt)
+            lo, w = p.domain.lo, p.domain.width
+            xs = (lo + w * Q(j, QUAD_SAMPLES - 1) for j in range(1, QUAD_SAMPLES))
+            points.extend((x, p.value_at(x)) for x in xs)
     return points
 
 
 def render_svg(f: CurveMap) -> str:
-    path = " ".join(
-        f"{'M' if i == 0 else 'L'} {_px(x)} {_py(y)}"
-        for i, (x, y) in enumerate(_plot_points(f))
-    )
+    path = "M " + " L ".join(f"{_px(x)} {_py(y)}" for x, y in _plot_points(f))
     frame = (
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{SPAN}" height="{SPAN}" '
         'fill="white" stroke="#444" stroke-width="1"/>'

@@ -138,14 +138,18 @@ def _check_witness(f: CurveMap, c: IntervalSet) -> None:
 
 def reach_image(f: CurveMap, u: Interval, v: Interval, n: int) -> IntervalSet:
     """The n-th forward image of u, exactly, after every argument check
-    ``reach_check`` makes, v's included."""
+    ``reach_check`` makes, v's included.  An image equal to the one before
+    it is the image at every later step, so the iteration stops there."""
     if n < 1:
         raise ParameterError("need at least one iteration")
     if u.is_degenerate() or v.is_degenerate():
         raise ParameterError("need nondegenerate intervals")
     s = IntervalSet((u,))
     for _ in range(n):
-        s = image_set(f, s)
+        image = image_set(f, s)
+        if image == s:
+            break
+        s = image
     return s
 
 

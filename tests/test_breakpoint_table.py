@@ -159,6 +159,24 @@ def plot_points_evaluated(f):
     return points
 
 
+def plot_points_deduplicated(f):
+    # reference: both ends of every piece from the table, keeping each
+    # point that differs from the one before it
+    points = []
+    values = f._values
+    for i, p in enumerate(f.pieces):
+        if p.is_affine:
+            pts = ((p.domain.lo, values[i]), (p.domain.hi, values[i + 1]))
+        else:
+            w = p.domain.width
+            xs = (p.domain.lo + w * Q(j, svg.QUAD_SAMPLES - 1) for j in range(svg.QUAD_SAMPLES))
+            pts = [(x, p.value_at(x)) for x in xs]
+        for pt in pts:
+            if not points or points[-1] != pt:
+                points.append(pt)
+    return points
+
+
 def render_svg_evaluated(f):
     with mock.patch.object(svg, "_plot_points", plot_points_evaluated):
         return svg.render_svg(f)
@@ -376,8 +394,11 @@ def test_sup_distance_reads_parabola_vertices():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_render_svg_matches_evaluated(seed):
-    for f in reader_maps(random.Random(seed)):
-        assert svg._plot_points(f) == plot_points_evaluated(f)
+    rng = random.Random(seed)
+    for f in reader_maps(rng) + [random_curve_map(rng), random_curve_map(rng)]:
+        points = svg._plot_points(f)
+        assert points == plot_points_evaluated(f) == plot_points_deduplicated(f)
+        assert all(a[0] < b[0] for a, b in zip(points, points[1:]))
         assert svg.render_svg(f) == render_svg_evaluated(f)
 
 

@@ -179,6 +179,18 @@ def test_certify_rejects_a_non_integer_version(capsys, tmp_path):
         assert code == 1 and out == "" and "version" in err
 
 
+def test_literal_past_the_int_digit_limit_exits_1(capsys, tmp_path):
+    # 5,001 digits pass the literal grammar but not CPython's int-string
+    # limit on the Fraction backend; the value is out of range on gmpy2
+    doc = map_to_document(sawtooth(3))
+    doc["pieces"][0]["x1"] = "1" * 5001
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "certify", "--map", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("transmaps: error:") and "Traceback" not in err
+
+
 def test_missing_map_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "certify", "--map", "/nonexistent.json")
     assert code == 1 and err != ""

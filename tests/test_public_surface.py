@@ -41,6 +41,15 @@ KEPT = {
 }
 
 
+def test_transmaps_is_a_regular_package():
+    # a namespace package has no __file__, and zipimport cannot load one
+    assert transmaps.__file__ is not None
+    assert MODULES == [
+        "boxmap", "cli", "corpus", "errors", "exact", "extension", "homotopy",
+        "rational", "serialize", "spaces", "svg", "transitivity", "verify",
+    ]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_entries_resolve_once(name):
     module = importlib.import_module(f"transmaps.{name}")

@@ -1,21 +1,25 @@
-"""Document round trips, scalar grammar, and plot determinism."""
+"""Document round trips, scalar grammar, the JSON writer, and plot determinism."""
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transmaps.corpus import random_curve_map, random_pl_map
+from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError, ParameterError
 from transmaps.exact import CurveMap, Interval, IntervalSet, PLMap
+from transmaps.homotopy import apply_homotopy
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import (
     document_to_json,
     map_from_document,
     map_to_document,
     parse_scalar,
+    reach_to_document,
     verdict_to_document,
 )
-from transmaps.spaces import identity_map, sawtooth, square_map
+from transmaps.spaces import identity_map, ladder_map, sawtooth, square_map
 from transmaps.svg import render_svg, write_svg
 from transmaps.transitivity import Verdict
 
@@ -100,6 +104,140 @@ def test_json_form_is_canonical():
     assert text.endswith("\n")
     assert text == document_to_json(map_to_document(sawtooth(3)))
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
+# -- the JSON writer against json.dumps -----------------------------------------
+
+
+def document_to_json_reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# escapes, '%' (the row template is %-formatted) and non-ASCII text
+_CHARS = st.one_of(
+    st.sampled_from('%s"\\\n\t/ ab\u00e9\u2028\U0001f600'), st.characters()
+)
+_TEXT = st.text(_CHARS, max_size=6)
+_LEAVES = st.one_of(
+    _TEXT, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False)
+)
+
+
+@st.composite
+def flat_rows(draw, uniform=True):
+    """Nonempty dicts sharing one key set, with str values; unless uniform,
+    one entry then gets a key more or less, or a value that is not a str."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    rows = draw(
+        st.lists(st.fixed_dictionaries({k: _TEXT for k in keys}), min_size=1, max_size=6)
+    )
+    if not uniform:
+        row = dict(draw(st.sampled_from(rows)))
+        change = draw(st.sampled_from(("add", "drop", "value")))
+        if change == "add":
+            row[draw(_TEXT.filter(lambda k: k not in keys))] = draw(_TEXT)
+        elif change == "drop":
+            del row[draw(st.sampled_from(keys))]
+        else:
+            row[draw(st.sampled_from(keys))] = draw(
+                st.one_of(st.integers(), st.booleans(), st.none(), st.lists(_TEXT))
+            )
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+_DOCUMENTS = st.recursive(
+    st.one_of(_LEAVES, flat_rows(), flat_rows().map(tuple), flat_rows(uniform=False)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_document_to_json_matches_json_dumps(doc):
+    assert document_to_json(doc) == document_to_json_reference(doc)
+
+
+def test_document_to_json_edge_documents():
+    for doc in (
+        {},
+        [],
+        (),
+        "",
+        0,
+        None,
+        {"a": {}, "b": [], "c": ()},
+        [{}],
+        [{}, {}],
+        [{"a": "1"}, {}],
+        [{"a": "1"}, {"a": "2", "b": "3"}],
+        [{"a": "1"}, ["a"]],
+        [{"%": "%s", "%(x)s": "%%"}, {"%": "", "%(x)s": "%d"}],
+        [{"k": "v"}, {"k": "w"}, {"k": 1}],
+        {"n": [1, True, None, 1.5, -0.0, 10**30]},
+        {1: "int key", 2: ["x"]},  # json's own key conversion
+        {"outer": {1.5: {"x": "y"}, 2: [], True: "t"}},
+    ):
+        assert document_to_json(doc) == document_to_json_reference(doc), doc
+
+
+def test_document_to_json_raises_as_json_does():
+    for doc in ({"a": object()}, [{"a": "b"}, {"a": Q(1, 2)}], {"outer": {1: 2, "x": 3}}):
+        with pytest.raises(TypeError):
+            document_to_json_reference(doc)
+        with pytest.raises(TypeError):
+            document_to_json(doc)
+
+
+def test_document_to_json_refuses_a_cycle_as_json_does():
+    doc = {"a": [{"b": "c"}]}
+    doc["a"].append(doc)
+    for write in (document_to_json_reference, document_to_json):
+        with pytest.raises(ValueError, match="Circular reference"):
+            write(doc)
+
+
+def library_maps(rng):
+    return [
+        identity_map(),
+        square_map(),
+        sawtooth(3),
+        ladder_map(5),
+        apply_homotopy(sawtooth(3), Q(1, 8), Q(20)),
+        random_pl_map(rng),
+        random_curve_map(rng),
+        random_surjective_pl(rng),
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_library_documents_match_json_dumps(seed):
+    maps = library_maps(random.Random(seed))
+    witness = IntervalSet((Interval(ZERO, Q(1, 4)), Interval(Q(1, 2), ONE)))
+    parameters = {
+        "method": "reach",
+        "u": Interval(ZERO, Q(1, 8)),
+        "n": 3,
+        "flag": True,
+        "t": Q(1, 16),
+    }
+    docs = [map_to_document(f) for f in maps]
+    docs += [
+        {"version": 1, "frames": docs[:]},
+        verdict_to_document(Verdict.certified(), {"method": "pipeline"}),
+        verdict_to_document(Verdict.refuted(identity_map(), witness), parameters),
+        verdict_to_document(Verdict.inconclusive(200), {"grid_level": 4, "n_max": 200}),
+        reach_to_document(True, witness, parameters),
+        reach_to_document(False, IntervalSet(()), parameters),
+    ]
+    for doc in docs:
+        assert document_to_json(doc) == document_to_json_reference(doc)
 
 
 def test_svg_layout_frozen_corners():

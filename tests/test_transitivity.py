@@ -49,6 +49,7 @@ from transmaps.transitivity import (
     min_abs_slope,
     min_breakpoint_gap,
     reach_check,
+    reach_image,
 )
 
 
@@ -138,6 +139,25 @@ class TestReachCheck:
             reach_check(f, iv(0, "1/4"), iv("1/2", 1), 0)
         with pytest.raises(ParameterError):
             reach_check(f, iv("1/4", "1/4"), iv("1/2", 1), 1)
+
+    def test_fixed_image_stops_iterating(self):
+        # f([0, 1/3]) = [0, 1] and f([0, 1]) = [0, 1]: fixed after one step
+        calls = mock.Mock(wraps=transitivity.image_set)
+        with mock.patch.object(transitivity, "image_set", calls):
+            image = reach_image(saw(3), iv(0, "1/3"), iv("1/2", 1), 1000)
+        assert image == FULL_SET
+        assert calls.call_count <= 3
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_reach_image_is_the_nth_image(self, seed, n):
+        rng = random.Random(seed)
+        f = rng.choice([random_pl_map, random_curve_map])(rng)
+        u = iv(0, "1/8") if seed % 2 else iv("7/16", "1/2")
+        s = IntervalSet((u,))
+        for _ in range(n):
+            s = image_set(f, s)
+        assert reach_image(f, u, iv("1/2", "5/8"), n) == s
 
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
