@@ -38,7 +38,6 @@ from .exact import (
     Piece,
     PLMap,
     _frozen,
-    _piece_range,
     _walk_gap,
 )
 from .rational import ONE, Q, ZERO, as_scalar
@@ -195,12 +194,12 @@ class BoxChain:
 
     Stored as map provenance.  The map ``concat_box_maps`` builds is its
     chain by construction and also holds the record as its trusted
-    ``_chain``, which the exact queries and the certificate read without
-    a check.  A record attached from outside, by a caller's
-    ``PLMap(pieces, provenance=chain)`` or a document read back, is not
-    trusted: the certificate rebuilds its map and compares pieces first.
-    ``_layouts`` holds each box's vertices and slope, computed once from
-    the frozen items.  ``_los`` and ``_his`` are the window ends.
+    ``_chain``, which ``sup_distance`` and
+    ``transitivity.box_chain_certify`` read without a check.  A record
+    attached from outside, by a caller's ``PLMap(pieces,
+    provenance=chain)``, is a note that no routine reads.  ``_layouts``
+    holds each box's vertices and slope, computed once from the frozen
+    items.  ``_his`` holds the right ends of the windows.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -225,31 +224,8 @@ class BoxChain:
         return tuple(_layout(w, p) for w, p in self.boxes)
 
     @cached_property
-    def _los(self) -> tuple[Q, ...]:
-        return tuple(w.lo for w, _ in self.boxes)
-
-    @cached_property
     def _his(self) -> tuple[Q, ...]:
         return tuple(w.hi for w, _ in self.boxes)
-
-    def _range_on(self, g: CurveMap, j: Interval) -> Interval:
-        """``range_on(g, J)`` for g this chain's map.  Every box whose
-        window J holds attains its whole band (k >= 18 extrema reach top
-        and bottom); the at most two partly covered windows read g's
-        pieces on their part of J, and so does a J without a whole box."""
-        a = bisect.bisect_left(self._los, j.lo)
-        z = bisect.bisect_right(self._his, j.hi)
-        if a >= z:
-            return _piece_range(g, j)
-        whole = self.boxes[a:z]
-        lows = [p.bottom for _, p in whole]
-        highs = [p.top for _, p in whole]
-        for x0, x1 in ((j.lo, self._los[a]), (self._his[z - 1], j.hi)):
-            if x0 < x1:
-                r = _piece_range(g, _frozen(Interval, lo=x0, hi=x1))
-                lows.append(r.lo)
-                highs.append(r.hi)
-        return _frozen(Interval, lo=min(lows), hi=max(highs))
 
     def _distance(self, f: CurveMap, g: CurveMap) -> Q:
         """``sup_distance(f, g)`` for g this chain's map and f any map.
@@ -313,8 +289,8 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
     Continuity at the junctions is exact because adjacent boxes share the
     junction value by the chain validity check.  The chain is attached as
     provenance, and the same object as the trusted ``_chain`` that
-    ``range_on``, ``sup_distance`` and ``transitivity.box_chain_certify``
-    read.
+    ``sup_distance`` and ``transitivity.box_chain_certify`` read; no
+    other construction sets ``_chain``.
 
     The pieces are built straight from the box vertices, without the
     checks of ``pl_from_vertices``, which gives the same map.  That is

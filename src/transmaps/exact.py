@@ -17,12 +17,11 @@ All min/max/sup computations are exact: extrema of a quadratic on a
 rational interval occur at rational points (endpoints or the vertex), so
 every predicate is decided by rational comparison, never by sampling.
 ``range_on`` computes a map's range over one interval; it bisects on the
-piece lows, so a query reads only the pieces the interval meets (a box
-chain's map reads its chain, see below), and ``image_set`` is one
-``range_on`` per component.  A caller that needs the range on every
-window of a partition of [0, 1] (the grid stages of ``transitivity``,
-``homotopy.box_data`` and ``FamilyBoxBounds.all_bands``) calls
-``_partition_ranges`` instead, which walks the breakpoints and the
+piece lows, so a query reads only the pieces the interval meets, and
+``image_set`` is one ``range_on`` per component.  A caller that needs
+the range on every window of a partition of [0, 1] (the grid stages of
+``transitivity``, ``homotopy.box_data`` and ``FamilyBoxBounds.all_bands``)
+calls ``_partition_ranges`` instead, which walks the breakpoints and the
 window edges together once and also gives f at every edge.  Both read a
 window through ``_window_range``, the one rule for an exact range.
 
@@ -49,17 +48,14 @@ hashing ignore it.
 
 A map built by ``boxmap.concat_box_maps`` is its box chain by
 construction, and its ``provenance`` is also its private, trusted
-``_chain``; every other map has the class default ``None``.  Three exact
-queries read ``_chain``: ``range_on`` takes each box its query covers
-whole as that box's band, ``sup_distance`` against a map without one
-reads from the table only the first two and the last four breakpoints
-of each box's zigzag under an affine piece, and
-``transitivity.box_chain_certify`` takes the chain unchecked.  The
-pieces are still built, and everything else reads them.  A chain
-attached from outside, as the ``provenance`` of a constructor call or of
-a document read back, is not trusted: such a map has no ``_chain``, is
-walked piece by piece, and is certified from its record only when
-``concat_box_maps`` rebuilds it exactly.  A copy made by
+``_chain``; only ``concat_box_maps`` sets it, and every other map has
+the class default ``None``.  Two queries read ``_chain``:
+``sup_distance`` against a map without one reads from the table only
+the first two and the last four breakpoints of each box's zigzag under
+an affine piece, and ``transitivity.box_chain_certify`` decides from
+the chain alone.  The pieces are still built, and everything else reads
+them.  Any other record, such as a chain attached as the ``provenance``
+of a constructor call, is a note that no routine reads.  A copy made by
 ``copy.deepcopy`` keeps ``_chain``, since it copies the pieces with it.
 """
 from __future__ import annotations
@@ -273,9 +269,8 @@ class CurveMap:
     Pieces tile [0, 1] exactly and agree at shared endpoints.  The piece
     tuple is canonical (adjacent identical pieces merged), so structural
     equality is well defined.  ``provenance`` is an optional construction
-    record (ignored by equality and hashing) that certificate routines may
-    consult after independently re-verifying it.  ``_values`` holds the
-    map's value at each of its ``breakpoints``.
+    record, ignored by equality and hashing; no routine reads it.
+    ``_values`` holds the map's value at each of its ``breakpoints``.
     """
 
     pieces: tuple[Piece, ...]
@@ -404,19 +399,10 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
 
     The image of a closed interval under a continuous map is the closed
     interval between the exact extrema, which occur at endpoints of the
-    intersection with a piece or at an interior quadratic vertex.  A map
-    built by ``boxmap.concat_box_maps`` answers from its box chain; any
-    other map reads its pieces (``_piece_range``).
+    intersection with a piece or at an interior quadratic vertex.  This
+    is the one-window case of ``_window_range``: bisection finds the
+    piece holding J.lo, so a query costs O(log pieces + pieces meeting J).
     """
-    if f._chain is not None:
-        return f._chain._range_on(f, j)
-    return _piece_range(f, j)
-
-
-def _piece_range(f: CurveMap, j: Interval) -> Interval:
-    """``range_on`` from the pieces: the one-window case of
-    ``_window_range``.  Bisection finds the piece holding J.lo, so a query
-    costs O(log pieces + pieces meeting J)."""
     i = f._piece_index(j.lo)
     ya = f._values[i] if f._lows[i] == j.lo else f.pieces[i].value_at(j.lo)
     return _window_range(f, i, j.lo, ya, j.hi)[0]

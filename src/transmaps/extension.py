@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .boxmap import BoxParams, concat_box_maps
+from .boxmap import MIN_EXPANSION, BoxParams, concat_box_maps
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
 from .exact import CurveMap, Interval, _frozen, sup_distance
 from .homotopy import box_data, family_box_bounds, partition, uniform_modulus
@@ -54,8 +54,6 @@ __all__ = [
     "ComplexExtension",
     "complex_extend",
 ]
-
-EXPANSION = Q(20)
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ class ExtensionResult:
         """The t = 1 box of every window, validated once."""
         c = self.junction_targets
         return tuple(
-            BoxParams(c[i], c[i + 1], h.lo, h.hi, EXPANSION)
+            BoxParams(c[i], c[i + 1], h.lo, h.hi, MIN_EXPANSION)
             for i, h in enumerate(self.hull_bands)
         )
 
@@ -218,7 +216,7 @@ class ExtensionResult:
         """Box parameters of the step-t0 deformation of the map at x."""
         if x not in self._bases:
             f = self._checked(x)
-            self._bases[x] = tuple(box_data(f, self.t0, EXPANSION).items())
+            self._bases[x] = tuple(box_data(f, self.t0, MIN_EXPANSION).items())
         return self._bases[x]
 
     def evaluate_chain(self, x, t) -> Items:
@@ -243,7 +241,7 @@ class ExtensionResult:
         if not (ZERO < t <= ONE):
             raise DomainError(f"box chains exist at heights in (0,1], not {t}")
         if t < self.t0:
-            return tuple(box_data(self._checked(x), t, EXPANSION).items())
+            return tuple(box_data(self._checked(x), t, MIN_EXPANSION).items())
         u = (t - self.t0) / (ONE - self.t0)
         return tuple(
             (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Q
@@ -43,8 +43,16 @@ def as_scalar(x) -> "Q":
 
 
 def scalar_str(x) -> str:
-    """Canonical text form: 'p/q' in lowest terms, or bare 'p' for integers."""
-    return str(x) if type(x) is Q else str(Q(x))
+    """Canonical text form: 'p/q' in lowest terms, or bare 'p' for integers.
+
+    Raises ParameterError when the text cannot be written, as it does on
+    the Fraction backend for integers past CPython's int-string digit
+    limit (``serialize.parse_scalar`` reads such text the same way).
+    """
+    try:
+        return str(x) if type(x) is Q else str(Q(x))
+    except ValueError as e:
+        raise ParameterError(f"cannot write rational: {e}") from None
 
 
 def is_dyadic(x) -> bool:

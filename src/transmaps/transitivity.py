@@ -22,8 +22,7 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   Nothing builds a map, so the certificate scales to chains with
   thousands of laps where grid iteration would not.  ``box_chain_certify``
   applies it to a map built by ``boxmap.concat_box_maps``, which is its
-  chain by construction, or to a map whose attached record
-  ``concat_box_maps`` rebuilds into exactly the map's pieces.
+  chain by construction; a record attached to any other map is not read.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 
@@ -49,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .boxmap import BoxChain, BoxParams, box_values, concat_box_maps
+from .boxmap import BoxChain, BoxParams, box_values
 from .errors import ParameterError, PreconditionError
 from .exact import (
     FULL,
@@ -534,22 +533,14 @@ def box_chain_certify(f: CurveMap) -> Verdict:
     """Certify a concatenation of box maps from its construction record.
 
     A map built by ``boxmap.concat_box_maps`` is its chain by
-    construction, and its trusted ``_chain`` is taken without a check.
-    Any other record, attached from outside or read back from a
-    document, is not trusted: it must be a ``BoxChain`` from which
-    ``concat_box_maps`` rebuilds exactly the map's pieces.  Then
-    ``chain_certified`` decides from the chain alone.  Inconclusive when
-    the record is absent, stale, or the certificate fails; never Refuted
-    (this routine has no refutation power).
+    construction, and its trusted ``_chain`` is taken without a check;
+    ``chain_certified`` decides from the chain alone.  No other record is
+    read: a chain attached to a map from outside is a note, not a proof.
+    Inconclusive when the map has no ``_chain`` or the certificate
+    fails; never Refuted (this routine has no refutation power).
     """
     chain = f._chain
-    if chain is None:
-        chain = f.provenance
-        if not isinstance(chain, BoxChain):
-            return Verdict.inconclusive(0)
-        if concat_box_maps(chain.boxes).pieces != f.pieces:
-            return Verdict.inconclusive(0)
-    if not chain_certified(chain.boxes):
+    if chain is None or not chain_certified(chain.boxes):
         return Verdict.inconclusive(0)
     return Verdict.certified()
 
@@ -665,20 +656,24 @@ def is_transitive_pipeline(
 ) -> Verdict:
     """Combine the certificates and refuters soundly.
 
-    Order: non-surjectivity (instant refutation), the construction-record
-    certificate, invariant-region search at escalating grid levels, then
-    the grid certificate for steep piecewise-linear maps whose lap widths
-    admit an affordable grid.  Certified and Refuted cannot both occur:
-    certificates prove every open region spreads everywhere, refuters
-    exhibit a region that never leaves itself.
+    Order: the construction-record certificate, non-surjectivity
+    (instant refutation), invariant-region search at escalating grid
+    levels, then the grid certificate for steep piecewise-linear maps
+    whose lap widths admit an affordable grid.  Certified and Refuted
+    cannot both occur: certificates prove every open region spreads
+    everywhere, refuters exhibit a region that never leaves itself.  A
+    certified chain is onto (each box attains its band, and the bands of
+    a sink component fill [0, 1]), so the first two stages commute; the
+    record certificate goes first because it answers a chain map without
+    reading its range, and a map without a chain at once.
     """
-    witness = _non_surjective_witness(f)
-    if witness is not None:
-        return Verdict.refuted(f, witness)
-
     verdict = box_chain_certify(f)
     if verdict.is_certified:
         return verdict
+
+    witness = _non_surjective_witness(f)
+    if witness is not None:
+        return Verdict.refuted(f, witness)
 
     for level in budget.refute_levels:
         verdict = invariant_region_refute(f, level, budget.refute_steps)

@@ -405,16 +405,18 @@ def test_render_svg_matches_evaluated(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(valid_chains(), equal_slope_chains()), valid_chains())
 def test_box_chain_certify_matches_evaluated(boxes, other):
-    variants = list(record_variants(boxes, other))
-    assert len(variants) == 6
-    for f in variants:
-        assert box_chain_certify(f) == box_chain_certify_evaluated(f)
+    own, *outside = record_variants(boxes, other)
+    assert len(outside) == 5
+    assert box_chain_certify(own) == box_chain_certify_evaluated(own)
+    for f in outside:
+        assert box_chain_certify(f) == Verdict.inconclusive(0)
 
 
 def test_stale_vertex_merged_away_is_caught():
     # the junction vertex of COLLINEAR_JUNCTION is no breakpoint of the map;
-    # the true record attached from outside must pass, and a valid record
-    # whose junction value is moved must not
+    # the evaluated rebuild takes the true record and refuses a valid
+    # record whose junction value is moved, and the certificate reads
+    # neither, since both are attached from outside
     f = concat_box_maps(list(COLLINEAR_JUNCTION))
     x, y = f.provenance._layouts[0][0][-1]
     assert x not in f.breakpoints
@@ -426,12 +428,13 @@ def test_stale_vertex_merged_away_is_caught():
     ))
     true_record = PLMap(f.pieces, provenance=BoxChain(COLLINEAR_JUNCTION))
     stale_record = PLMap(f.pieces, provenance=stale)
-    assert box_chain_certify(true_record) == box_chain_certify(f)
-    assert box_chain_certify(stale_record) == Verdict.inconclusive(0)
-    # with the chain certificate forced to pass, only the record check decides
+    assert reproduces_evaluated(f, true_record.provenance)
+    assert not reproduces_evaluated(f, stale)
+    # with the chain certificate forced to pass, only the chain's own map passes
     with mock.patch.object(transitivity, "chain_certified", return_value=True):
-        assert box_chain_certify(true_record) == box_chain_certify(f) == Verdict.certified()
-        assert box_chain_certify(stale_record) == Verdict.inconclusive(0)
+        assert box_chain_certify(f) == Verdict.certified()
+        for record in (true_record, stale_record):
+            assert box_chain_certify(record) == Verdict.inconclusive(0)
 
 
 def test_dropped_vertex_is_caught():

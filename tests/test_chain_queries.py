@@ -1,12 +1,12 @@
 """The exact queries a map built by ``concat_box_maps`` answers from its chain.
 
 Such a map holds its ``BoxChain``, its provenance, as the trusted
-``_chain``.  ``sup_distance`` against a map without one, ``range_on`` and
-``box_chain_certify`` read the chain instead of walking the legs.  The
-piece-walking bodies they replaced are kept here as oracles.  Maps whose
-chain is attached from outside, by a constructor or a document read
-back, have no ``_chain``; they keep the piece walk, and the certificate
-rebuilds their record before trusting it.
+``_chain``.  ``sup_distance`` against a map without one and
+``box_chain_certify`` read the chain instead of walking the legs; the
+piece-walking bodies are kept here as oracles, and ``range_on`` reads
+the pieces of every map.  Maps whose chain is attached from outside, by
+a constructor or a document read back, have no ``_chain``; they keep the
+piece walk, and the certificate does not read their record.
 """
 import bisect
 import copy
@@ -25,6 +25,7 @@ from transmaps.exact import (
     FULL,
     CurveMap,
     Interval,
+    IntervalSet,
     Piece,
     PLMap,
     _frozen,
@@ -36,12 +37,20 @@ from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import nowhere_dense_perturbation, sawtooth
-from transmaps.transitivity import box_chain_certify
+from transmaps.transitivity import (
+    PipelineBudget,
+    Verdict,
+    box_chain_certify,
+    invariant_region_refute,
+    is_transitive_pipeline,
+    leo_certify,
+    min_abs_slope,
+    min_breakpoint_gap,
+)
 
 from test_transitivity import (
     COLLINEAR_JUNCTION,
     record_variants,
-    reference_box_chain_certify,
     valid_chains,
 )
 
@@ -202,7 +211,8 @@ def query_windows(rng, g):
     """J = [0, 1]; J inside one box; J over whole boxes with clipped ends;
     a degenerate J at a vertex and one at a window edge."""
     lattice, edges, legs, _ = special_points(g)
-    los, his = g._chain._los, g._chain._his
+    los = [w.lo for w, _ in g._chain.boxes]
+    his = [w.hi for w, _ in g._chain.boxes]
     b = rng.randrange(len(los))
     a, c = sorted(Q(rng.randint(0, 64), 64) for _ in range(2))
     inside = Interval(los[b] + a * (his[b] - los[b]), los[b] + c * (his[b] - los[b]))
@@ -221,14 +231,6 @@ def test_range_matches_the_piece_read(chain, seed):
         assert range_on(g, j) == range_on_pieces(g, j), j
 
 
-def test_a_window_inside_one_box_reads_the_pieces():
-    g = concat_box_maps(list(COLLINEAR_JUNCTION))
-    j = Interval(Q(1, 8), Q(3, 8))
-    with mock.patch.object(boxmap, "_piece_range", wraps=boxmap._piece_range) as read:
-        assert range_on(g, j) == range_on_pieces(g, j)
-    assert [call.args[1] for call in read.call_args_list] == [j]
-
-
 # -- the trust rule --------------------------------------------------------------
 
 
@@ -239,24 +241,11 @@ def outside_copies(g):
     yield map_from_document(map_to_document(g))
 
 
-def certify_counting_record_checks(f):
-    """The verdict and how many times the certificate rebuilt a record."""
-    with mock.patch.object(
-        transitivity, "concat_box_maps", wraps=transitivity.concat_box_maps
-    ) as check:
-        verdict = box_chain_certify(f)
-    return verdict, check.call_count
-
-
 def assert_untrusted(f):
     assert f._chain is None
-    verdict, checks = certify_counting_record_checks(f)
-    assert verdict == reference_box_chain_certify(f)
-    if isinstance(f.provenance, boxmap.BoxChain):
-        assert checks == 1
+    assert box_chain_certify(f) == Verdict.inconclusive(0)
     probe = random_pl_map(random.Random(7))
-    with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError), \
-            mock.patch.object(boxmap.BoxChain, "_range_on", side_effect=AssertionError):
+    with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError):
         assert sup_distance(probe, f) == sup_distance_walk(probe, f)
         assert range_on(f, FULL) == range_on_pieces(f, FULL)
 
@@ -274,13 +263,10 @@ def test_record_variants_are_not_trusted(boxes, other):
 @pytest.mark.parametrize("t, gamma", [(Q(1, 4), Q(20)), (Q(1, 8), Q(41, 2))])
 def test_outside_attached_chains_are_not_trusted(t, gamma):
     g = apply_homotopy(sawtooth(3), t, gamma)
-    want, checks = certify_counting_record_checks(g)
-    assert want.is_certified and checks == 0
+    assert box_chain_certify(g).is_certified
     for f in outside_copies(g):
         assert f == g
         assert_untrusted(f)
-        if f.provenance is not None:  # a document keeps no record
-            assert box_chain_certify(f) == want
 
 
 def test_a_deep_copy_still_answers_from_its_chain():
@@ -288,8 +274,7 @@ def test_a_deep_copy_still_answers_from_its_chain():
     h = copy.deepcopy(g)
     assert h._chain is not None and h._chain == g.provenance
     assert h._chain is h.provenance
-    verdict, checks = certify_counting_record_checks(h)
-    assert verdict.is_certified and checks == 0
+    assert box_chain_certify(h).is_certified
     f = random_pl_map(random.Random(3))
     with mock.patch.object(
         boxmap.BoxChain, "_distance", autospec=True, side_effect=boxmap.BoxChain._distance
@@ -304,3 +289,70 @@ def test_other_maps_carry_no_link():
     assert "_chain" not in vars(f)
     piece = _frozen(Piece, domain=FULL, c0=ZERO, c1=ONE, c2=ZERO)
     assert PLMap((piece,))._chain is None
+
+
+# -- the pipeline asks the chain before the range ------------------------------
+
+
+def reference_pipeline(f, budget=PipelineBudget()):
+    """The pipeline in its earlier order, by public calls: surjectivity
+    first, then the chain certificate, the refute levels and leo."""
+    r = range_on(f, FULL)
+    if r != FULL:
+        if r.is_degenerate():
+            r = Interval(max(ZERO, r.lo - Q(1, 4)), min(ONE, r.hi + Q(1, 4)))
+        return Verdict.refuted(f, IntervalSet((r,)))
+    verdict = box_chain_certify(f)
+    if verdict.is_certified:
+        return verdict
+    for level in budget.refute_levels:
+        verdict = invariant_region_refute(f, level, budget.refute_steps)
+        if verdict.is_refuted:
+            return verdict
+    if f.is_pl and min_abs_slope(f) > 2:
+        gap = min_breakpoint_gap(f)
+        level = 1
+        while Q(2, 1 << level) > gap:
+            level += 1
+        if level <= budget.leo_max_level:
+            return leo_certify(f, level, budget.leo_steps)
+    return Verdict.inconclusive(budget.refute_steps)
+
+
+@st.composite
+def pipeline_maps(draw):
+    """A chain map from ``valid_chains``, whose narrow bands give chains
+    that are neither onto nor certified, or an ``apply_homotopy`` output;
+    half the time its document round-trip, which holds no chain."""
+    if draw(st.booleans()):
+        g = concat_box_maps(list(draw(valid_chains())))
+    else:
+        rng = random.Random(draw(st.integers(0, 10_000)))
+        f = random_curve_map(rng) if draw(st.booleans()) else random_pl_map(rng)
+        g = apply_homotopy(f, draw(STEPS), draw(GAMMAS))
+    if draw(st.booleans()):
+        g = map_from_document(map_to_document(g))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(pipeline_maps())
+def test_pipeline_matches_the_surjectivity_first_order(f):
+    got = is_transitive_pipeline(f)
+    want = reference_pipeline(f)
+    assert (got.status, got.witness, got.budget) == (want.status, want.witness, want.budget)
+
+
+def test_the_pipeline_reads_no_range_of_a_certified_chain_map():
+    rng = random.Random(11)
+    for g in (
+        apply_homotopy(sawtooth(3), Q(1, 4), Q(20)),
+        apply_homotopy(random_curve_map(rng), Q(1, 8), Q(41, 2)),
+    ):
+        with mock.patch.object(transitivity, "range_on", wraps=transitivity.range_on) as read:
+            assert is_transitive_pipeline(g).is_certified
+        assert read.call_count == 0
+        copy_without_chain = map_from_document(map_to_document(g))
+        with mock.patch.object(transitivity, "range_on", wraps=transitivity.range_on) as read:
+            is_transitive_pipeline(copy_without_chain)
+        assert read.call_count >= 1

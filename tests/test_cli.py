@@ -191,6 +191,22 @@ def test_literal_past_the_int_digit_limit_exits_1(capsys, tmp_path):
     assert err.startswith("transmaps: error:") and "Traceback" not in err
 
 
+def test_reach_image_past_the_int_digit_limit(capsys, tmp_path):
+    # the square map doubles an endpoint's bit length each step, so at
+    # n = 14 its image is past CPython's int-string limit on the Fraction
+    # backend; gmpy2 writes it
+    path = write_map(tmp_path, square_map(), "square.json")
+    code, out, err = run_cli(
+        capsys, "certify", "--map", path, "--method", "reach",
+        "--u", "1/4,1/2", "--v", "3/4,1", "--n", "14",
+    )
+    if code == 0:
+        assert json.loads(out)["parameters"]["n"] == 14 and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("transmaps: error:") and err.count("\n") == 1
+
+
 def test_missing_map_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "certify", "--map", "/nonexistent.json")
     assert code == 1 and err != ""

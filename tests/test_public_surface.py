@@ -32,6 +32,7 @@ REMOVED = (
     "_ChainLink",
     "_reproduces",
     "_stretch_gap",
+    "_piece_range",
 )
 
 # exported names the benchmark harness imports
@@ -69,7 +70,9 @@ def test_removed_helpers_stay_removed(name):
     module = importlib.import_module(f"transmaps.{name}")
     assert [r for r in REMOVED if hasattr(module, r)] == []
     assert not hasattr(getattr(module, "FamilyBoxBounds", None), "band")
-    assert not hasattr(getattr(module, "BoxChain", None), "_vertices")
+    chain_type = getattr(module, "BoxChain", None)
+    for attr in ("_vertices", "_range_on", "_los"):
+        assert not hasattr(chain_type, attr)
 
 
 def test_extension_result_keeps_no_hand_reuse_api():

@@ -1,5 +1,8 @@
 """Scalar layer behaviour that must hold on either backend (gmpy2.mpq or
 fractions.Fraction): every assertion goes through ``Q(...)`` and ``str``."""
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,15 @@ class TestAsScalar:
 )
 def test_scalar_str_is_canonical(value, text):
     assert scalar_str(value) == text
+
+
+@pytest.mark.skipif(
+    Q is not Fraction or not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="only the Fraction backend has CPython's int-string digit limit",
+)
+def test_scalar_str_past_the_digit_limit_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="cannot write rational"):
+        scalar_str(Q(10**5000))
 
 
 class TestGridRounding:
