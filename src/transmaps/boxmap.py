@@ -36,7 +36,6 @@ from .exact import (
     CurveMap,
     Interval,
     Piece,
-    PLMap,
     _frozen,
     _walk_gap,
 )
@@ -176,7 +175,7 @@ def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], Q]:
     return verts, slope
 
 
-def build_box_map(p: BoxParams) -> PLMap:
+def build_box_map(p: BoxParams) -> CurveMap:
     """The box map on the full window as a standalone piecewise-linear
     self-map: the one-box chain ``concat_box_maps`` builds, so it carries
     its chain like every other concatenation.
@@ -192,14 +191,12 @@ def build_box_map(p: BoxParams) -> PLMap:
 class BoxChain:
     """Construction record for a concatenation of box maps.
 
-    Stored as map provenance.  The map ``concat_box_maps`` builds is its
-    chain by construction and also holds the record as its trusted
-    ``_chain``, which ``sup_distance`` and
-    ``transitivity.box_chain_certify`` read without a check.  A record
-    attached from outside, by a caller's ``PLMap(pieces,
-    provenance=chain)``, is a note that no routine reads.  ``_layouts``
-    holds each box's vertices and slope, computed once from the frozen
-    items.  ``_his`` holds the right ends of the windows.
+    The map ``concat_box_maps`` builds is its chain by construction and
+    holds the record as its ``provenance`` and as its trusted ``_chain``,
+    which ``sup_distance`` and ``transitivity.box_chain_certify`` read
+    without a check.  ``_layouts`` holds each box's vertices and slope,
+    computed once from the frozen items.  ``_his`` holds the right ends
+    of the windows.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -283,12 +280,12 @@ class BoxChain:
         return best
 
 
-def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
+def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     """Concatenate box maps on a tiling of [0, 1] into one map.
 
     Continuity at the junctions is exact because adjacent boxes share the
-    junction value by the chain validity check.  The chain is attached as
-    provenance, and the same object as the trusted ``_chain`` that
+    junction value by the chain validity check.  The chain is the map's
+    ``provenance`` and, the same object, the trusted ``_chain`` that
     ``sup_distance`` and ``transitivity.box_chain_certify`` read; no
     other construction sets ``_chain``.
 
@@ -330,7 +327,7 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> PLMap:
             )
     values.append(chain.boxes[-1][1].right_value)
     return _frozen(
-        PLMap,
+        CurveMap,
         pieces=tuple(pieces),
         provenance=chain,
         _lows=tuple(lows),

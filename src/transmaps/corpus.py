@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .exact import CurveMap, Interval, PLMap, Piece, evaluate, pl_from_vertices
+from .exact import CurveMap, Interval, Piece, evaluate, pl_from_vertices
 from .rational import ONE, Q, ZERO
 
 __all__ = [
@@ -41,7 +41,7 @@ def random_partition(rng: random.Random, n_pieces: int, denom: int = 64) -> list
 
 def random_pl_map(
     rng: random.Random, n_pieces: int = 6, denom: int = 64
-) -> PLMap:
+) -> CurveMap:
     xs = random_partition(rng, n_pieces, denom)
     ys = [rational_in(rng, ZERO, ONE, denom) for _ in xs]
     # Collinear neighbours are merged by the constructor, so the piece
@@ -51,7 +51,7 @@ def random_pl_map(
 
 def random_surjective_pl(
     rng: random.Random, n_pieces: int = 6, denom: int = 64
-) -> PLMap:
+) -> CurveMap:
     """Random PL map forced to attain both 0 and 1."""
     xs = random_partition(rng, max(n_pieces, 3), denom)
     ys = [rational_in(rng, ZERO, ONE, denom) for _ in xs]
@@ -67,7 +67,7 @@ def random_gentle_pl(
     n_pieces: int = 5,
     max_slope: Q = Q(1, 2),
     denom: int = 64,
-) -> PLMap:
+) -> CurveMap:
     """Random PL map with every |slope| <= max_slope.
 
     Used where a tame modulus of continuity keeps downstream parameter
@@ -85,7 +85,7 @@ def random_gentle_pl(
     return pl_from_vertices(list(zip(xs, ys)))
 
 
-def perturb_pl(rng: random.Random, f: PLMap, radius: Q) -> PLMap:
+def perturb_pl(rng: random.Random, f: CurveMap, radius: Q) -> CurveMap:
     """A PL map with sup distance to f strictly below radius.
 
     Keeps every knot of f, adds a few dyadic knots, and offsets values by

@@ -7,7 +7,7 @@ The objects here are closed under every operation the package performs:
 * ``Piece`` -- one polynomial piece of degree <= 2 with an explicit
   domain; its values on the domain must stay inside [0, 1].
 * ``CurveMap`` -- a continuous self-map of [0, 1] given by pieces that
-  tile the interval.  ``PLMap`` restricts to degree <= 1.
+  tile the interval, the one map class; ``is_pl`` tests affinity.
 
 Degree is capped at two because every curved piece the package builds
 is a parabola (the square map, the fixed-point perturbation's tangent
@@ -26,7 +26,7 @@ window edges together once and also gives f at every edge.  Both read a
 window through ``_window_range``, the one rule for an exact range.
 
 Construction validates once.  The public constructors (``Interval``,
-``Piece``, ``CurveMap``, ``PLMap``) check everything, because their input
+``Piece``, ``CurveMap``) check everything, because their input
 may come from outside: documents, the CLI, hand-built pieces.
 ``pl_from_vertices`` is the one vertex-level path: it checks the vertex
 list once, at the vertices, with the same checks and messages, and then
@@ -46,17 +46,16 @@ starts at f(0) and appends each piece's right end, after a parabola's
 interior samples).  Like ``_lows`` it is not a field, so equality and
 hashing ignore it.
 
-A map built by ``boxmap.concat_box_maps`` is its box chain by
-construction, and its ``provenance`` is also its private, trusted
-``_chain``; only ``concat_box_maps`` sets it, and every other map has
-the class default ``None``.  Two queries read ``_chain``:
-``sup_distance`` against a map without one reads from the table only
-the first two and the last four breakpoints of each box's zigzag under
-an affine piece, and ``transitivity.box_chain_certify`` decides from
-the chain alone.  The pieces are still built, and everything else reads
-them.  Any other record, such as a chain attached as the ``provenance``
-of a constructor call, is a note that no routine reads.  A copy made by
-``copy.deepcopy`` keeps ``_chain``, since it copies the pieces with it.
+A map's ``provenance`` is its construction record.  No constructor
+accepts one: only ``boxmap.concat_box_maps`` (its ``BoxChain``) and
+``spaces.nowhere_dense_perturbation`` (its ``PerturbationRecord``) set
+it.  A box chain is also the map's private, trusted ``_chain``, which no
+other construction sets.  Two queries read ``_chain``: ``sup_distance``
+against a map without one reads from the table only the first two and
+the last four breakpoints of each box's zigzag under an affine piece,
+and ``transitivity.box_chain_certify`` decides from the chain alone.
+The pieces are still built, and everything else reads them.
+``copy.deepcopy`` keeps both records; ``dataclasses.replace`` drops them.
 """
 from __future__ import annotations
 
@@ -72,7 +71,6 @@ __all__ = [
     "IntervalSet",
     "Piece",
     "CurveMap",
-    "PLMap",
     "FULL",
     "evaluate",
     "range_on",
@@ -267,14 +265,15 @@ class CurveMap:
     """Continuous piecewise-polynomial self-map of [0, 1].
 
     Pieces tile [0, 1] exactly and agree at shared endpoints.  The piece
-    tuple is canonical (adjacent identical pieces merged), so structural
-    equality is well defined.  ``provenance`` is an optional construction
-    record, ignored by equality and hashing; no routine reads it.
+    tuple is canonical (adjacent identical pieces merged), so two maps are
+    equal, with equal hashes, exactly when their pieces are.  Equality
+    and hashing ignore ``provenance``, which only the builders named in
+    the module docstring set.
     ``_values`` holds the map's value at each of its ``breakpoints``.
     """
 
     pieces: tuple[Piece, ...]
-    provenance: object = field(default=None, compare=False, repr=False, hash=False)
+    provenance: object = field(default=None, init=False, compare=False, repr=False, hash=False)
     # the trusted box chain; only boxmap.concat_box_maps sets it
     _chain = None
 
@@ -320,17 +319,6 @@ class CurveMap:
         return all(p.is_affine for p in self.pieces)
 
 
-@dataclass(frozen=True)
-class PLMap(CurveMap):
-    """CurveMap whose pieces are all affine."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        for p in self.pieces:
-            if not p.is_affine:
-                raise DomainError("PLMap requires affine pieces")
-
-
 def _frozen(cls, **fields):
     """Instance of the frozen dataclass ``cls`` with ``fields`` set as given,
     skipping ``__post_init__``; only for values the caller has already
@@ -346,11 +334,11 @@ def _frozen(cls, **fields):
     return obj
 
 
-def pl_from_vertices(points: Sequence[tuple]) -> PLMap:
+def pl_from_vertices(points: Sequence[tuple]) -> CurveMap:
     """PL map through (x_i, y_i) vertices; x strictly increasing, 0 to 1.
 
     The vertex list is validated once, segment by segment, with the checks
-    and messages of ``Interval``, ``Piece`` and ``PLMap``: on an affine
+    and messages of ``Interval``, ``Piece`` and ``CurveMap``: on an affine
     segment [min(y0, y1), max(y0, y1)] is the exact range, and a segment
     drawn between two vertices meets its neighbours there, so continuity
     holds by construction.  A vertex with equal slopes on both sides is
@@ -382,7 +370,7 @@ def pl_from_vertices(points: Sequence[tuple]) -> PLMap:
         for x0, x1, c0, slope, _ in runs
     )
     return _frozen(
-        PLMap,
+        CurveMap,
         pieces=pieces,
         _lows=tuple(run[0] for run in runs),
         _values=tuple(run[4] for run in runs) + (pts[-1][1],),
@@ -555,8 +543,6 @@ def total_variation(f: CurveMap) -> Q:
 def affine_transform(f: CurveMap, scale, shift) -> CurveMap:
     """The map x -> scale * f(x) + shift, when its values stay in [0,1]."""
     s, t = as_scalar(scale), as_scalar(shift)
-    pieces = tuple(
-        Piece(p.domain, s * p.c0 + t, s * p.c1, s * p.c2) for p in f.pieces
+    return CurveMap(
+        tuple(Piece(p.domain, s * p.c0 + t, s * p.c1, s * p.c2) for p in f.pieces)
     )
-    cls = PLMap if f.is_pl else CurveMap
-    return cls(pieces)

@@ -156,7 +156,7 @@ def apply_homotopy(f: CurveMap, t, gamma) -> CurveMap:
     t = 0 returns f itself.  For t > 0 the result is piecewise linear,
     agrees with f at every window boundary, and every lap is at least
     gamma steep (the band is at least as tall as the window is wide).
-    The construction record is attached as provenance.
+    The map carries its box chain as its ``provenance``.
     """
     t = as_scalar(t)
     if t < ZERO or t > ONE:

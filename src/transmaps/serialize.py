@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .errors import ParameterError
-from .exact import CurveMap, Interval, IntervalSet, PLMap, Piece
+from .exact import CurveMap, Interval, IntervalSet, Piece
 from .rational import Q, scalar_str
 from .transitivity import Verdict
 
@@ -40,12 +40,15 @@ __all__ = [
 
 MAP_VERSION = 1
 
-_SCALAR = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_SCALAR = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_scalar(text) -> Q:
-    """Inverse of scalar_str, restricted to its exact output grammar."""
-    if not isinstance(text, str) or not _SCALAR.match(text):
+    """Inverse of scalar_str: the whole text must be an optional minus,
+    ASCII digits and an optional "/" with a positive denominator.  Leading
+    zeros and unreduced fractions ("007", "2/4"), which scalar_str never
+    writes, are accepted and read as their value."""
+    if not isinstance(text, str) or not _SCALAR.fullmatch(text):
         raise ParameterError(f"not a rational literal: {text!r}")
     try:
         return Q(text)
@@ -70,8 +73,7 @@ def map_to_document(f: CurveMap) -> dict:
 
 
 def map_from_document(doc) -> CurveMap:
-    """Decode a map document; affine-only documents come back piecewise
-    linear so encode/decode round-trips preserve the map's type."""
+    """Decode a map document, validating every piece and the map."""
     if not isinstance(doc, dict):
         raise ParameterError("map document must be a JSON object")
     version = doc.get("version")
@@ -92,8 +94,7 @@ def map_from_document(doc) -> CurveMap:
                 parse_scalar(entry["c2"]),
             )
         )
-    cls = PLMap if all(p.is_affine for p in pieces) else CurveMap
-    return cls(tuple(pieces))
+    return CurveMap(tuple(pieces))
 
 
 def _encode_parameter(value):

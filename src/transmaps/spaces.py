@@ -19,8 +19,8 @@ from .exact import (
     CurveMap,
     Interval,
     IntervalSet,
-    PLMap,
     Piece,
+    _frozen,
     affine_transform,
     pl_from_vertices,
     range_on,
@@ -50,15 +50,15 @@ __all__ = [
 # reference maps
 
 
-def identity_map() -> PLMap:
+def identity_map() -> CurveMap:
     return pl_from_vertices([(ZERO, ZERO), (ONE, ONE)])
 
 
-def constant_map(c) -> PLMap:
+def constant_map(c) -> CurveMap:
     c = as_scalar(c)
     if not (ZERO <= c <= ONE):
         raise ParameterError(f"constant value {c} outside [0,1]")
-    return PLMap((Piece(FULL, c, ZERO, ZERO),))
+    return CurveMap((Piece(FULL, c, ZERO, ZERO),))
 
 
 def square_map() -> CurveMap:
@@ -70,14 +70,24 @@ def one_minus(f: CurveMap) -> CurveMap:
     return affine_transform(f, -1, 1)
 
 
-def sawtooth(m: int) -> PLMap:
+_MAX_PIECES = 1 << 20  # the grid cap's bound: at most a million pieces
+
+
+def _check_pieces(name: str, pieces: int) -> None:
+    # called before any vertex is built
+    if pieces > _MAX_PIECES:
+        raise ParameterError(f"{name} of {pieces} pieces above the cap {_MAX_PIECES}")
+
+
+def sawtooth(m: int) -> CurveMap:
     """Zigzag through (k/m, k mod 2): m affine laps of slope +-m."""
     if m < 2:
         raise ParameterError("a sawtooth needs at least two laps")
+    _check_pieces("sawtooth", m)
     return pl_from_vertices([(Q(k, m), Q(k % 2)) for k in range(m + 1)])
 
 
-def phase_sawtooth(m: int, theta) -> PLMap:
+def phase_sawtooth(m: int, theta) -> CurveMap:
     """The m-sawtooth translated by theta in its argument.
 
     Takes x to p(x + theta) where p is the periodic extension of the
@@ -87,8 +97,10 @@ def phase_sawtooth(m: int, theta) -> PLMap:
     """
     if m < 2:
         raise ParameterError("a sawtooth needs at least two laps")
-    period = Q(2, m)
     theta = as_scalar(theta)
+    # a phase off the 1/m grid splits one lap in two
+    _check_pieces("sawtooth", m if int((theta * m).denominator) == 1 else m + 1)
+    period = Q(2, m)
     # reduce theta into [0, period)
     ratio = theta / period
     theta = theta - period * (int(ratio.numerator) // int(ratio.denominator))
@@ -110,7 +122,7 @@ def phase_sawtooth(m: int, theta) -> PLMap:
     return pl_from_vertices(verts)
 
 
-def ladder_map(n: int) -> PLMap:
+def ladder_map(n: int) -> CurveMap:
     """Transitive zigzag fixing every k/n, at distance 8/(5n) from identity.
 
     Each cell [k/n, (k+1)/n] is crossed by three slope +-5 legs whose
@@ -119,6 +131,7 @@ def ladder_map(n: int) -> PLMap:
     """
     if n < 5:
         raise ParameterError("ladder needs at least five cells")
+    _check_pieces("ladder", 2 * n + 3)  # the legs through k/n, 1 < k < n - 1, merge
     w = Q(1, 5 * n)
     verts: list[tuple[Q, Q]] = [(ZERO, ZERO), (2 * w, Q(2, n)), (4 * w, ZERO), (Q(1, n), Q(1, n))]
     for k in range(1, n - 1):
@@ -154,7 +167,7 @@ def normalize_to_surjection(f: CurveMap) -> tuple[tuple[Q, Q], CurveMap]:
     return (r.lo, r.hi), affine_transform(f, scale, -r.lo * scale)
 
 
-def fixed_points(f: PLMap) -> tuple[Q, ...]:
+def fixed_points(f: CurveMap) -> tuple[Q, ...]:
     """Solutions of f(x) = x, one representative per diagonal segment.
 
     A piece lying on the diagonal (slope 1 through the origin line) is a
@@ -236,7 +249,7 @@ def _connector(x0: Q, y0: Q, x1: Q, y1: Q) -> Piece:
     return Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO)
 
 
-def _build_perturbed(g: PLMap, window: Interval, core: Interval) -> CurveMap:
+def _build_perturbed(g: CurveMap, window: Interval, core: Interval) -> CurveMap:
     """h = g outside ``window``, a parabola fixing both ends of ``core``
     on it, and straight connectors in between."""
     a, b = core.lo, core.hi
@@ -286,7 +299,7 @@ def _ball_certificate(
     return None, None, None
 
 
-def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
+def nowhere_dense_perturbation(g: CurveMap, epsilon) -> CurveMap:
     """A surjection within epsilon of g that no transitive map approximates.
 
     Flattens g onto a parabola across a small window around a fixed
@@ -295,12 +308,12 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
     refutation verdict.  The output itself is never transitive; a whole
     ball around it is shown to miss the transitive maps only when the
     record holds a ball window (see ``PerturbationRecord``).  The exact
-    distance and
-    surjectivity are checked post hoc, retrying with a smaller window
-    when a check fails.  The invariance proof needs no grid, but fixed
-    points off the dyadic grid are still skipped, so that the core is
-    tiled by the cells of a dyadic grid level, recorded as
-    ``refute_level``, at which the refuters meet it.
+    distance and surjectivity are checked post hoc, retrying with a
+    smaller window when a check fails.  The invariance proof needs no
+    grid, but fixed points off the dyadic grid are still skipped, so that
+    the core is tiled by the cells of a dyadic grid level, recorded as
+    ``refute_level``, at which the refuters meet it.  The record is the
+    returned map's ``provenance``.
     """
     epsilon = as_scalar(epsilon)
     if epsilon <= ZERO:
@@ -353,7 +366,8 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
                     ball_radius=br,
                     ball_slack=bs,
                 )
-                return CurveMap(h.pieces, provenance=record)
+                # h is validated already; attach the record without a rebuild
+                return _frozen(CurveMap, provenance=record, **vars(h))
             delta = delta / 2
     raise PreconditionError(
         "no refutable perturbation window: every fixed point sits off the "
@@ -361,7 +375,7 @@ def nowhere_dense_perturbation(g: PLMap, epsilon) -> CurveMap:
     )
 
 
-def nonconvexity_witness() -> tuple[PLMap, CurveMap, CurveMap]:
+def nonconvexity_witness() -> tuple[CurveMap, CurveMap, CurveMap]:
     """Two transitive maps whose midpoint average is constant 1/2.
 
     Exhibits the failure of convexity: the first two maps are certifiably

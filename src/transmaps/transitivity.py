@@ -22,7 +22,7 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   Nothing builds a map, so the certificate scales to chains with
   thousands of laps where grid iteration would not.  ``box_chain_certify``
   applies it to a map built by ``boxmap.concat_box_maps``, which is its
-  chain by construction; a record attached to any other map is not read.
+  chain by construction.
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 
@@ -534,10 +534,9 @@ def box_chain_certify(f: CurveMap) -> Verdict:
 
     A map built by ``boxmap.concat_box_maps`` is its chain by
     construction, and its trusted ``_chain`` is taken without a check;
-    ``chain_certified`` decides from the chain alone.  No other record is
-    read: a chain attached to a map from outside is a note, not a proof.
-    Inconclusive when the map has no ``_chain`` or the certificate
-    fails; never Refuted (this routine has no refutation power).
+    ``chain_certified`` decides from the chain alone.  Inconclusive when
+    the map has no ``_chain`` or the certificate fails; never Refuted
+    (this routine has no refutation power).
     """
     chain = f._chain
     if chain is None or not chain_certified(chain.boxes):

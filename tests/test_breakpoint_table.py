@@ -23,7 +23,6 @@ from transmaps.exact import (
     FULL,
     CurveMap,
     Interval,
-    PLMap,
     affine_transform,
     pl_from_vertices,
     range_on,
@@ -42,7 +41,6 @@ from test_transitivity import (
     COLLINEAR_JUNCTION,
     LOW_SLOPE_CHAINS,
     chain_vertices,
-    record_variants,
     two_box_chain,
     valid_chains,
 )
@@ -261,7 +259,6 @@ def constructed_maps(rng):
     onto = random_surjective_pl(rng)
     yield curve  # CurveMap(...)
     yield CurveMap(pl.pieces)
-    yield PLMap(pl.pieces)  # PLMap(...)
     yield pl  # pl_from_vertices
     yield apply_homotopy(curve, Q(1, 8), Q(20))  # concat_box_maps
     yield affine_transform(curve, Q(1, 2), Q(1, 4))
@@ -303,12 +300,9 @@ def test_pl_from_vertices_fills_the_table(points):
 def assert_direct_build_matches(boxes):
     g = concat_box_maps(list(boxes))
     direct = pl_from_vertices(chain_vertices(boxes))
-    want = PLMap(direct.pieces, provenance=g.provenance)
-    assert type(g) is PLMap
     assert g.provenance == BoxChain(tuple(boxes))
     assert (g.pieces, g._lows, g._values) == (direct.pieces, direct._lows, direct._values)
-    assert (want._lows, want._values) == (direct._lows, direct._values)
-    assert want.provenance is g.provenance and want._chain is None
+    assert g == direct and hash(g) == hash(direct)
     assert_table(g)
 
 
@@ -403,20 +397,17 @@ def test_render_svg_matches_evaluated(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(valid_chains(), equal_slope_chains()), valid_chains())
-def test_box_chain_certify_matches_evaluated(boxes, other):
-    own, *outside = record_variants(boxes, other)
-    assert len(outside) == 5
-    assert box_chain_certify(own) == box_chain_certify_evaluated(own)
-    for f in outside:
-        assert box_chain_certify(f) == Verdict.inconclusive(0)
+@given(st.one_of(valid_chains(), equal_slope_chains()))
+def test_box_chain_certify_matches_evaluated(boxes):
+    f = concat_box_maps(list(boxes))
+    assert reproduces_evaluated(f, f.provenance)
+    assert box_chain_certify(f) == box_chain_certify_evaluated(f)
 
 
 def test_stale_vertex_merged_away_is_caught():
     # the junction vertex of COLLINEAR_JUNCTION is no breakpoint of the map;
-    # the evaluated rebuild takes the true record and refuses a valid
-    # record whose junction value is moved, and the certificate reads
-    # neither, since both are attached from outside
+    # the evaluated rebuild takes the true chain and refuses a valid chain
+    # whose junction value is moved
     f = concat_box_maps(list(COLLINEAR_JUNCTION))
     x, y = f.provenance._layouts[0][0][-1]
     assert x not in f.breakpoints
@@ -426,15 +417,13 @@ def test_stale_vertex_merged_away_is_caught():
         (w1, BoxParams(p1.left_value, moved, p1.bottom, p1.top, p1.expansion)),
         (w2, BoxParams(moved, p2.right_value, p2.bottom, moved, p2.expansion)),
     ))
-    true_record = PLMap(f.pieces, provenance=BoxChain(COLLINEAR_JUNCTION))
-    stale_record = PLMap(f.pieces, provenance=stale)
-    assert reproduces_evaluated(f, true_record.provenance)
+    assert reproduces_evaluated(f, BoxChain(COLLINEAR_JUNCTION))
     assert not reproduces_evaluated(f, stale)
-    # with the chain certificate forced to pass, only the chain's own map passes
+    # with the chain certificate forced to pass, only the chain's own map
+    # passes, not a map built from its pieces
     with mock.patch.object(transitivity, "chain_certified", return_value=True):
         assert box_chain_certify(f) == Verdict.certified()
-        for record in (true_record, stale_record):
-            assert box_chain_certify(record) == Verdict.inconclusive(0)
+        assert box_chain_certify(CurveMap(f.pieces)) == Verdict.inconclusive(0)
 
 
 def test_dropped_vertex_is_caught():
@@ -444,6 +433,7 @@ def test_dropped_vertex_is_caught():
     chain = two_box_chain(True).provenance
     assert box_chain_certify(two_box_chain(True)).is_certified
     verts = chain_vertices(chain.boxes)
-    f = PLMap(pl_from_vertices(verts[:5] + verts[6:]).pieces, provenance=chain)
+    f = pl_from_vertices(verts[:5] + verts[6:])
     assert set(f.breakpoints) < {x for x, _ in verts}
-    assert box_chain_certify(f) == box_chain_certify_evaluated(f) == Verdict.inconclusive(0)
+    assert not reproduces_evaluated(f, chain)
+    assert box_chain_certify(f) == Verdict.inconclusive(0)

@@ -4,9 +4,9 @@ Such a map holds its ``BoxChain``, its provenance, as the trusted
 ``_chain``.  ``sup_distance`` against a map without one and
 ``box_chain_certify`` read the chain instead of walking the legs; the
 piece-walking bodies are kept here as oracles, and ``range_on`` reads
-the pieces of every map.  Maps whose chain is attached from outside, by
-a constructor or a document read back, have no ``_chain``; they keep the
-piece walk, and the certificate does not read their record.
+the pieces of every map.  A map equal to a chain map but built another
+way, from its pieces or from its document, has no ``_chain``; it keeps
+the piece walk, and the certificate gives it no verdict.
 """
 import bisect
 import copy
@@ -27,7 +27,6 @@ from transmaps.exact import (
     Interval,
     IntervalSet,
     Piece,
-    PLMap,
     _frozen,
     pl_from_vertices,
     range_on,
@@ -48,11 +47,7 @@ from transmaps.transitivity import (
     min_breakpoint_gap,
 )
 
-from test_transitivity import (
-    COLLINEAR_JUNCTION,
-    record_variants,
-    valid_chains,
-)
+from test_transitivity import COLLINEAR_JUNCTION, valid_chains
 
 
 # -- the piece-walking bodies, as oracles --------------------------------------
@@ -234,39 +229,22 @@ def test_range_matches_the_piece_read(chain, seed):
 # -- the trust rule --------------------------------------------------------------
 
 
-def outside_copies(g):
-    """Maps equal to g whose chain came from outside."""
-    yield PLMap(g.pieces, provenance=g.provenance)
-    yield dataclasses.replace(g)
-    yield map_from_document(map_to_document(g))
-
-
-def assert_untrusted(f):
-    assert f._chain is None
-    assert box_chain_certify(f) == Verdict.inconclusive(0)
-    probe = random_pl_map(random.Random(7))
-    with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError):
-        assert sup_distance(probe, f) == sup_distance_walk(probe, f)
-        assert range_on(f, FULL) == range_on_pieces(f, FULL)
-
-
-@settings(max_examples=60, deadline=None)
-@given(valid_chains(), valid_chains())
-def test_record_variants_are_not_trusted(boxes, other):
-    for i, f in enumerate(record_variants(boxes, other)):
-        if i == 0:
-            assert f._chain is f.provenance  # the chain's own map
-        else:
-            assert_untrusted(f)
-
-
 @pytest.mark.parametrize("t, gamma", [(Q(1, 4), Q(20)), (Q(1, 8), Q(41, 2))])
-def test_outside_attached_chains_are_not_trusted(t, gamma):
+def test_maps_rebuilt_from_a_chain_map_are_not_trusted(t, gamma):
     g = apply_homotopy(sawtooth(3), t, gamma)
     assert box_chain_certify(g).is_certified
-    for f in outside_copies(g):
-        assert f == g
-        assert_untrusted(f)
+    probe = random_pl_map(random.Random(7))
+    rebuilt = (
+        CurveMap(g.pieces),
+        dataclasses.replace(g),
+        map_from_document(map_to_document(g)),
+    )
+    for f in rebuilt:
+        assert f == g and hash(f) == hash(g)
+        assert f._chain is None and f.provenance is None
+        assert box_chain_certify(f) == Verdict.inconclusive(0)
+        with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError):
+            assert sup_distance(probe, f) == sup_distance_walk(probe, f)
 
 
 def test_a_deep_copy_still_answers_from_its_chain():
@@ -288,7 +266,7 @@ def test_other_maps_carry_no_link():
     f = random_pl_map(random.Random(1))
     assert "_chain" not in vars(f)
     piece = _frozen(Piece, domain=FULL, c0=ZERO, c1=ONE, c2=ZERO)
-    assert PLMap((piece,))._chain is None
+    assert CurveMap((piece,))._chain is None
 
 
 # -- the pipeline asks the chain before the range ------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import transmaps.cli
 import transmaps.verify
-from transmaps import homotopy, transitivity
+from transmaps import homotopy, spaces, transitivity
 
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
@@ -20,7 +20,7 @@ from transmaps.errors import ParameterError
 from transmaps.extension import simplex_extend
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
-from transmaps.spaces import ladder_map, sawtooth, square_map
+from transmaps.spaces import identity_map, ladder_map, sawtooth, square_map
 from transmaps.verify import SUITES, run_suite
 
 
@@ -116,6 +116,29 @@ def test_grid_sizes_past_their_caps_exit_1(capsys, tmp_path):
             capsys, "certify", "--map", path, "--method", "leo", "--grid-level", "10000000"
         )
     assert code == 1 and out == "" and "grid level 10000000" in err
+
+
+def test_stock_maps_past_the_piece_cap_exit_1(capsys):
+    # the patches make a missing cap fail at once instead of building
+    # millions of vertices
+    with mock.patch.object(spaces, "Q", side_effect=AssertionError), mock.patch.object(
+        spaces, "pl_from_vertices", side_effect=AssertionError
+    ):
+        for name, n in (("sawtooth", "2000000"), ("ladder", "600000")):
+            code, out, err = run_cli(capsys, "make", name, "--n", n)
+            assert code == 1 and out == ""
+            assert err.startswith("transmaps: error: ") and "above the cap" in err
+            assert err.count("\n") == 1
+
+
+def test_certify_refuses_a_literal_with_a_newline(capsys, tmp_path):
+    doc = map_to_document(identity_map())
+    doc["pieces"][0]["x1"] = "1\n"
+    path = tmp_path / "nl.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "certify", "--map", str(path))
+    assert code == 1 and out == ""
+    assert err == "transmaps: error: not a rational literal: '1\\n'\n"
 
 
 def test_homotopy_frames(capsys, tmp_path):

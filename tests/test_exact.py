@@ -20,7 +20,6 @@ from transmaps.exact import (
     Interval,
     IntervalSet,
     Piece,
-    PLMap,
     affine_transform,
     evaluate,
     image_set,
@@ -31,10 +30,11 @@ from transmaps.exact import (
 )
 from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO, as_scalar
+from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import ladder_map, nowhere_dense_perturbation, phase_sawtooth, sawtooth
 
 
-def tent() -> PLMap:
+def tent() -> CurveMap:
     return pl_from_vertices([(0, 0), (Q(1, 2), 1), (1, 0)])
 
 
@@ -43,7 +43,7 @@ def square() -> CurveMap:
     return CurveMap((Piece(FULL, ZERO, ZERO, ONE),))
 
 
-def identity() -> PLMap:
+def identity() -> CurveMap:
     return pl_from_vertices([(0, 0), (1, 1)])
 
 
@@ -120,15 +120,18 @@ class TestConstructionGuards:
         assert len(split.pieces) == 1
         assert split == identity()
 
-    def test_plmap_rejects_quadratic_piece(self):
-        with pytest.raises(DomainError):
-            PLMap((Piece(FULL, ZERO, ZERO, ONE),))
-
     def test_provenance_ignored_by_equality(self):
-        f = pl_from_vertices([(0, 0), (1, 1)])
-        g = PLMap(f.pieces, provenance={"note": "anything"})
+        # a chain map carries its chain as its record; the same map from
+        # its vertices carries none, and the two are equal
+        g = apply_homotopy(tent(), Q(1, 4), Q(20))
+        f = pl_from_vertices(list(zip(g.breakpoints, g._values)))
+        assert g.provenance is not None and f.provenance is None
         assert f == g
         assert hash(f) == hash(g)
+
+    def test_no_constructor_takes_a_record(self):
+        with pytest.raises(TypeError):
+            CurveMap(identity().pieces, provenance={"note": "anything"})
 
 
 # -- frozen values ---------------------------------------------------------
@@ -233,7 +236,7 @@ def test_range_on_matches_linear_scan(seed, data):
 
 
 def pl_from_vertices_oracle(points):
-    """Reference: a validated ``Piece`` per segment, then ``PLMap(...)``."""
+    """Reference: a validated ``Piece`` per segment, then ``CurveMap(...)``."""
     pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
     if len(pts) < 2:
         raise DomainError("need at least two vertices")
@@ -243,7 +246,7 @@ def pl_from_vertices_oracle(points):
             raise DomainError("vertex abscissae must strictly increase")
         slope = (y1 - y0) / (x1 - x0)
         pieces.append(Piece(Interval(x0, x1), y0 - slope * x0, slope, ZERO))
-    return PLMap(tuple(pieces))
+    return CurveMap(tuple(pieces))
 
 
 def construction_outcome(build, points):
@@ -251,7 +254,7 @@ def construction_outcome(build, points):
         f = build(points)
     except DomainError as e:
         return "error", str(e)
-    assert type(f) is PLMap
+    assert type(f) is CurveMap
     assert f.provenance is None
     return "map", f.pieces, f._lows
 
@@ -329,14 +332,42 @@ def vertex_lists(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(vertex_lists(), st.sampled_from([None, "record", ("a", 1)]))
-def test_pl_from_vertices_matches_validating_constructors(points, provenance):
+@given(vertex_lists())
+def test_pl_from_vertices_matches_validating_constructors(points):
     outcome = construction_outcome(pl_from_vertices, points)
     assert outcome == construction_outcome(pl_from_vertices_oracle, points), points
-    if outcome[0] == "map":
-        # a construction record is attached by the validating constructor
-        f = PLMap(outcome[1], provenance=provenance)
-        assert f.provenance is provenance and f._lows == outcome[2]
+
+
+@st.composite
+def rebuilt_maps(draw):
+    """A map from a small pool, built again along one construction path."""
+    rng = random.Random(draw(st.integers(0, 3)))
+    source = draw(st.sampled_from(["pl", "curve", "chain"]))
+    f = random_curve_map(rng) if source == "curve" else random_pl_map(rng)
+    if source == "chain":
+        f = apply_homotopy(f, Q(1, 4), Q(20))
+    paths = ["pieces", "affine", "document"]
+    paths += ["vertices"] if f.is_pl else []
+    paths += ["chain"] if f._chain is not None else []
+    path = draw(st.sampled_from(paths))
+    if path == "pieces":
+        return CurveMap(f.pieces)
+    if path == "affine":
+        return affine_transform(f, 1, 0)
+    if path == "document":
+        return map_from_document(map_to_document(f))
+    if path == "vertices":
+        return pl_from_vertices(list(zip(f.breakpoints, f._values)))
+    return concat_box_maps(list(f._chain.boxes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rebuilt_maps(), rebuilt_maps())
+def test_maps_are_equal_exactly_when_their_pieces_are(f, g):
+    assert type(f) is type(g) is CurveMap
+    assert (f == g) == (f.pieces == g.pieces)
+    if f == g:
+        assert hash(f) == hash(g)
 
 
 def test_pl_from_vertices_error_messages():

@@ -18,7 +18,6 @@ from transmaps.exact import (
     CurveMap,
     Interval,
     Piece,
-    PLMap,
     _partition_ranges,
     range_on,
 )
@@ -184,7 +183,7 @@ def test_chain_linked_map(g, t, level):
     # without the link
     f = apply_homotopy(g, t, Q(20))
     assert f._chain is not None
-    plain = PLMap(f.pieces)
+    plain = CurveMap(f.pieces)
     assert plain._chain is None
     for edges in (dyadic_edges(level), partition_edges(t), sorted(set(f.breakpoints[::7]) | {ONE})):
         expected = range_on_per_window(f, edges)

@@ -33,6 +33,7 @@ REMOVED = (
     "_reproduces",
     "_stretch_gap",
     "_piece_range",
+    "PLMap",
 )
 
 # exported names the benchmark harness imports

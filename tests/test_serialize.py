@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError, ParameterError
-from transmaps.exact import CurveMap, Interval, IntervalSet, PLMap
+from transmaps.exact import CurveMap, Interval, IntervalSet
 from transmaps.homotopy import apply_homotopy
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import (
@@ -33,12 +33,31 @@ def test_scalar_grammar():
             parse_scalar(bad)
 
 
+def test_scalar_grammar_is_the_whole_text_in_ascii_digits():
+    # a trailing newline and non-ASCII decimal digits are nothing
+    # scalar_str writes, so a document holding them is refused
+    for bad in ("1/2\n", "1\n", "\u0663", "-\u0663/7", "1/\u0667", "\uff11"):
+        with pytest.raises(ParameterError):
+            parse_scalar(bad)
+    # leading zeros and unreduced fractions stay accepted, read as values
+    assert parse_scalar("007") == Q(7)
+    assert parse_scalar("-2/4") == Q(-1, 2)
+
+
+def test_document_with_a_newline_in_a_literal_is_refused():
+    doc = map_to_document(identity_map())
+    assert map_from_document(doc) == identity_map()
+    doc["pieces"][0]["x1"] = "1\n"
+    with pytest.raises(ParameterError):
+        map_from_document(doc)
+
+
 def test_pl_round_trip_preserves_type_and_value():
     rng = random.Random(401)
     for _ in range(10):
         f = random_pl_map(rng)
         g = map_from_document(map_to_document(f))
-        assert isinstance(g, PLMap)
+        assert type(g) is CurveMap and g.is_pl
         assert g == f
 
 
@@ -48,7 +67,7 @@ def test_curve_round_trip():
         f = random_curve_map(rng)
         g = map_from_document(map_to_document(f))
         assert g.pieces == f.pieces
-        assert isinstance(g, PLMap) == f.is_pl
+        assert g == f and g.is_pl == f.is_pl
 
 
 def test_encode_decode_is_identity_on_documents():

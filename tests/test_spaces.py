@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from transmaps.exact import (
     range_on,
     sup_distance,
 )
+from transmaps import spaces
 from transmaps.rational import ONE, Q, ZERO, is_dyadic, largest_dyadic_where
 from transmaps.spaces import (
     PerturbationRecord,
@@ -161,7 +163,7 @@ def _reference_ball(h, core, delta):
 def reference_perturbation(g, epsilon):
     """The earlier nowhere_dense_perturbation: one builder branch per
     place of the fixed point, and a witness found by running the pipeline
-    at the grid level of the core's endpoints."""
+    at the grid level of the core's endpoints.  Returns (h, record)."""
     epsilon = Q(epsilon)
     if epsilon <= ZERO:
         raise ParameterError("perturbation size must be positive")
@@ -215,7 +217,7 @@ def reference_perturbation(g, epsilon):
                         ball_radius=br,
                         ball_slack=bs,
                     )
-                    return CurveMap(h.pieces, provenance=record)
+                    return h, record
             delta = delta / 2
     raise PreconditionError("no refutable perturbation window")
 
@@ -231,14 +233,15 @@ STOCK_SEEDS = {
 
 def assert_matches_reference(g, eps):
     try:
-        want = reference_perturbation(g, eps)
+        want, ref = reference_perturbation(g, eps)
     except Exception as exc:
         with pytest.raises(type(exc)):
             nowhere_dense_perturbation(g, eps)
         return
     got = nowhere_dense_perturbation(g, eps)
     assert got.pieces == want.pieces
-    rec, ref = got.provenance, want.provenance
+    assert got == want and hash(got) == hash(want)
+    rec = got.provenance
     for name in (
         "fixed_point", "delta", "window", "core", "distance",
         "refute_level", "ball_window", "ball_radius", "ball_slack",
@@ -372,6 +375,51 @@ class TestLadder:
     def test_certified_transitive(self):
         assert leo_certify(ladder_map(5), 6, 60).is_certified
         assert is_surjective(ladder_map(5))
+
+
+class TestStockSizeCap:
+    def test_sizes_past_the_cap_are_refused(self):
+        # the builders are patched so a missing cap fails at once instead
+        # of building millions of vertices
+        cap = 1 << 20
+        with mock.patch.object(spaces, "Q", side_effect=AssertionError), mock.patch.object(
+            spaces, "pl_from_vertices", side_effect=AssertionError
+        ):
+            for make in (
+                lambda: sawtooth(cap + 1),
+                lambda: sawtooth(2_000_000),
+                lambda: phase_sawtooth(cap, Q(1, 3 * cap)),
+                lambda: phase_sawtooth(10**9, ZERO),
+                lambda: ladder_map((cap - 2) // 2),
+                lambda: ladder_map(10**9),
+            ):
+                with pytest.raises(ParameterError, match="above the cap"):
+                    make()
+            # phase 0, or any on the 1/cap grid, keeps cap laps: that passes
+            with pytest.raises(AssertionError):
+                phase_sawtooth(cap, Q(5, cap))
+
+    @pytest.mark.parametrize(
+        "make, size",
+        [
+            (sawtooth, 7),
+            (lambda m: phase_sawtooth(m, ZERO), 7),
+            (lambda m: phase_sawtooth(m, Q(2, 7)), 7),
+            (lambda m: phase_sawtooth(m, Q(1, 8)), 7),
+            (lambda m: phase_sawtooth(m, Q(-3, 5)), 6),
+            (ladder_map, 5),
+            (ladder_map, 6),
+            (ladder_map, 11),
+        ],
+    )
+    def test_the_cap_counts_the_pieces_built(self, make, size):
+        # a cap at the piece count admits the map, one below refuses it
+        pieces = len(make(size).pieces)
+        with mock.patch.object(spaces, "_MAX_PIECES", pieces):
+            assert len(make(size).pieces) == pieces
+        with mock.patch.object(spaces, "_MAX_PIECES", pieces - 1):
+            with pytest.raises(ParameterError):
+                make(size)
 
 
 class TestSurjectivity:
