@@ -23,12 +23,22 @@ The remainder overshoot never leaves the open band: if it did, one more
 full sweep would have fit, contradicting maximality of the sweep count.
 With expansion >= 20 the sweep count is at least 18, so both band edges
 are attained and the map is onto the band.
+
+Every full sweep covers the band's height at the box's slope, so it
+moves x by the same step, width / expansion, and the full-sweep legs
+differ only by whole steps.  The builder uses that: the extrema's
+abscissae are one arithmetic progression of integers over one
+denominator, and so are the intercepts of the legs that start at an
+extremum, split into the up legs and the down legs.  Each such number
+is one normalisation of an exact integer fraction, so it equals the
+rational the per-leg walk would compute.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import ParameterError
 from .exact import (
@@ -36,6 +46,7 @@ from .exact import (
     CurveMap,
     Interval,
     Piece,
+    _MAX_PIECES,
     _frozen,
     _walk_gap,
 )
@@ -149,9 +160,14 @@ def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
     """Graph vertices of the box map on the window, exact abscissae.
 
     Every full sweep moves x by the same step, width / expansion (a
-    height's worth of variation at slope expansion * height / width), so
-    the extrema after the first sit one addition apart.  Only the first
-    leg and the partial legs after the last extremum divide by the slope.
+    height's worth of variation at slope expansion * height / width).
+    So extremum i (1 <= i <= k) sits at x1 + (i - 1) * step, x1 the end
+    of the first leg.  With D the least common multiple of the
+    denominators of x1 and step, x1 = X1 / D and step = S / D, and the
+    extremum is the integer fraction (X1 + (i - 1) * S) / D brought to
+    lowest terms: exactly the sum the per-leg walk would form.  Only the
+    first leg and the partial legs after the last extremum divide by
+    the slope, and they must end exactly on the window's right edge.
     """
     return _layout(window, p)[0]
 
@@ -164,10 +180,13 @@ def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], Q]:
     slope = p.expansion * p.height / window.width
     step = window.width / p.expansion
     x = window.lo + abs(values[1] - values[0]) / slope
+    # extremum i at x1 + (i - 1) * step, both written over one denominator d
+    dx, ds = x.denominator, step.denominator
+    d = dx // gcd(dx, ds) * ds
+    first, s = x.numerator * (d // dx), step.numerator * (d // ds)
     verts = [(window.lo, values[0]), (x, values[1])]
-    for v in values[2 : k + 1]:
-        x = x + step
-        verts.append((x, v))
+    verts += [(Q(n, d), v) for n, v in zip(range(first + s, first + k * s, s), values[2 : k + 1])]
+    x = verts[-1][0]
     for a, b in zip(values[k:], values[k + 1 :]):
         x = x + abs(b - a) / slope
         verts.append((x, b))
@@ -280,6 +299,16 @@ class BoxChain:
         return best
 
 
+def _check_size(boxes) -> None:
+    """Refuse a chain of more than ``_MAX_PIECES`` legs, before any vertex
+    is built.  A box has at most k + 2 legs, and its sweep count k is at
+    most floor(expansion) + 1, since k - 1 full sweeps fit the budget
+    expansion * height."""
+    legs = sum(_floor(p.expansion) + 3 for _, p in boxes)
+    if legs > _MAX_PIECES:
+        raise ParameterError(f"box chain of up to {legs} pieces above the cap {_MAX_PIECES}")
+
+
 def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     """Concatenate box maps on a tiling of [0, 1] into one map.
 
@@ -287,7 +316,9 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     junction value by the chain validity check.  The chain is the map's
     ``provenance`` and, the same object, the trusted ``_chain`` that
     ``sup_distance`` and ``transitivity.box_chain_certify`` read; no
-    other construction sets ``_chain``.
+    other construction sets ``_chain``.  A chain that could have more
+    than ``exact._MAX_PIECES`` pieces is refused before any vertex is
+    built.
 
     The pieces are built straight from the box vertices, without the
     checks of ``pl_from_vertices``, which gives the same map.  That is
@@ -295,36 +326,80 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     validated, so each leg steps right by a positive amount, its ends lie
     in the box's band inside [0, 1], and its slope is exactly
     +-expansion * height / width.  Inside a box the legs alternate up and
-    down, so only a junction can join two collinear legs, and only there
-    are slopes compared.
+    down, so only the first leg's two values are compared, only a
+    junction can join two collinear legs, and only there are slopes
+    compared.
+
+    A leg that starts at extremum i (1 <= i <= k) starts at
+    x1 + (i - 1) * step, and slope * step is the band height h.  So an up
+    leg from the bottom has intercept (bottom - slope * x1) - (i - 1) * h
+    and a down leg from the top (top + slope * x1) + (i - 1) * h: two
+    progressions of integers over one denominator per box, each term
+    brought to lowest terms once.  The first leg, the leg from the
+    remainder overshoot and a merge across a junction take
+    y0 - slope * x0 as it stands.
     """
     chain = BoxChain(tuple(boxes))
+    _check_size(chain.boxes)
+    new, put = object.__new__, object.__setattr__
+
+    def add_leg(x0, y0, x1, c0, slope):
+        lows.append(x0)
+        values.append(y0)
+        domain = new(Interval)
+        put(domain, "lo", x0)
+        put(domain, "hi", x1)
+        piece = new(Piece)
+        put(piece, "domain", domain)
+        put(piece, "c0", c0)
+        put(piece, "c1", slope)
+        put(piece, "c2", ZERO)
+        pieces.append(piece)
+
     pieces: list[Piece] = []
     lows: list[Q] = []
     values: list[Q] = []
-    for verts, up in chain._layouts:
+    for (_, p), (verts, up) in zip(chain.boxes, chain._layouts):
         down = -up
-        for k in range(1, len(verts)):
-            x0, y0 = verts[k - 1]
-            x1, y1 = verts[k]
-            slope = up if y0 < y1 else down
-            if k == 1 and pieces and pieces[-1].c1 == slope:
-                # collinear across the junction: widen the last piece
-                last = pieces.pop()
-                x0, c0 = last.domain.lo, last.c0
+        (x0, y0), (x1, y1) = verts[0], verts[1]
+        rising = y0 < y1
+        slope = up if rising else down
+        if pieces and pieces[-1].c1 == slope:
+            # collinear across the junction: widen the last piece
+            c0 = pieces.pop().c0
+            x0, y0 = lows.pop(), values.pop()
+        else:
+            c0 = y0 - slope * x0
+        add_leg(x0, y0, x1, c0, slope)
+
+        # legs 2.. start at the extrema, except a last leg from the
+        # remainder overshoot, which lies strictly inside the band
+        n = len(verts) - 1
+        if p.bottom != verts[n - 1][1] != p.top:
+            n -= 1
+        from_bottom = p.bottom - up * x1
+        from_top = p.top + up * x1
+        h = p.height
+        db, dt, dh = from_bottom.denominator, from_top.denominator, h.denominator
+        d = db // gcd(db, dt) * dt
+        d = d // gcd(d, dh) * dh
+        # numerators over d of the next up leg's and down leg's intercepts
+        ups, downs = from_bottom.numerator * (d // db), from_top.numerator * (d // dt)
+        hn = h.numerator * (d // dh)
+        for i in range(1, n):
+            x0, y0 = verts[i]
+            rising = not rising
+            if rising:
+                slope, c0 = up, Q(ups, d)
             else:
-                c0 = y0 - slope * x0
-                lows.append(x0)
-                values.append(y0)
-            pieces.append(
-                _frozen(
-                    Piece,
-                    domain=_frozen(Interval, lo=x0, hi=x1),
-                    c0=c0,
-                    c1=slope,
-                    c2=ZERO,
-                )
-            )
+                slope, c0 = down, Q(downs, d)
+            ups -= hn
+            downs += hn
+            add_leg(x0, y0, verts[i + 1][0], c0, slope)
+        if n < len(verts) - 1:
+            x0, y0 = verts[n]
+            slope = down if rising else up
+            add_leg(x0, y0, verts[n + 1][0], y0 - slope * x0, slope)
     values.append(chain.boxes[-1][1].right_value)
     return _frozen(
         CurveMap,

@@ -81,6 +81,10 @@ __all__ = [
     "affine_transform",
 ]
 
+# no construction builds a map of more pieces (about a million); each
+# builder checks its count before it builds a vertex
+_MAX_PIECES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Interval:

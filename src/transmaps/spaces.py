@@ -20,6 +20,7 @@ from .exact import (
     Interval,
     IntervalSet,
     Piece,
+    _MAX_PIECES,
     _frozen,
     affine_transform,
     pl_from_vertices,
@@ -68,9 +69,6 @@ def square_map() -> CurveMap:
 def one_minus(f: CurveMap) -> CurveMap:
     """Reflection x -> 1 - f(x)."""
     return affine_transform(f, -1, 1)
-
-
-_MAX_PIECES = 1 << 20  # the grid cap's bound: at most a million pieces
 
 
 def _check_pieces(name: str, pieces: int) -> None:

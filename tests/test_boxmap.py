@@ -4,11 +4,13 @@ The frozen cases were worked out by hand from the layout rules (budget,
 parity of the final sweep, remainder overshoot) before implementation.
 """
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transmaps import boxmap
 from transmaps.boxmap import (
     BoxChain,
     BoxParams,
@@ -200,3 +202,39 @@ class TestConcatenation:
         p = BoxParams(ZERO, ONE, ZERO, ONE, Q(20))
         with pytest.raises(ParameterError):
             concat_box_maps([(Interval(ZERO, Q(1, 2)), p)])
+
+
+class TestPieceCap:
+    CHAINS = [
+        [(FULL, BoxParams(ZERO, ONE, ZERO, ONE, Q(20)))],
+        [(FULL, BoxParams(Q(1, 3), Q(2, 5), ZERO, Q(3, 4), Q(41, 2)))],
+        [
+            (Interval(ZERO, Q(1, 3)), BoxParams(ZERO, Q(1, 2), ZERO, ONE, Q(30))),
+            (Interval(Q(1, 3), ONE), BoxParams(Q(1, 2), ONE, Q(1, 4), ONE, Q(20))),
+        ],
+    ]
+
+    @pytest.mark.parametrize("boxes", CHAINS)
+    def test_the_cap_counts_floor_expansion_plus_three_legs_a_box(self, boxes):
+        # a cap at the bound admits the chain, one below refuses it
+        bound = sum(p.expansion.numerator // p.expansion.denominator + 3 for _, p in boxes)
+        with mock.patch.object(boxmap, "_MAX_PIECES", bound):
+            pieces = len(concat_box_maps(boxes).pieces)
+        assert bound - 6 * len(boxes) <= pieces <= bound
+        with mock.patch.object(boxmap, "_MAX_PIECES", bound - 1):
+            with pytest.raises(ParameterError, match="above the cap"):
+                concat_box_maps(boxes)
+
+    def test_a_chain_past_the_cap_is_refused_before_any_vertex(self):
+        # the patch makes a missing cap fail at once instead of building
+        # millions of vertices
+        half = Interval(ZERO, Q(1, 2)), Interval(Q(1, 2), ONE)
+        with mock.patch.object(boxmap, "_sweeps", side_effect=AssertionError):
+            with pytest.raises(ParameterError, match="above the cap"):
+                build_box_map(BoxParams(ZERO, ONE, ZERO, ONE, Q(2_000_000)))
+            # each box alone is under the cap, the two together are not
+            with pytest.raises(ParameterError, match="above the cap"):
+                concat_box_maps([
+                    (half[0], BoxParams(ZERO, Q(1, 2), ZERO, ONE, Q(600_000))),
+                    (half[1], BoxParams(Q(1, 2), ONE, ZERO, ONE, Q(600_000))),
+                ])

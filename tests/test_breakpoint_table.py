@@ -5,14 +5,16 @@ each construction path.  ``range_on``, ``sup_distance``,
 ``total_variation`` and ``render_svg`` read piece-end values from it; the
 earlier bodies, which evaluated every piece end, are kept here as
 oracles, and so is an evaluating record check for ``box_chain_certify``.
-``concat_box_maps`` builds its pieces straight from the box vertices and
-is checked against ``pl_from_vertices`` on the same vertices.
+``concat_box_maps`` builds its pieces straight from the box vertices, with
+the intercepts of the legs from the extrema as integers over one
+denominator per box, and is checked against ``pl_from_vertices`` on the
+same vertices.
 """
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from transmaps import svg, transitivity
@@ -29,10 +31,18 @@ from transmaps.exact import (
     sup_distance,
     total_variation,
 )
+from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
 from transmaps.homotopy import apply_homotopy
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
-from transmaps.spaces import identity_map, nowhere_dense_perturbation, square_map
+from transmaps.spaces import (
+    identity_map,
+    ladder_map,
+    nowhere_dense_perturbation,
+    phase_sawtooth,
+    sawtooth,
+    square_map,
+)
 from transmaps.transitivity import Verdict, box_chain_certify, chain_certified
 
 from test_exact import vertex_lists
@@ -304,10 +314,37 @@ def assert_direct_build_matches(boxes):
     assert (g.pieces, g._lows, g._values) == (direct.pieces, direct._lows, direct._values)
     assert g == direct and hash(g) == hash(direct)
     assert_table(g)
+    # the integer build stores rationals of the scalar type only, never
+    # an int (or an mpz) that compares equal
+    scalars = [*g._lows, *g._values]
+    for p in g.pieces:
+        scalars += (p.domain.lo, p.domain.hi, p.c0, p.c1, p.c2)
+    for verts, slope in g._chain._layouts:
+        scalars += [v for vertex in verts for v in vertex] + [slope]
+    assert all(type(v) is Q for v in scalars)
+
+
+def extension_chain(f0, f1, x, u):
+    """The evaluate_chain chain at boundary point x, the fraction u of the
+    way from t0 to 1: every box a convex combination of a step-t0 box and
+    its apex box, so its numbers carry large denominators."""
+    ext = simplex_extend(segment_boundary(f0, f1), SimplexSpec(1), Q(2))
+    return ext.evaluate_chain(x, ext.t0 + u * (ONE - ext.t0))
+
+
+# expansion 41/2 on [1/3, 1]: x1 = 209/574 and step 4/123, so their
+# common denominator 1722 is neither of them
+THIRDS = (
+    (Interval(ZERO, Q(1, 3)), BoxParams(Q(1, 2), Q(1, 7), ZERO, ONE, Q(41, 2))),
+    (Interval(Q(1, 3), ONE), BoxParams(Q(1, 7), Q(5, 8), Q(1, 10), Q(9, 10), Q(41, 2))),
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(valid_chains(), equal_slope_chains()))
+@example(boxes=extension_chain(ladder_map(6), sawtooth(3), ZERO, Q(1, 3)))
+@example(boxes=extension_chain(sawtooth(5), phase_sawtooth(3, Q(5, 64)), ONE, Q(1, 2)))
+@example(boxes=THIRDS)
 def test_concat_box_maps_matches_pl_from_vertices(boxes):
     assert_direct_build_matches(boxes)
 

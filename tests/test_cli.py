@@ -12,7 +12,7 @@ import pytest
 
 import transmaps.cli
 import transmaps.verify
-from transmaps import homotopy, spaces, transitivity
+from transmaps import boxmap, homotopy, spaces, transitivity
 
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
@@ -126,6 +126,21 @@ def test_stock_maps_past_the_piece_cap_exit_1(capsys):
     ):
         for name, n in (("sawtooth", "2000000"), ("ladder", "600000")):
             code, out, err = run_cli(capsys, "make", name, "--n", n)
+            assert code == 1 and out == ""
+            assert err.startswith("transmaps: error: ") and "above the cap" in err
+            assert err.count("\n") == 1
+
+
+def test_box_chains_past_the_piece_cap_exit_1(capsys, tmp_path):
+    # the patch makes a missing cap fail at once instead of building
+    # millions of vertices
+    path = write_map(tmp_path, ladder_map(5), "a.json")
+    with mock.patch.object(boxmap, "_sweeps", side_effect=AssertionError):
+        for args in (
+            ("boxmap", "--params", "0,1,0,1,2000000"),
+            ("homotopy", "--map", path, "--t", "1/8", "--gamma", "2000000"),
+        ):
+            code, out, err = run_cli(capsys, *args)
             assert code == 1 and out == ""
             assert err.startswith("transmaps: error: ") and "above the cap" in err
             assert err.count("\n") == 1

@@ -1,8 +1,8 @@
 """Box vertices, SVG coordinates and scalar text against the bodies they replaced.
 
-``box_vertices`` steps every full sweep by one fixed amount,
-width / expansion, and divides by the slope only on the first leg and
-the partial legs after the last extremum; ``svg._px``/``_py`` format a
+``box_vertices`` places the extrema one fixed step, width / expansion,
+apart, as integers over one denominator, and divides by the slope only
+on the first leg and the partial legs after the last extremum; ``svg._px``/``_py`` format a
 coordinate from one integer division; ``scalar_str`` prints a rational
 of the scalar type without copying it.  The earlier bodies, which walked
 every leg with a division, formatted the float of a rational product and
