@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .errors import ParameterError
@@ -97,6 +96,13 @@ class BoxParams:
 
 def _floor(x: Q) -> int:
     return int(x.numerator // x.denominator)
+
+
+def _max_legs(expansion: Q) -> int:
+    """The most legs a box of this expansion can have: k + 2, its sweep
+    count k being at most floor(expansion) + 1, since k - 1 full sweeps
+    fit the budget expansion * height."""
+    return _floor(expansion) + 3
 
 
 def _sweeps(p: BoxParams) -> tuple[list[Q], int]:
@@ -196,8 +202,8 @@ def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], Q]:
 
 def build_box_map(p: BoxParams) -> CurveMap:
     """The box map on the full window as a standalone piecewise-linear
-    self-map: the one-box chain ``concat_box_maps`` builds, so it carries
-    its chain like every other concatenation.
+    self-map: the one-box chain ``concat_box_maps`` builds, so, like
+    every other concatenation, its chain is its trusted ``_chain``.
 
     The package's map type is a self-map of [0, 1], so a box on a proper
     subwindow exists only as a vertex list (``box_vertices``) and
@@ -208,14 +214,12 @@ def build_box_map(p: BoxParams) -> CurveMap:
 
 @dataclass(frozen=True)
 class BoxChain:
-    """Construction record for a concatenation of box maps.
+    """A concatenation of box maps as its parameters only, validated once
+    here: the windows tile [0, 1] and adjacent boxes agree at junctions.
 
     The map ``concat_box_maps`` builds is its chain by construction and
-    holds the record as its ``provenance`` and as its trusted ``_chain``,
-    which ``sup_distance`` and ``transitivity.box_chain_certify`` read
-    without a check.  ``_layouts`` holds each box's vertices and slope,
-    computed once from the frozen items.  ``_his`` holds the right ends
-    of the windows.
+    holds it as its trusted ``_chain``, which ``sup_distance`` and
+    ``transitivity.box_chain_certify`` read without a check.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -235,14 +239,6 @@ class BoxChain:
                     f"{pa.right_value} != {pb.left_value}"
                 )
 
-    @cached_property
-    def _layouts(self) -> tuple[tuple[list[tuple[Q, Q]], Q], ...]:
-        return tuple(_layout(w, p) for w, p in self.boxes)
-
-    @cached_property
-    def _his(self) -> tuple[Q, ...]:
-        return tuple(w.hi for w, _ in self.boxes)
-
     def _distance(self, f: CurveMap, g: CurveMap) -> Q:
         """``sup_distance(f, g)`` for g this chain's map and f any map.
 
@@ -255,7 +251,7 @@ class BoxChain:
         affine in their index, so only the first two breakpoints and the
         last four count.  g(e) is evaluated only when e is no breakpoint.
         """
-        his, layouts = self._his, self._layouts
+        boxes = self.boxes
         lows, gv, gp = g._lows, g._values, g.pieces
         n = len(lows)
         best = f._values[0] - gv[0]
@@ -272,13 +268,14 @@ class BoxChain:
                 i = bisect.bisect_right(lows, hi, i)
                 continue
             c0, c1 = pf.c0, pf.c1
-            while his[b] <= lo:
+            while boxes[b][0].hi <= lo:
                 b += 1
             while True:
-                whi = his[b]
+                w, p = boxes[b]
+                whi = w.hi
                 e = hi if hi < whi else whi
-                # a stretch holds fewer breakpoints than its box has vertices
-                j = bisect.bisect_right(lows, e, i, min(i + len(layouts[b][0]) - 1, n))
+                # a stretch holds no more breakpoints than its box has legs
+                j = bisect.bisect_right(lows, e, i, min(i + _max_legs(p.expansion), n))
                 ts = range(i, j) if j - i <= 6 else (i, i + 1, *range(j - 4, j))
                 for t in ts:
                     d = c0 + c1 * lows[t] - gv[t]
@@ -301,10 +298,8 @@ class BoxChain:
 
 def _check_size(boxes) -> None:
     """Refuse a chain of more than ``_MAX_PIECES`` legs, before any vertex
-    is built.  A box has at most k + 2 legs, and its sweep count k is at
-    most floor(expansion) + 1, since k - 1 full sweeps fit the budget
-    expansion * height."""
-    legs = sum(_floor(p.expansion) + 3 for _, p in boxes)
+    is built."""
+    legs = sum(_max_legs(p.expansion) for _, p in boxes)
     if legs > _MAX_PIECES:
         raise ParameterError(f"box chain of up to {legs} pieces above the cap {_MAX_PIECES}")
 
@@ -314,11 +309,12 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
 
     Continuity at the junctions is exact because adjacent boxes share the
     junction value by the chain validity check.  The chain is the map's
-    ``provenance`` and, the same object, the trusted ``_chain`` that
+    trusted ``_chain`` (its ``provenance`` stays None), which
     ``sup_distance`` and ``transitivity.box_chain_certify`` read; no
-    other construction sets ``_chain``.  A chain that could have more
-    than ``exact._MAX_PIECES`` pieces is refused before any vertex is
-    built.
+    other construction sets it.  Each box is laid out once, here, and its
+    vertices are kept only as the map's ``_lows`` and ``_values``.  A
+    chain that could have more than ``exact._MAX_PIECES`` pieces is
+    refused before any vertex is built.
 
     The pieces are built straight from the box vertices, without the
     checks of ``pl_from_vertices``, which gives the same map.  That is
@@ -359,7 +355,8 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     pieces: list[Piece] = []
     lows: list[Q] = []
     values: list[Q] = []
-    for (_, p), (verts, up) in zip(chain.boxes, chain._layouts):
+    for w, p in chain.boxes:
+        verts, up = _layout(w, p)
         down = -up
         (x0, y0), (x1, y1) = verts[0], verts[1]
         rising = y0 < y1
@@ -404,7 +401,6 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     return _frozen(
         CurveMap,
         pieces=tuple(pieces),
-        provenance=chain,
         _lows=tuple(lows),
         _values=tuple(values),
         _chain=chain,

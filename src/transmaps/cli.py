@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from pathlib import Path
 
-from .boxmap import BoxParams, build_box_map
+from .boxmap import BoxParams, _max_legs, build_box_map
 from .errors import CertificateError, DomainError, ParameterError, PreconditionError
-from .exact import CurveMap, Interval
+from .exact import CurveMap, Interval, _MAX_PIECES
 from .homotopy import apply_homotopy
 from .rational import Q
 from .serialize import (
@@ -131,12 +132,25 @@ def _cmd_homotopy(args) -> int:
         return 0
     if args.frames < 1:
         raise ParameterError("--frames must be at least 1")
+    _check_frames(f, args.t, args.gamma, args.frames)
     docs = [
         map_to_document(apply_homotopy(f, args.t * Q(k, args.frames), args.gamma))
         for k in range(args.frames + 1)
     ]
     _emit(document_to_json({"version": 1, "frames": docs}), args.out)
     return 0
+
+
+def _check_frames(f: CurveMap, t: Q, gamma: Q, frames: int) -> None:
+    """Refuse frames of more than ``_MAX_PIECES`` pieces in total, before
+    any is built: frame 0 is f, and frame k has at most ``_max_legs(gamma)``
+    legs in each of the ceil(1 / step) windows of its step t * k / frames.
+    Each frame has a piece, so the frame count is checked first."""
+    p, q, legs = t.numerator, t.denominator, _max_legs(gamma)
+    sizes = (-(-q * frames // (p * k)) * legs if p * k > 0 else len(f.pieces)
+             for k in range(frames + 1))
+    if frames >= _MAX_PIECES or any(n > _MAX_PIECES for n in accumulate(sizes)):
+        raise ParameterError(f"{frames + 1} frames of over {_MAX_PIECES} pieces above the cap")
 
 
 def _reach_document(f: CurveMap, args) -> dict:

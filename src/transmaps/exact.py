@@ -46,16 +46,16 @@ starts at f(0) and appends each piece's right end, after a parabola's
 interior samples).  Like ``_lows`` it is not a field, so equality and
 hashing ignore it.
 
-A map's ``provenance`` is its construction record.  No constructor
-accepts one: only ``boxmap.concat_box_maps`` (its ``BoxChain``) and
-``spaces.nowhere_dense_perturbation`` (its ``PerturbationRecord``) set
-it.  A box chain is also the map's private, trusted ``_chain``, which no
-other construction sets.  Two queries read ``_chain``: ``sup_distance``
-against a map without one reads from the table only the first two and
-the last four breakpoints of each box's zigzag under an affine piece,
-and ``transitivity.box_chain_certify`` decides from the chain alone.
-The pieces are still built, and everything else reads them.
-``copy.deepcopy`` keeps both records; ``dataclasses.replace`` drops them.
+A map's ``provenance`` is its construction record, which no constructor
+accepts; only ``spaces.nowhere_dense_perturbation`` sets it, to its
+``PerturbationRecord``.  A map built by ``boxmap.concat_box_maps`` holds
+its ``BoxChain``, box parameters only, as its trusted ``_chain``, which
+no other construction sets.  ``sup_distance`` against a map without one
+reads from the table only the first two and the last four breakpoints
+of each box's zigzag under an affine piece, and
+``transitivity.box_chain_certify`` decides from the chain alone;
+everything else reads the pieces.  ``copy.deepcopy`` keeps both
+records; ``dataclasses.replace`` drops them.
 """
 from __future__ import annotations
 
@@ -271,8 +271,8 @@ class CurveMap:
     Pieces tile [0, 1] exactly and agree at shared endpoints.  The piece
     tuple is canonical (adjacent identical pieces merged), so two maps are
     equal, with equal hashes, exactly when their pieces are.  Equality
-    and hashing ignore ``provenance``, which only the builders named in
-    the module docstring set.
+    and hashing ignore ``provenance`` and ``_chain``, which only the
+    builders named in the module docstring set.
     ``_values`` holds the map's value at each of its ``breakpoints``.
     """
 

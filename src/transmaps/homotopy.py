@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .boxmap import BoxParams, concat_box_maps
 from .errors import DomainError, ParameterError, PreconditionError
-from .exact import CurveMap, Interval, _partition_ranges, range_on, sup_distance
+from .exact import CurveMap, Interval, _MAX_PIECES, _partition_ranges, range_on, sup_distance
 from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
 
 __all__ = [
@@ -78,7 +78,7 @@ def partition(t) -> PartitionData:
     return _partition(as_scalar(t))
 
 
-_MIN_STEP = Q(1, 1 << 20)  # finer steps tile [0, 1] with over a million windows
+_MIN_STEP = Q(1, _MAX_PIECES)  # finer steps tile [0, 1] with more windows
 
 
 @lru_cache(maxsize=16)
@@ -156,7 +156,7 @@ def apply_homotopy(f: CurveMap, t, gamma) -> CurveMap:
     t = 0 returns f itself.  For t > 0 the result is piecewise linear,
     agrees with f at every window boundary, and every lap is at least
     gamma steep (the band is at least as tall as the window is wide).
-    The map carries its box chain as its ``provenance``.
+    The map holds its box chain as its ``_chain``, not its ``provenance``.
     """
     t = as_scalar(t)
     if t < ZERO or t > ONE:

@@ -42,6 +42,11 @@ def as_scalar(x) -> "Q":
         raise DomainError(f"not a rational scalar: {x!r}") from exc
 
 
+# bits of a computed numerator or denominator that every backend can
+# write (CPython's 4,300-digit int-string limit is about 14,284 bits)
+_MAX_BITS = 14_000
+
+
 def scalar_str(x) -> str:
     """Canonical text form: 'p/q' in lowest terms, or bare 'p' for integers.
 

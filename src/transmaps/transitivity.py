@@ -56,12 +56,13 @@ from .exact import (
     CurveMap,
     Interval,
     IntervalSet,
+    _MAX_PIECES,
     _frozen,
     _partition_ranges,
     image_set,
     range_on,
 )
-from .rational import ONE, Q, ZERO, as_scalar
+from .rational import ONE, Q, ZERO, _MAX_BITS, as_scalar
 
 __all__ = [
     "Verdict",
@@ -138,16 +139,23 @@ def _check_witness(f: CurveMap, c: IntervalSet) -> None:
 def reach_image(f: CurveMap, u: Interval, v: Interval, n: int) -> IntervalSet:
     """The n-th forward image of u, exactly, after every argument check
     ``reach_check`` makes, v's included.  An image equal to the one before
-    it is the image at every later step, so the iteration stops there."""
+    it is the image at every later step, so the iteration stops there.
+    An endpoint's denominator, in [0, 1] no shorter than its numerator,
+    of more than ``rational._MAX_BITS`` bits raises ParameterError at
+    once: on a curved map the bit count can double at every step."""
     if n < 1:
         raise ParameterError("need at least one iteration")
     if u.is_degenerate() or v.is_degenerate():
         raise ParameterError("need nondegenerate intervals")
     s = IntervalSet((u,))
-    for _ in range(n):
+    for step in range(1, n + 1):
         image = image_set(f, s)
         if image == s:
             break
+        ends = [x for c in image.components for x in (c.lo, c.hi)]
+        bits = max(int(x.denominator).bit_length() for x in ends)
+        if bits > _MAX_BITS:
+            raise ParameterError(f"image {step} endpoint of {bits} bits above the cap {_MAX_BITS}")
         s = image
     return s
 
@@ -167,7 +175,7 @@ def min_breakpoint_gap(f: CurveMap) -> Q:
     return min(p.domain.width for p in f.pieces)
 
 
-_MAX_GRID_LEVEL = 20  # finer grids would hold more than a million cells
+_MAX_GRID_LEVEL = _MAX_PIECES.bit_length() - 1  # finer grids hold more cells
 
 
 def _check_grid_level(grid_level: int) -> None:
@@ -520,12 +528,16 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
        a sink component collects exactly its component, so the test is
        that each sink component's bands fill [0, 1].
     """
-    chain = BoxChain(tuple(items))
-    floor = min(p.expansion * p.height / w.width for w, p in chain.boxes)
-    if floor <= 5 and floor <= _longest_partial_run(chain.boxes) + 2:
+    return _chain_certificate(BoxChain(tuple(items)).boxes)
+
+
+def _chain_certificate(boxes: Sequence[tuple[Interval, BoxParams]]) -> bool:
+    """``chain_certified`` on the boxes of a chain already validated."""
+    floor = min(p.expansion * p.height / w.width for w, p in boxes)
+    if floor <= 5 and floor <= _longest_partial_run(boxes) + 2:
         return False
-    windows = [w for w, _ in chain.boxes]
-    bands = [Interval(p.bottom, p.top) for _, p in chain.boxes]
+    windows = [w for w, _ in boxes]
+    bands = [Interval(p.bottom, p.top) for _, p in boxes]
     return coverage_closure_full(windows, bands)
 
 
@@ -533,13 +545,13 @@ def box_chain_certify(f: CurveMap) -> Verdict:
     """Certify a concatenation of box maps from its construction record.
 
     A map built by ``boxmap.concat_box_maps`` is its chain by
-    construction, and its trusted ``_chain`` is taken without a check;
-    ``chain_certified`` decides from the chain alone.  Inconclusive when
+    construction, and its trusted ``_chain``, validated when built, is
+    certified without a second check.  Inconclusive when
     the map has no ``_chain`` or the certificate fails; never Refuted
     (this routine has no refutation power).
     """
     chain = f._chain
-    if chain is None or not chain_certified(chain.boxes):
+    if chain is None or not _chain_certificate(chain.boxes):
         return Verdict.inconclusive(0)
     return Verdict.certified()
 

@@ -171,8 +171,8 @@ def test_build_box_map_matches_the_vertex_build(seed):
     f = build_box_map(p)
     want = pl_from_vertices(box_vertices(FULL, p))
     assert (f.pieces, f._values) == (want.pieces, want._values)
-    assert f._chain is f.provenance
-    assert f.provenance == BoxChain(((FULL, p),))
+    assert f.provenance is None
+    assert f._chain == BoxChain(((FULL, p),))
 
 
 class TestConcatenation:
@@ -186,8 +186,8 @@ class TestConcatenation:
         assert evaluate(f, Q(1, 2)) == Q(1, 2)
         assert range_on(f, Interval(ZERO, Q(1, 2))) == Interval(ZERO, ONE)
         assert total_variation(f) == Q(44)
-        assert isinstance(f.provenance, BoxChain)
-        assert len(f.provenance.boxes) == 2
+        assert isinstance(f._chain, BoxChain)
+        assert len(f._chain.boxes) == 2
 
     def test_junction_value_mismatch_rejected(self):
         left = BoxParams(ZERO, Q(1, 2), ZERO, ONE, Q(20))

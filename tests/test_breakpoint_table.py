@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from transmaps import svg, transitivity
+from transmaps import boxmap, svg, transitivity
 from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError, PreconditionError
@@ -32,7 +32,7 @@ from transmaps.exact import (
     total_variation,
 )
 from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
-from transmaps.homotopy import apply_homotopy
+from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import (
@@ -206,7 +206,7 @@ def reproduces_evaluated(f, chain):
 
 
 def box_chain_certify_evaluated(f):
-    chain = f.provenance
+    chain = f._chain
     if not isinstance(chain, BoxChain) or not reproduces_evaluated(f, chain):
         return Verdict.inconclusive(0)
     if not chain_certified(chain.boxes):
@@ -310,7 +310,7 @@ def test_pl_from_vertices_fills_the_table(points):
 def assert_direct_build_matches(boxes):
     g = concat_box_maps(list(boxes))
     direct = pl_from_vertices(chain_vertices(boxes))
-    assert g.provenance == BoxChain(tuple(boxes))
+    assert g.provenance is None and g._chain == BoxChain(tuple(boxes))
     assert (g.pieces, g._lows, g._values) == (direct.pieces, direct._lows, direct._values)
     assert g == direct and hash(g) == hash(direct)
     assert_table(g)
@@ -319,7 +319,8 @@ def assert_direct_build_matches(boxes):
     scalars = [*g._lows, *g._values]
     for p in g.pieces:
         scalars += (p.domain.lo, p.domain.hi, p.c0, p.c1, p.c2)
-    for verts, slope in g._chain._layouts:
+    for w, p in boxes:
+        verts, slope = boxmap._layout(w, p)
         scalars += [v for vertex in verts for v in vertex] + [slope]
     assert all(type(v) is Q for v in scalars)
 
@@ -354,17 +355,21 @@ def test_concat_box_maps_fixed_chains(boxes):
     assert_direct_build_matches(boxes)
 
 
-def test_chain_vertices_are_computed_once():
-    g = concat_box_maps(list(COLLINEAR_JUNCTION))
-    layouts = g.provenance._layouts
-    assert g.provenance._layouts is layouts and g._chain is g.provenance
-    assert layouts == tuple(
-        (box_vertices(w, p), p.expansion * p.height / w.width)
-        for w, p in COLLINEAR_JUNCTION
-    )
-    lists = [verts for verts, _ in layouts]
-    # the map's breakpoints are the chain's own vertex objects
-    assert g._lows[0] is lists[0][0][0] and g._values[-1] is lists[-1][-1][1]
+def test_box_layouts_are_computed_once():
+    # the builder lays out each box once; the chain keeps no copy of the
+    # vertices, so the distance and the certificate lay out none, and the
+    # certificate takes the built chain without validating it again
+    boxes = list(box_data(sawtooth(3), Q(1, 8), Q(41, 2)).items())
+    layout = mock.Mock(wraps=boxmap._layout)
+    with mock.patch.object(boxmap, "_layout", layout):
+        g = concat_box_maps(boxes)
+        assert layout.call_args_list == [mock.call(w, p) for w, p in boxes]
+        layout.reset_mock()
+        f = random_pl_map(random.Random(5))
+        assert sup_distance(f, g) == sup_distance(g, f) == sup_distance_evaluated(f, g)
+        with mock.patch.object(BoxChain, "__post_init__", side_effect=AssertionError):
+            assert box_chain_certify(g).is_certified
+    assert layout.call_count == 0
 
 
 # -- the readers against the evaluating bodies --------------------------------
@@ -437,7 +442,7 @@ def test_render_svg_matches_evaluated(seed):
 @given(st.one_of(valid_chains(), equal_slope_chains()))
 def test_box_chain_certify_matches_evaluated(boxes):
     f = concat_box_maps(list(boxes))
-    assert reproduces_evaluated(f, f.provenance)
+    assert reproduces_evaluated(f, f._chain)
     assert box_chain_certify(f) == box_chain_certify_evaluated(f)
 
 
@@ -446,7 +451,7 @@ def test_stale_vertex_merged_away_is_caught():
     # the evaluated rebuild takes the true chain and refuses a valid chain
     # whose junction value is moved
     f = concat_box_maps(list(COLLINEAR_JUNCTION))
-    x, y = f.provenance._layouts[0][0][-1]
+    x, y = box_vertices(*COLLINEAR_JUNCTION[0])[-1]
     assert x not in f.breakpoints
     (w1, p1), (w2, p2) = COLLINEAR_JUNCTION
     moved = y + Q(1, 64)
@@ -458,7 +463,7 @@ def test_stale_vertex_merged_away_is_caught():
     assert not reproduces_evaluated(f, stale)
     # with the chain certificate forced to pass, only the chain's own map
     # passes, not a map built from its pieces
-    with mock.patch.object(transitivity, "chain_certified", return_value=True):
+    with mock.patch.object(transitivity, "_chain_certificate", return_value=True):
         assert box_chain_certify(f) == Verdict.certified()
         assert box_chain_certify(CurveMap(f.pieces)) == Verdict.inconclusive(0)
 
@@ -467,7 +472,7 @@ def test_dropped_vertex_is_caught():
     # the map skips one turning point of a certified chain, so each of its
     # breakpoints is a chain vertex with the right value, yet it is not
     # the chain's map
-    chain = two_box_chain(True).provenance
+    chain = two_box_chain(True)._chain
     assert box_chain_certify(two_box_chain(True)).is_certified
     verts = chain_vertices(chain.boxes)
     f = pl_from_vertices(verts[:5] + verts[6:])

@@ -1,10 +1,10 @@
 """The exact queries a map built by ``concat_box_maps`` answers from its chain.
 
-Such a map holds its ``BoxChain``, its provenance, as the trusted
-``_chain``.  ``sup_distance`` against a map without one and
-``box_chain_certify`` read the chain instead of walking the legs; the
-piece-walking bodies are kept here as oracles, and ``range_on`` reads
-the pieces of every map.  A map equal to a chain map but built another
+Such a map holds its ``BoxChain``, the box parameters only, as the
+trusted ``_chain``; its ``provenance`` is None.  ``sup_distance``
+against a map without one and ``box_chain_certify`` read the chain
+instead of walking the legs; the piece-walking bodies are kept here as
+oracles, and ``range_on`` reads the pieces of every map.  A map equal to a chain map but built another
 way, from its pieces or from its document, has no ``_chain``; it keeps
 the piece walk, and the certificate gives it no verdict.
 """
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmaps import boxmap, transitivity
-from transmaps.boxmap import concat_box_maps
+from transmaps.boxmap import box_vertices, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map
 from transmaps.exact import (
     FULL,
@@ -35,7 +35,7 @@ from transmaps.exact import (
 from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
-from transmaps.spaces import nowhere_dense_perturbation, sawtooth
+from transmaps.spaces import PerturbationRecord, nowhere_dense_perturbation, sawtooth
 from transmaps.transitivity import (
     PipelineBudget,
     Verdict,
@@ -126,8 +126,8 @@ def special_points(g):
     points and tail vertices of g's boxes: every kind of place a breakpoint
     of f can meet the chain."""
     lattice, edges, legs, tails = [], [], [], []
-    for (verts, _), (_, p) in zip(g._chain._layouts, g._chain.boxes):
-        k = boxmap._sweeps(p)[1]
+    for w, p in g._chain.boxes:
+        verts, k = box_vertices(w, p), boxmap._sweeps(p)[1]
         xs = [x for x, _ in verts]
         edges += [xs[0], xs[-1]]
         lattice += xs[1 : k + 1]
@@ -160,7 +160,7 @@ def partners(seed, g, source):
 @given(chain_maps(), st.integers(0, 10_000))
 def test_distance_matches_the_walk(chain, seed):
     g, source = chain
-    assert g._chain is g.provenance
+    assert g._chain is not None and g.provenance is None
     for f in partners(seed, g, source):
         want = sup_distance_walk(f, g)
         assert sup_distance(f, g) == want
@@ -182,7 +182,7 @@ def test_distance_from_lines_through_every_extremum():
     # unique peak at each kind of place in turn
     for boxes in (COLLINEAR_JUNCTION, box_data(sawtooth(3), Q(1, 3), Q(41, 2)).items()):
         g = concat_box_maps(list(boxes))
-        for x, y in {v for verts, _ in g.provenance._layouts for v in verts}:
+        for x, y in {v for w, p in g._chain.boxes for v in box_vertices(w, p)}:
             for slope in (Q(-1, 2), Q(-1, 16), ZERO, Q(1, 16), Q(1, 2)):
                 c0 = y - slope * x
                 pts = [(ZERO, c0), (ONE, c0 + slope)]
@@ -250,8 +250,8 @@ def test_maps_rebuilt_from_a_chain_map_are_not_trusted(t, gamma):
 def test_a_deep_copy_still_answers_from_its_chain():
     g = apply_homotopy(sawtooth(3), Q(1, 8), Q(20))
     h = copy.deepcopy(g)
-    assert h._chain is not None and h._chain == g.provenance
-    assert h._chain is h.provenance
+    assert h._chain is not g._chain and h._chain == g._chain
+    assert h.provenance is None
     assert box_chain_certify(h).is_certified
     f = random_pl_map(random.Random(3))
     with mock.patch.object(
@@ -267,6 +267,15 @@ def test_other_maps_carry_no_link():
     assert "_chain" not in vars(f)
     piece = _frozen(Piece, domain=FULL, c0=ZERO, c1=ONE, c2=ZERO)
     assert CurveMap((piece,))._chain is None
+
+
+def test_only_a_perturbation_carries_a_record():
+    # a chain map keeps its chain once, as its _chain, so a provenance is
+    # always a perturbation's record
+    g = apply_homotopy(sawtooth(3), Q(1, 8), Q(20))
+    assert g.provenance is None and isinstance(g._chain, boxmap.BoxChain)
+    h = nowhere_dense_perturbation(sawtooth(3), Q(1, 10))
+    assert isinstance(h.provenance, PerturbationRecord) and h._chain is None
 
 
 # -- the pipeline asks the chain before the range ------------------------------

@@ -169,6 +169,49 @@ def test_homotopy_frames(capsys, tmp_path):
         map_from_document(frame)
 
 
+def test_homotopy_frames_past_the_piece_cap_exit_1(capsys, tmp_path):
+    # the patch makes a missing cap fail at once instead of building the
+    # frames
+    path = write_map(tmp_path, ladder_map(5), "a.json")
+    with mock.patch.object(transmaps.cli, "apply_homotopy", side_effect=AssertionError):
+        for frames in ("2000000", "1000"):
+            code, out, err = run_cli(
+                capsys, "homotopy", "--map", path, "--t", "1/8", "--frames", frames
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("transmaps: error: ") and "above the cap" in err
+            assert err.count("\n") == 1
+
+
+def test_homotopy_frames_cap_bounds_the_frames(capsys, tmp_path):
+    # frame 0 is the map; at step k/16, k = 1..4, a frame has at most
+    # 16/k windows rounded up, each of at most floor(20) + 3 legs
+    f = ladder_map(5)
+    path = write_map(tmp_path, f, "a.json")
+    bound = len(f.pieces) + 23 * (16 + 8 + 6 + 4)
+    args = ("homotopy", "--map", path, "--t", "1/4", "--frames", "4")
+    with mock.patch.object(transmaps.cli, "_MAX_PIECES", bound):
+        code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    frames = [map_from_document(d) for d in json.loads(out)["frames"]]
+    assert sum(len(g.pieces) for g in frames) <= bound
+    with mock.patch.object(transmaps.cli, "_MAX_PIECES", bound - 1), mock.patch.object(
+        transmaps.cli, "apply_homotopy", side_effect=AssertionError
+    ):
+        code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == "" and "above the cap" in err
+
+
+def test_reach_past_the_bit_cap_exits_1(capsys, tmp_path):
+    path = write_map(tmp_path, square_map(), "square.json")
+    code, out, err = run_cli(
+        capsys, "certify", "--map", path, "--method", "reach",
+        "--u", "1/4,1/2", "--v", "3/4,1", "--n", "30",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("transmaps: error: image 13 endpoint ") and "above the cap" in err
+
+
 def test_certify_leo_slope_floor_is_an_input_error(capsys, tmp_path):
     from transmaps.spaces import identity_map
 
@@ -232,7 +275,7 @@ def test_literal_past_the_int_digit_limit_exits_1(capsys, tmp_path):
 def test_reach_image_past_the_int_digit_limit(capsys, tmp_path):
     # the square map doubles an endpoint's bit length each step, so at
     # n = 14 its image is past CPython's int-string limit on the Fraction
-    # backend; gmpy2 writes it
+    # backend, and past the bit cap on either backend
     path = write_map(tmp_path, square_map(), "square.json")
     code, out, err = run_cli(
         capsys, "certify", "--map", path, "--method", "reach",

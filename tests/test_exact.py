@@ -121,13 +121,16 @@ class TestConstructionGuards:
         assert split == identity()
 
     def test_provenance_ignored_by_equality(self):
-        # a chain map carries its chain as its record; the same map from
-        # its vertices carries none, and the two are equal
+        # a chain map carries its chain; the same map from its vertices
+        # carries none, and the two are equal
         g = apply_homotopy(tent(), Q(1, 4), Q(20))
         f = pl_from_vertices(list(zip(g.breakpoints, g._values)))
-        assert g.provenance is not None and f.provenance is None
+        assert g._chain is not None and f._chain is None
         assert f == g
         assert hash(f) == hash(g)
+        # a perturbation carries its record, and equals its pieces' map
+        h = nowhere_dense_perturbation(sawtooth(3), Q(1, 10))
+        assert h.provenance is not None and CurveMap(h.pieces) == h
 
     def test_no_constructor_takes_a_record(self):
         with pytest.raises(TypeError):

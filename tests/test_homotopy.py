@@ -227,10 +227,11 @@ class TestApplyHomotopy:
         got = apply_homotopy(constant(Q(1, 2)), Q(1, 2), 20)
         assert range_on(got, FULL) == FULL
 
-    def test_provenance_attached(self):
+    def test_chain_attached_without_provenance(self):
         got = apply_homotopy(tent(), Q(1, 4), 20)
-        assert isinstance(got.provenance, BoxChain)
-        assert len(got.provenance.boxes) == 4
+        assert got.provenance is None
+        assert isinstance(got._chain, BoxChain)
+        assert len(got._chain.boxes) == 4
 
 
 @settings(max_examples=30, deadline=None)

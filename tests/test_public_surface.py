@@ -72,7 +72,7 @@ def test_removed_helpers_stay_removed(name):
     assert [r for r in REMOVED if hasattr(module, r)] == []
     assert not hasattr(getattr(module, "FamilyBoxBounds", None), "band")
     chain_type = getattr(module, "BoxChain", None)
-    for attr in ("_vertices", "_range_on", "_los"):
+    for attr in ("_vertices", "_range_on", "_los", "_layouts", "_his"):
         assert not hasattr(chain_type, attr)
 
 

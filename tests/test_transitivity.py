@@ -147,6 +147,18 @@ class TestReachCheck:
         assert image == FULL_SET
         assert calls.call_count <= 3
 
+    def test_orbit_past_the_bit_cap_raises(self):
+        # the square map doubles an endpoint's bit count at every step:
+        # 8,193 bits at n = 12, 16,385 at n = 13
+        u, v = iv("1/4", "1/2"), iv("3/4", 1)
+        image = reach_image(square_map(), u, v, 12)
+        assert max(int(c.lo.denominator).bit_length() for c in image.components) == 8193
+        calls = mock.Mock(wraps=transitivity.image_set)
+        with mock.patch.object(transitivity, "image_set", calls):
+            with pytest.raises(ParameterError, match="image 13 .* above the cap"):
+                reach_image(square_map(), u, v, 30)
+        assert calls.call_count == 13
+
     @given(st.integers(0, 10_000), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_reach_image_is_the_nth_image(self, seed, n):
@@ -690,7 +702,7 @@ def reference_box_chain_certify(f):
     compare it piece for piece, classify every leg and take the longest
     run of legs that are not full sweeps.  The oracle for a chain's own
     map, the only map whose record the certificate reads."""
-    chain = f.provenance
+    chain = f._chain
     if not isinstance(chain, BoxChain):
         return Verdict.inconclusive(0)
     per_box = []
