@@ -219,7 +219,10 @@ class BoxChain:
 
     The map ``concat_box_maps`` builds is its chain by construction and
     holds it as its trusted ``_chain``, which ``sup_distance`` and
-    ``transitivity.box_chain_certify`` read without a check.
+    ``transitivity.box_chain_certify`` read without a check:
+    ``_distance`` measures a chain map against any map without a chain,
+    and ``_paired_distance`` measures two chain maps whose chains pass
+    ``_steps_match``.
     """
 
     boxes: tuple[tuple[Interval, BoxParams], ...]
@@ -238,6 +241,83 @@ class BoxChain:
                     f"edge value mismatch at x={wa.hi}: "
                     f"{pa.right_value} != {pb.left_value}"
                 )
+
+    def _steps_match(self, other: "BoxChain") -> bool:
+        """Whether ``other`` has this chain's windows and, box by box, its
+        expansion, so that the two chains' boxes sweep with equal steps."""
+        return len(self.boxes) == len(other.boxes) and all(
+            w == v and p.expansion == q.expansion
+            for (w, p), (v, q) in zip(self.boxes, other.boxes)
+        )
+
+    def _paired_distance(self, f: CurveMap, g: CurveMap) -> Q:
+        """``sup_distance(f, g)`` for f this chain's map and g a chain map
+        whose chain passes ``_steps_match``.
+
+        On a window [a, b] both boxes sweep with the step s = width /
+        expansion.  Let X be the later of the two first extrema and Y the
+        earlier of the two maps' second-to-last breakpoints strictly below
+        b.  Each map's breakpoints below b end with its last extremum, or
+        with it and the remainder overshoot, so Y is at or before both
+        last extrema.  Each map is a triangle wave of period 2s between
+        its first and last extrema, so f - g has period 2s on [X, Y], and
+        its maximum there is its maximum on [X, X + 2s].  Hence the
+        maximum of |f - g| on [a, b] is the one on [a, X + 2s] and
+        [Y, b], the box's head and tail.  X + 2s is the third extremum of
+        the map whose first extremum is X, so it is a breakpoint.  A box
+        has at least 18 extrema, so X + 2s <= a + 3s lies well before Y;
+        were it past Y, the tail would start where the head stopped and
+        the box would be walked whole.
+
+        f - g is affine between consecutive breakpoints of f and g, so
+        each span reads |f - g| only there, each map's value from its
+        own table at its own breakpoints.  Running indices into both
+        breakpoint tables carry from span to span, and each bisect spans
+        at most one box's legs.
+        """
+        fb, gb = f._lows + _ENDS, g._lows + _ENDS
+        fv, gv, fp, gp = f._values, g._values, f.pieces, g.pieces
+        best = fv[0] - gv[0]
+        if best < 0:
+            best = -best
+        p = q = 1  # the first breakpoints of f and g right of the box's left edge
+        for w, params in self.boxes:
+            b = w.hi
+            legs = _max_legs(params.expansion)
+            # the first breakpoints at or right of b
+            jf = bisect.bisect_left(fb, b, p, min(p + legs, len(fb)))
+            jg = bisect.bisect_left(gb, b, q, min(q + legs, len(gb)))
+            head = fb[p + 2] if fb[p] >= gb[q] else gb[q + 2]
+            tail = min(fb[jf - 2], gb[jg - 2])
+            for end, skip in ((head, tail), (b, None)):
+                while True:
+                    x, y = fb[p], gb[q]
+                    if x < y:
+                        if x > end:
+                            break
+                        pg = gp[q - 1]
+                        d = fv[p] - pg.c0 - pg.c1 * x
+                        p += 1
+                    elif y < x:
+                        if y > end:
+                            break
+                        pf = fp[p - 1]
+                        d = pf.c0 + pf.c1 * y - gv[q]
+                        q += 1
+                    else:
+                        if x > end:
+                            break
+                        d = fv[p] - gv[q]
+                        p += 1
+                        q += 1
+                    if d < 0:
+                        d = -d
+                    if d > best:
+                        best = d
+                if skip is not None:
+                    p = bisect.bisect_right(fb, skip, p, jf)
+                    q = bisect.bisect_right(gb, skip, q, jg)
+        return best
 
     def _distance(self, f: CurveMap, g: CurveMap) -> Q:
         """``sup_distance(f, g)`` for g this chain's map and f any map.
@@ -294,6 +374,11 @@ class BoxChain:
                     break
                 b += 1
         return best
+
+
+# appended to a map's piece lows: the breakpoint 1, then a stop above
+# every window's right edge
+_ENDS = (ONE, ONE + ONE)
 
 
 def _check_size(boxes) -> None:

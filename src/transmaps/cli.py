@@ -95,8 +95,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_map(path: str) -> CurveMap:
-    with open(path, encoding="ascii") as handle:
-        return map_from_document(json.load(handle))
+    try:
+        with open(path, encoding="ascii") as handle:
+            document = json.load(handle)
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: a map document must be ASCII") from None
+    except RecursionError:
+        raise ParameterError(f"{path}: the document nests too deeply") from None
+    return map_from_document(document)
 
 
 def _emit_map(f: CurveMap, out: str | None, svg: str | None) -> None:

@@ -52,10 +52,11 @@ accepts; only ``spaces.nowhere_dense_perturbation`` sets it, to its
 its ``BoxChain``, box parameters only, as its trusted ``_chain``, which
 no other construction sets.  ``sup_distance`` against a map without one
 reads from the table only the first two and the last four breakpoints
-of each box's zigzag under an affine piece, and
-``transitivity.box_chain_certify`` decides from the chain alone;
-everything else reads the pieces.  ``copy.deepcopy`` keeps both
-records; ``dataclasses.replace`` drops them.
+of each box's zigzag under an affine piece; between two such maps whose
+chains have the same windows and expansions it reads only each box's
+head and tail; and ``transitivity.box_chain_certify`` decides from the
+chain alone.  Everything else reads the pieces.  ``copy.deepcopy``
+keeps both records; ``dataclasses.replace`` drops them.
 """
 from __future__ import annotations
 
@@ -469,15 +470,22 @@ def sup_distance(f: CurveMap, g: CurveMap) -> Q:
     On the common refinement the difference is a single quadratic, whose
     maximum absolute value occurs at a refinement endpoint or its vertex.
     When exactly one of the maps was built by ``boxmap.concat_box_maps``,
-    its box chain answers without walking its legs one by one.  Two such
-    maps have zigzags of different steps, so they walk the refinement.
+    its box chain answers without walking its legs one by one.  When both
+    were, and their chains have the same windows and, box by box, the
+    same expansion, the two zigzags sweep with equal steps, and only the
+    head and the tail of each box are read (``BoxChain._paired_distance``).
+    Any other pair walks the refinement.
     """
     if f is g:
         return ZERO
-    if g._chain is not None and f._chain is None:
-        return g._chain._distance(f, g)
-    if f._chain is not None and g._chain is None:
-        return f._chain._distance(g, f)
+    fc, gc = f._chain, g._chain
+    if fc is None:
+        if gc is not None:
+            return gc._distance(f, g)
+    elif gc is None:
+        return fc._distance(g, f)
+    elif fc._steps_match(gc):
+        return fc._paired_distance(f, g)
     # f - g is continuous, so a segment's start value is the previous
     # segment's end value: start from |f(0) - g(0)| and read only right
     # ends and interior vertices

@@ -353,6 +353,8 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     isolated point.
     """
     _check_grid_level(grid_level)
+    if n_max < 1:
+        raise ParameterError("need a positive iteration budget")
     xs, ys, ranges = _cell_ranges(f, grid_level)
     cells = len(ranges)
 
@@ -367,7 +369,7 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     runs: list = [None] * (2 * cells + 1)
     full = [False] * cells
     # the step that finds the fixpoint may come one after the budget
-    layers = max(n_max, 0) + 1
+    layers = n_max + 1
     for k in sorted(range(cells), key=lambda k: ranges[k].width):
         reached = _reach(runs, node_run, full, k, layers)
         if reached is not None:

@@ -2,9 +2,10 @@
 
 Such a map holds its ``BoxChain``, the box parameters only, as the
 trusted ``_chain``; its ``provenance`` is None.  ``sup_distance``
-against a map without one and ``box_chain_certify`` read the chain
-instead of walking the legs; the piece-walking bodies are kept here as
-oracles, and ``range_on`` reads the pieces of every map.  A map equal to a chain map but built another
+against a map without one, ``sup_distance`` between two such maps on
+one tiling and ``box_chain_certify`` read the chain instead of walking
+the legs; the piece-walking bodies are kept here as oracles, and
+``range_on`` reads the pieces of every map.  A map equal to a chain map but built another
 way, from its pieces or from its document, has no ``_chain``; it keeps
 the piece walk, and the certificate gives it no verdict.
 """
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmaps import boxmap, transitivity
-from transmaps.boxmap import box_vertices, concat_box_maps
+from transmaps.boxmap import BoxParams, box_vertices, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map
 from transmaps.exact import (
     FULL,
@@ -47,7 +48,7 @@ from transmaps.transitivity import (
     min_breakpoint_gap,
 )
 
-from test_transitivity import COLLINEAR_JUNCTION, valid_chains
+from test_transitivity import COLLINEAR_JUNCTION, SIXTEENTHS, valid_chains
 
 
 # -- the piece-walking bodies, as oracles --------------------------------------
@@ -170,10 +171,162 @@ def test_distance_matches_the_walk(chain, seed):
 @settings(max_examples=40, deadline=None)
 @given(chain_maps(), chain_maps())
 def test_two_chain_maps_walk_the_refinement(a, b):
+    # a pair on one tiling reads each box's head and tail instead; the
+    # tests below check that path on its own
     g, h = a[0], b[0]
     with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError):
         assert sup_distance(g, h) == sup_distance_walk(g, h)
         assert sup_distance(h, g) == sup_distance_walk(h, g)
+
+
+# -- two chain maps on one tiling ------------------------------------------------
+
+MIXES = st.sampled_from([Q(1, 3), Q(1, 2), Q(3, 4), Q(15, 16)])
+
+
+def mix(a, b, u):
+    """(1 - u) * a + u * b box by box, as ``evaluate_chain`` moves a chain
+    toward its targets."""
+    return [
+        (w, BoxParams(*((1 - u) * x + u * y for x, y in zip(dataclasses.astuple(p), dataclasses.astuple(q)))))
+        for (w, p), (_, q) in zip(a, b)
+    ]
+
+
+@st.composite
+def paired_chains(draw):
+    """(f, g): two chain maps with the same windows and, box by box, the
+    same expansion.  Either both deform random maps at one step and
+    expansion, or both are drawn by ``valid_chains``, g on f's tiling;
+    half the time g is then a convex mix of the two."""
+    if draw(st.booleans()):
+        t, gamma = draw(STEPS), draw(GAMMAS)
+        rng = random.Random(draw(st.integers(0, 10_000)))
+        a, b = (
+            list(box_data(random_curve_map(rng) if draw(st.booleans()) else random_pl_map(rng), t, gamma).items())
+            for _ in range(2)
+        )
+    else:
+        a = list(draw(valid_chains()))
+        b = list(draw(valid_chains(a)))
+    if draw(st.booleans()):
+        b = mix(a, b, draw(MIXES))
+    return concat_box_maps(a), concat_box_maps(b)
+
+
+def head_and_tail(boxes):
+    """Per box: the window, the step, the first extremum and the
+    second-to-last vertex strictly below the window's right edge."""
+    out = []
+    for w, p in boxes:
+        xs = [x for x, _ in box_vertices(w, p)]
+        out.append((w, w.width / p.expansion, xs[1], xs[-3]))
+    return out
+
+
+def assert_reads_head_and_tail(f, g):
+    """Both argument orders give the walk's rational, by the paired read."""
+    want = sup_distance_walk(f, g)
+    with mock.patch.object(boxmap.BoxChain, "_distance", side_effect=AssertionError), mock.patch.object(
+        boxmap.BoxChain, "_paired_distance", autospec=True, side_effect=boxmap.BoxChain._paired_distance
+    ) as spy:
+        assert sup_distance(f, g) == want
+        assert sup_distance(g, f) == want
+    assert spy.call_count == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(paired_chains())
+def test_chains_on_one_tiling_read_head_and_tail(pair):
+    f, g = pair
+    assert f._chain._steps_match(g._chain)
+    assert_reads_head_and_tail(f, g)
+
+
+def test_a_peak_inside_a_tail():
+    # one box each on [0, 1]: |f - g| is largest only strictly between the
+    # tail's start Y and the right edge
+    boxes = [
+        (FULL, BoxParams(Q(3, 8), Q(5, 8), ZERO, Q(7, 8), Q(20))),
+        (FULL, BoxParams(Q(7, 16), Q(13, 16), ZERO, Q(13, 16), Q(20))),
+    ]
+    f, g = (concat_box_maps([box]) for box in boxes)
+    y = min(yb for _, _, _, yb in head_and_tail(boxes))
+    xs = sorted(set(f.breakpoints) | set(g.breakpoints))
+    gaps = {x: abs(f.value_at(x) - g.value_at(x)) for x in xs}
+    assert max(d for x, d in gaps.items() if not y < x < ONE) < max(gaps.values())
+    assert_reads_head_and_tail(f, g)
+
+
+def merged_edges(f):
+    lows = set(f._lows)
+    return {w.lo for w, _ in f._chain.boxes[1:] if w.lo not in lows}
+
+
+def test_head_and_tail_pairs_cover_every_kind_of_box():
+    # box_data pairs at every step and expansion: junction merges in one
+    # map or both, sweep counts of either parity, an overshoot in one map
+    # or both, and each map giving the tail's start
+    seen = set()
+    rng = random.Random(4)
+    for t in (Q(1, 3), Q(1, 4), Q(3, 16), Q(1, 8), Q(1, 16)):
+        for gamma in (Q(20), Q(41, 2), Q(25), Q(40)):
+            a, b = (
+                box_data(random_curve_map(rng) if rng.random() < 0.5 else random_pl_map(rng), t, gamma)
+                for _ in range(2)
+            )
+            f, g = concat_box_maps(list(a.items())), concat_box_maps(list(b.items()))
+            assert_reads_head_and_tail(f, g)
+            mf, mg = merged_edges(f), merged_edges(g)
+            for (w, p), (_, q) in zip(f._chain.boxes, g._chain.boxes):
+                kp, kq = boxmap._sweeps(p)[1], boxmap._sweeps(q)[1]
+                over = [len(box_vertices(w, r)) == k + 3 for r, k in ((p, kp), (q, kq))]
+                (_, _, _, yf), (_, _, _, yg) = head_and_tail([(w, p), (w, q)])
+                seen.add(("merged", (w.lo in mf) + (w.lo in mg)))
+                seen.add(("parity differs", kp % 2 != kq % 2))
+                seen.add(("overshoots", sum(over)))
+                seen.add(("tail from", "f" if yf < yg else "g" if yg < yf else "both"))
+    assert seen >= {
+        ("merged", 1), ("merged", 2), ("parity differs", True),
+        ("overshoots", 1), ("overshoots", 2),
+        ("tail from", "f"), ("tail from", "g"),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_head_ends_before_its_tail(data):
+    # every box has at least 18 extrema, so X + 2s <= a + 3s is far
+    # before Y: no two boxes on one window with one expansion have a head
+    # reaching past their tail, and the read never walks a box whole
+    lo, hi = sorted(data.draw(st.sets(st.integers(0, 64), min_size=2, max_size=2)))
+    w = Interval(Q(lo, 64), Q(hi, 64))
+    expansion = data.draw(st.sampled_from([Q(20), Q(41, 2), Q(21), Q(30), Q(201, 2)]))
+    boxes = []
+    for _ in range(2):
+        bottom, top = sorted(data.draw(st.sets(SIXTEENTHS, min_size=2, max_size=2)))
+        band = st.integers(0, 32).map(lambda k: bottom + (top - bottom) * Q(k, 32))
+        boxes.append((w, BoxParams(data.draw(band), data.draw(band), bottom, top, expansion)))
+    (_, s, x1f, yf), (_, _, x1g, yg) = head_and_tail(boxes)
+    assert max(x1f, x1g) + 2 * s <= w.lo + 3 * s < min(yf, yg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(paired_chains(), st.integers(0, 10_000))
+def test_chains_on_other_steps_walk_the_refinement(pair, seed):
+    # one box's expansion changed, or the windows of another step
+    f, g = pair
+    rng = random.Random(seed)
+    boxes = list(g._chain.boxes)
+    k = rng.randrange(len(boxes))
+    w, p = boxes[k]
+    boxes[k] = (w, dataclasses.replace(p, expansion=p.expansion + rng.choice([Q(1, 2), ONE, Q(20)])))
+    other_step = box_data(random_pl_map(rng), rng.choice([Q(1, 5), Q(1, 7), Q(3, 32)]), Q(20))
+    for h in (concat_box_maps(boxes), concat_box_maps(list(other_step.items()))):
+        assert not f._chain._steps_match(h._chain)
+        with mock.patch.object(boxmap.BoxChain, "_paired_distance", side_effect=AssertionError):
+            assert sup_distance(f, h) == sup_distance_walk(f, h)
+            assert sup_distance(h, f) == sup_distance_walk(h, f)
 
 
 def test_distance_from_lines_through_every_extremum():

@@ -156,6 +156,33 @@ def test_certify_refuses_a_literal_with_a_newline(capsys, tmp_path):
     assert err == "transmaps: error: not a rational literal: '1\\n'\n"
 
 
+def test_map_files_json_cannot_read_exit_1(capsys, tmp_path):
+    # a byte outside ASCII fails to decode and deep nesting exhausts
+    # json's recursion; each is one error line, not a traceback
+    text = json.dumps(map_to_document(identity_map())).encode()
+    for name, data, reason in (
+        ("latin1.json", text.replace(b'"1"', b'"1\xe9"', 1), "a map document must be ASCII"),
+        ("nested.json", b"[" * 200_000, "the document nests too deeply"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        for args in (("certify",), ("homotopy", "--t", "1/4")):
+            code, out, err = run_cli(capsys, *args, "--map", str(path))
+            assert code == 1 and out == ""
+            assert err == f"transmaps: error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("method", ["refute", "leo"])
+def test_certify_refuses_a_budget_below_1(capsys, tmp_path, method):
+    path = write_map(tmp_path, sawtooth(3), "saw3.json")
+    for n_max in ("-5", "0"):
+        code, out, err = run_cli(
+            capsys, "certify", "--map", path, "--method", method, "--n-max", n_max
+        )
+        assert code == 1 and out == ""
+        assert err == "transmaps: error: need a positive iteration budget\n"
+
+
 def test_homotopy_frames(capsys, tmp_path):
     path = write_map(tmp_path, sawtooth(3), "saw3.json")
     code, out, _ = run_cli(

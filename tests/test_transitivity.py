@@ -521,6 +521,10 @@ class TestGridStagesAgainstReferences:
     @example(SHARED_POINT, 2, 200)
     @settings(max_examples=150, deadline=None)
     def test_invariant_region_refute(self, f, level, budget):
+        if budget < 1:
+            with pytest.raises(ParameterError, match="positive iteration budget"):
+                invariant_region_refute(f, level, budget)
+            return
         assert invariant_region_refute(f, level, budget) == (
             reference_invariant_region_refute(f, level, budget)
         )
@@ -750,12 +754,17 @@ BAND_SLACK = st.sampled_from([ZERO, Q(1, 64), Q(1, 16), Q(1, 4), ONE, ONE, ONE])
 
 
 @st.composite
-def valid_chains(draw):
+def valid_chains(draw, like=None):
     """Tiling, bands and shared junction values; slopes range from far
-    below the certificate's floor to far above it."""
-    n = draw(st.integers(1, 4))
-    cuts = sorted(draw(st.sets(st.integers(1, 15), min_size=n - 1, max_size=n - 1)))
-    xs = [ZERO] + [Q(c, 16) for c in cuts] + [ONE]
+    below the certificate's floor to far above it.  Given a chain
+    ``like``, the tiling and the expansions are its own."""
+    if like is None:
+        n = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.sets(st.integers(1, 15), min_size=n - 1, max_size=n - 1)))
+        xs = [ZERO] + [Q(c, 16) for c in cuts] + [ONE]
+    else:
+        n = len(like)
+        xs = [w.lo for w, _ in like] + [ONE]
     junctions = [draw(SIXTEENTHS) for _ in range(n + 1)]
     boxes = []
     for i in range(n):
@@ -767,7 +776,10 @@ def valid_chains(draw):
                 top += Q(1, 64)
             else:
                 bottom -= Q(1, 64)
-        expansion = draw(st.sampled_from([Q(20), Q(41, 2), Q(21), Q(30)]))
+        if like is None:
+            expansion = draw(st.sampled_from([Q(20), Q(41, 2), Q(21), Q(30)]))
+        else:
+            expansion = like[i][1].expansion
         params = BoxParams(junctions[i], junctions[i + 1], bottom, top, expansion)
         boxes.append((Interval(xs[i], xs[i + 1]), params))
     return tuple(boxes)
