@@ -19,6 +19,10 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   "box i reaches the boxes whose windows its band contains" fill [0, 1],
   since every box reaches a sink component and a sink component reaches
   only itself; one Tarjan pass over the window runs finds the sinks.
+  Both tests run on integers, exactly: the window edges are written
+  over one denominator, so a box's window run is two bisects of integer
+  lists; a sink's cover is one sweep over its bands in order of integer
+  keys of their ends; and the slope floor is a cross-multiplication.
   Nothing builds a map, so the certificate scales to chains with
   thousands of laps where grid iteration would not.  ``box_chain_certify``
   applies it to a map built by ``boxmap.concat_box_maps``, which is its
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from .boxmap import BoxChain, BoxParams, box_values
@@ -521,6 +526,14 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
        whole band.  Expansion at least 20 gives every box at least 18
        full sweeps, so M <= 3 (one box's final pair plus the next box's
        first leg) and M is only computed when the floor is at most 5.
+       Whether every slope exceeds 5 is decided on integers.  With the
+       window edges written over one denominator D, the window as
+       [L / D, H / D], the band as [b / q, t / s] and the expansion as
+       u / v, a box's slope is
+       (u / v) * ((t * q - b * s) / (q * s)) / ((H - L) / D).
+       Every denominator is positive, so the slope exceeds 5 exactly
+       when u * (t * q - b * s) * D > 5 * v * q * s * (H - L).  Only
+       when some box fails that are the exact floor and M computed.
     2. coverage: from every box, repeatedly adding the bands of all boxes
        whose windows a collected band covers must reach all of [0, 1].
        Once an image contains band J, later images contain every band
@@ -528,19 +541,28 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
        a box collects contains a sink component of the relation "box i
        reaches the boxes whose windows its band contains", and a box in
        a sink component collects exactly its component, so the test is
-       that each sink component's bands fill [0, 1].
+       that each sink component's bands fill [0, 1]; see
+       ``coverage_closure_full`` for how that is decided exactly on
+       integers.
     """
     return _chain_certificate(BoxChain(tuple(items)).boxes)
 
 
 def _chain_certificate(boxes: Sequence[tuple[Interval, BoxParams]]) -> bool:
     """``chain_certified`` on the boxes of a chain already validated."""
-    floor = min(p.expansion * p.height / w.width for w, p in boxes)
-    if floor <= 5 and floor <= _longest_partial_run(boxes) + 2:
-        return False
-    windows = [w for w, _ in boxes]
-    bands = [Interval(p.bottom, p.top) for _, p in boxes]
-    return coverage_closure_full(windows, bands)
+    lows, highs, d = _window_edges([w for w, _ in boxes])
+    for (_, p), lo, hi in zip(boxes, lows, highs):
+        e, b, t = p.expansion, p.bottom, p.top
+        bd, td = b.denominator, t.denominator
+        if e.numerator * (t.numerator * bd - b.numerator * td) * d <= (
+            5 * e.denominator * td * bd * (hi - lo)
+        ):
+            # a slope of at most 5 puts the floor at most 5, so M decides
+            floor = min(q.expansion * q.height / w.width for w, q in boxes)
+            if floor <= _longest_partial_run(boxes) + 2:
+                return False
+            break
+    return _sink_coverage(lows, highs, d, [(p.bottom, p.top) for _, p in boxes])
 
 
 def box_chain_certify(f: CurveMap) -> Verdict:
@@ -558,20 +580,75 @@ def box_chain_certify(f: CurveMap) -> Verdict:
     return Verdict.certified()
 
 
-def _window_runs(
-    windows: Sequence[Interval], bands: Sequence[Interval]
-) -> list[tuple[int, int]]:
-    """Per box, the index run [a, z) of windows its band contains.
+def _window_edges(windows: Sequence[Interval]) -> tuple[list[int], list[int], int]:
+    """The window lows and highs as integers L and H over one
+    denominator d, the least common multiple of theirs, with the low
+    L / d and the high H / d.  Raises ParameterError when a low or a high
+    decreases from one window to the next."""
+    n = len(windows)
+    edges = [w.lo for w in windows] + [w.hi for w in windows]
+    d = lcm(*(x.denominator for x in edges))
+    edges = [x.numerator * (d // x.denominator) for x in edges]
+    lows, highs = edges[:n], edges[n:]
+    if any(a > b for a, b in zip(lows, lows[1:])) or any(
+        a > b for a, b in zip(highs, highs[1:])
+    ):
+        raise ParameterError("window lows and highs must not decrease")
+    return lows, highs, d
 
-    Window lows and highs are both increasing, so the contained indices
-    are a suffix of one monotone condition intersected with a prefix of
-    the other: always contiguous.
+
+def _window_runs(
+    lows: list[int], highs: list[int], d: int, bands: Sequence[tuple[Q, Q]]
+) -> tuple[list[int], list[int]]:
+    """Per band (bottom, top), the index run [a, z) of the windows it
+    contains, as the list of the a and the list of the z, for the window
+    edges ``_window_edges`` gives.
+
+    A window low L / d is at least the bottom p / q (q > 0) exactly when
+    L >= p * d / q, and since L is an integer, exactly when
+    L >= ceil(p * d / q); a high H / d is at most the top r / s exactly
+    when H <= floor(r * d / s).  So the windows whose low is at least
+    the bottom are those from the first low at least that ceiling, and
+    the windows whose high is at most the top are those before the first
+    high above that floor: one bisect each on a list of integers.  Lows
+    and highs both non-decreasing make the contained indices a suffix of
+    the first condition intersected with a prefix of the second, so
+    always contiguous.
     """
-    los = [w.lo for w in windows]
-    his = [w.hi for w in windows]
-    return [
-        (bisect_left(los, b.lo), bisect_right(his, b.hi)) for b in bands
-    ]
+    starts = [bisect_left(lows, -(-b.numerator * d // b.denominator)) for b, _ in bands]
+    ends = [bisect_right(highs, t.numerator * d // t.denominator) for _, t in bands]
+    return starts, ends
+
+
+def _order_keys(xs: Sequence[Q]) -> tuple[list[int], int]:
+    """Integer keys floor(x * 2^k) of rationals x in [0, 1] that order
+    them exactly, and the key 2^k of 1.
+
+    k is twice the bit length m of the largest denominator.  Two
+    distinct xs p / q and r / s differ by at least 1 / (q * s), which is
+    more than 2^-k since q, s < 2^m, so their multiples by 2^k differ by
+    more than 1 and their floors keep their order; equal xs get equal
+    keys.  Unlike a common denominator, k grows only with the longest
+    denominator, not with the number of distinct ones."""
+    k = 2 * max(x.denominator for x in xs).bit_length()
+    return [(x.numerator << k) // x.denominator for x in xs], 1 << k
+
+
+def _covers(bands, one: int) -> bool:
+    """Whether closed bands (B, T), integer keys in the exact order of
+    the band ends (``_order_keys``), fill [0, one]: a sweep in order of
+    B that carries the reach, the largest T so far.  Every
+    point up to the reach is covered; a band starting past the reach
+    leaves the points between uncovered, while one starting at the
+    reach, touching, continues the cover, so this is exactly the
+    union's test."""
+    reach = 0
+    for b, t in sorted(bands):
+        if b > reach:
+            return False
+        if t > reach:
+            reach = t
+    return reach >= one
 
 
 def coverage_closure_full(
@@ -587,19 +664,40 @@ def coverage_closure_full(
     all starts are good exactly when the bands of every sink component
     fill [0, 1].
 
+    Every decision is on integers and exact.  The window edges are
+    written over one denominator, the least common multiple of theirs,
+    so each band end meets them through one ceiling or floor division
+    and a bisect (``_window_runs``).  The band ends get integer keys in
+    their exact order (``_order_keys``), and a sink component's bands
+    cover [0, 1] exactly when one sweep over them in order of their
+    bottoms never finds a bottom past the reach (``_covers``).  Windows
+    whose lows or highs decrease raise ParameterError: the runs would
+    not be the windows a band contains.
+
     One iterative Tarjan pass over the window runs finds the components
     in O(n + E), E the total run length.  An edge to a node whose
     component is already closed leaves the current component; an edge to
     a visited node with no component yet stays inside it, since such a
     node is still on the stack.
     """
-    n = len(windows)
-    if n == 0 or n != len(bands):
+    if not windows or len(windows) != len(bands):
         raise ParameterError("need equally many windows and bands")
-    runs = _window_runs(windows, bands)
+    return _sink_coverage(*_window_edges(windows), [(b.lo, b.hi) for b in bands])
+
+
+def _sink_coverage(
+    lows: list[int], highs: list[int], d: int, bands: Sequence[tuple[Q, Q]]
+) -> bool:
+    """``coverage_closure_full`` for the window edges ``_window_edges``
+    gives and the bands as (bottom, top) pairs.  A node walks its run
+    past the visited nodes in one inner loop and descends into the first
+    unvisited one."""
+    n = len(lows)
+    nxt, ends = _window_runs(lows, highs, d, bands)
+    keys, one = _order_keys([x for band in bands for x in band])
+    bottoms, tops = keys[0::2], keys[1::2]
     index = [-1] * n
     low = [0] * n
-    nxt = [a for a, _ in runs]
     closed = [False] * n
     leaves = [False] * n
     stack: list[int] = []
@@ -616,16 +714,16 @@ def coverage_closure_full(
                 count += 1
                 at[v] = len(stack)
                 stack.append(v)
-            k = nxt[v]
-            if k < runs[v][1]:
-                if index[k] < 0:
-                    work.append(k)
-                    continue
-                nxt[v] = k + 1
+            k, end, lv = nxt[v], ends[v], low[v]
+            while k < end and index[k] >= 0:
                 if closed[k]:
                     leaves[v] = True
-                elif low[k] < low[v]:
-                    low[v] = low[k]
+                elif low[k] < lv:
+                    lv = low[k]
+                k += 1
+            nxt[v], low[v] = k, lv
+            if k < end:
+                work.append(k)
                 continue
             work.pop()
             if low[v] != index[v]:
@@ -634,8 +732,8 @@ def coverage_closure_full(
             del stack[at[v]:]
             for m in members:
                 closed[m] = True
-            if not any(leaves[m] for m in members) and (
-                IntervalSet.from_intervals(bands[m] for m in members) != FULL_SET
+            if not any(leaves[m] for m in members) and not _covers(
+                [(bottoms[m], tops[m]) for m in members], one
             ):
                 return False
     return True
@@ -646,10 +744,24 @@ def coverage_closure_full(
 
 @dataclass(frozen=True)
 class PipelineBudget:
+    """The pipeline's search budget: the invariant-region grid levels
+    tried and the growth steps each may take, and the finest grid level
+    and the iteration count of the grid certificate.  A level or a count
+    below 1 raises ParameterError when the budget is built, before any
+    stage runs on it."""
+
     refute_levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     refute_steps: int = 200
     leo_max_level: int = 12
     leo_steps: int = 400
+
+    def __post_init__(self):
+        for name in ("refute_steps", "leo_max_level", "leo_steps"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} {getattr(self, name)} is below 1")
+        for level in self.refute_levels:
+            if level < 1:
+                raise ParameterError(f"refute level {level} is below 1")
 
 
 def _non_surjective_witness(f: CurveMap) -> Optional[IntervalSet]:

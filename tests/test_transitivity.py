@@ -1,5 +1,7 @@
 import functools
 import random
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -38,7 +40,11 @@ from transmaps.transitivity import (
     PipelineBudget,
     Verdict,
     ball_refute,
+    _covers,
     _longest_partial_run,
+    _order_keys,
+    _window_edges,
+    _window_runs,
     box_chain_certify,
     chain_certified,
     coverage_closure_full,
@@ -889,25 +895,104 @@ def closure_input(items):
     return [w for w, _ in items], [Interval(p.bottom, p.top) for _, p in items]
 
 
+def reference_window_runs(windows, bands):
+    """The earlier window runs: per band, two bisects of the rational
+    window lows and highs."""
+    los = [w.lo for w in windows]
+    his = [w.hi for w in windows]
+    return [(bisect_left(los, b.lo), bisect_right(his, b.hi)) for b in bands]
+
+
+def reference_covers(bands):
+    """The earlier sink test: the bands' union as an IntervalSet."""
+    return IntervalSet.from_intervals(bands) == FULL_SET
+
+
+def reference_chain_certified(boxes):
+    """The earlier certificate on rationals: the exact slope floor
+    against the partial runs, then the per-start closure."""
+    BoxChain(tuple(boxes))
+    floor = min(p.expansion * p.height / w.width for w, p in boxes)
+    if floor <= 5 and floor <= reference_partial_run(boxes) + 2:
+        return False
+    return per_start_closure(*closure_input(boxes))
+
+
+def kernel_covers(bands):
+    if not bands:
+        return _covers([], 1)
+    keys, one = _order_keys([x for b in bands for x in (b.lo, b.hi)])
+    return _covers(list(zip(keys[0::2], keys[1::2])), one)
+
+
+def kernel_runs(windows, bands):
+    starts, ends = _window_runs(*_window_edges(windows), [(b.lo, b.hi) for b in bands])
+    return list(zip(starts, ends))
+
+
 GRID = st.integers(0, 64).map(lambda k: Q(k, 64))
 SLACK = st.sampled_from([ZERO, Q(1, 64), Q(1, 16), Q(1, 4), Q(1, 2), ONE])
+# cut points with mixed denominators: thirds, fifths, sevenths and 1/64ths
+MIXED_CUTS = sorted({Q(k, q) for q in (3, 5, 7, 64) for k in range(1, q)})
+# steps whose last window is short, as in homotopy.partition(3/10)
+PARTITION_STEPS = [Q(3, 10), Q(2, 7), Q(3, 8), Q(2, 5), Q(1, 3)]
+NEAR = Q(1, 10**6)
+
+
+@st.composite
+def tilings(draw):
+    """Window edges tiling [0, 1]: cuts on a 1/64 grid, cuts with mixed
+    denominators, or the windows of a step whose last window is short."""
+    kind = draw(st.sampled_from(["grid", "mixed", "partition"]))
+    if kind == "partition":
+        t = draw(st.sampled_from(PARTITION_STEPS))
+        xs = [ZERO]
+        while xs[-1] + t < ONE:
+            xs.append(xs[-1] + t)
+        return xs + [ONE]
+    n = draw(st.integers(1, 10))
+    if kind == "grid":
+        cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1)))
+        return [ZERO] + [Q(c, 64) for c in cuts] + [ONE]
+    cuts = draw(st.sets(st.sampled_from(MIXED_CUTS), min_size=n - 1, max_size=n - 1))
+    return [ZERO] + sorted(cuts) + [ONE]
+
+
+@st.composite
+def band_end(draw, xs):
+    """A point of [0, 1]: on the 1/64 grid, with a denominator of 3, 5
+    or 7, on a window edge, or a millionth either side of one."""
+    kind = draw(st.sampled_from(["grid", "mixed", "edge", "near"]))
+    if kind == "grid":
+        return draw(GRID)
+    if kind == "mixed":
+        return draw(st.sampled_from([ZERO, ONE] + MIXED_CUTS))
+    x = draw(st.sampled_from(xs))
+    if kind == "near":
+        x += draw(st.sampled_from([-NEAR, NEAR]))
+    return min(ONE, max(ZERO, x))
 
 
 @st.composite
 def windows_and_bands(draw):
-    """Windows tiling [0, 1] on a 1/64 grid, each band around its box's
-    two junction values with independent slack below and above.  Small
-    slack leaves bands that contain no window and adjacent runs that
-    share none."""
-    n = draw(st.integers(1, 10))
-    cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1)))
-    xs = [ZERO] + [Q(c, 64) for c in cuts] + [ONE]
+    """Windows tiling [0, 1] (``tilings``).  A band is either around its
+    box's two junction values with independent slack below and above, or
+    has both ends drawn by ``band_end``: on an edge, near one, or on a
+    grid of 64ths, thirds, fifths or sevenths.  Small slack and ends
+    near one edge leave bands that contain no window and adjacent runs
+    that share none; ends on a shared edge make touching bands."""
+    xs = draw(tilings())
+    n = len(xs) - 1
     junctions = [draw(GRID) for _ in range(n + 1)]
     windows, bands = [], []
     for i in range(n):
-        lo, hi = sorted(junctions[i : i + 2])
         windows.append(Interval(xs[i], xs[i + 1]))
-        bands.append(Interval(max(ZERO, lo - draw(SLACK)), min(ONE, hi + draw(SLACK))))
+        if draw(st.booleans()):
+            lo, hi = sorted(junctions[i : i + 2])
+            lo, hi = max(ZERO, lo - draw(SLACK)), min(ONE, hi + draw(SLACK))
+        else:
+            lo, hi = sorted((draw(band_end(xs)), draw(band_end(xs))))
+        bands.append(Interval(lo, hi))
     return windows, bands
 
 
@@ -986,6 +1071,93 @@ class TestCoverageClosure:
                 assert coverage_closure_full(windows, bands)
                 assert per_start_closure(windows, bands)
 
+    def test_refuses_decreasing_windows(self):
+        with pytest.raises(ParameterError):
+            coverage_closure_full([iv("1/2", 1), iv(0, "1/2")], [FULL, FULL])
+        with pytest.raises(ParameterError):
+            coverage_closure_full([iv(0, 1), iv("1/4", "1/2")], [FULL, FULL])
+        # lows and highs that only repeat still give exact runs
+        assert coverage_closure_full([FULL, FULL], [FULL, FULL])
+        assert not coverage_closure_full([FULL, FULL], [FULL, iv(0, "1/2")])
+
+
+class TestIntegerKernel:
+    """The integer window runs, sink sweep and slope test against the
+    rational routines they replace."""
+
+    @given(windows_and_bands())
+    @settings(max_examples=300, deadline=None)
+    def test_window_runs_match_the_bisects(self, case):
+        windows, bands = case
+        assert kernel_runs(windows, bands) == reference_window_runs(windows, bands)
+
+    @given(windows_and_bands(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_the_union(self, case, data):
+        _, bands = case
+        chosen = [b for b in bands if data.draw(st.booleans())]
+        assert kernel_covers(chosen) == reference_covers(chosen)
+
+    @given(st.lists(st.fractions(0, 1, max_denominator=2**40), min_size=1, max_size=8))
+    @example([Fraction(1, 2**40 - 1), Fraction(1, 2**40), Fraction(1, 2**40 - 2)])
+    @example([Fraction(2**39 - 1, 2**40 - 3), Fraction(1, 2), Fraction(2**39 + 1, 2**40 + 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_order_keys_order_exactly(self, fractions):
+        xs = [Q(x.numerator, x.denominator) for x in fractions] + [ONE]
+        keys, one = _order_keys(xs)
+        assert keys[-1] == one
+        for x, kx in zip(xs, keys):
+            for y, ky in zip(xs, keys):
+                assert (kx < ky) == (x < y) and (kx == ky) == (x == y)
+
+    def test_band_ends_on_and_near_window_edges(self):
+        windows = [iv(0, "1/3"), iv("1/3", "2/3"), iv("2/3", 1)]
+        third, two_thirds = Q(1, 3), Q(2, 3)
+        cases = [
+            (Interval(third, two_thirds), (1, 2)),
+            (Interval(third - NEAR, two_thirds + NEAR), (1, 2)),
+            (Interval(third + NEAR, ONE), (2, 3)),
+            (Interval(ZERO, two_thirds - NEAR), (0, 1)),
+            (Interval(third + NEAR, two_thirds - NEAR), (2, 1)),  # holds no window
+        ]
+        bands = [b for b, _ in cases]
+        assert kernel_runs(windows, bands) == [run for _, run in cases]
+        assert reference_window_runs(windows, bands) == [run for _, run in cases]
+
+    def test_touching_bands_cover(self):
+        halves = [iv(0, "1/2"), iv("1/2", 1)]
+        assert kernel_covers(halves) and reference_covers(halves)
+        gap = [iv(0, "1/2"), Interval(Q(1, 2) + NEAR, ONE)]
+        assert not kernel_covers(gap) and not reference_covers(gap)
+        assert not kernel_covers([iv("1/2", 1)])
+        # each half's band holds the other's window: one sink, covered
+        assert coverage_closure_full(halves, halves[::-1])
+        assert per_start_closure(halves, halves[::-1])
+
+    @given(valid_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_matches_the_rational_one(self, boxes):
+        assert chain_certified(boxes) == reference_chain_certified(boxes)
+
+    def test_slopes_at_and_either_side_of_five(self):
+        # box 1's band [0, 1] holds every window; box 2's band holds box 1's
+        # window, so the closure is full and the slope floor decides
+        for cut in (Q(1, 16), Q(1, 8), Q(3, 16)):
+            for delta, steep in ((-NEAR, False), (ZERO, False), (NEAR, True)):
+                top = (ONE - cut) / 4 + delta
+                for y0 in (ZERO, Q(1, 2), ONE):
+                    for y1 in (ZERO, top / 2, top):
+                        for y2 in (ZERO, top):
+                            boxes = two_boxes(cut, (y0, y1, 0, 1, 20), (y1, y2, 0, top, 20))
+                            slope = boxes[1][1].expansion * top / boxes[1][0].width
+                            assert (slope > 5) == steep and (slope == 5) == (delta == 0)
+                            certified = chain_certified(boxes)
+                            assert certified == reference_chain_certified(boxes)
+                            if steep:
+                                assert certified
+                            elif reference_partial_run(boxes) >= 3:
+                                assert not certified
+
 
 class TestPipeline:
     def test_identity_refuted(self):
@@ -1013,6 +1185,28 @@ class TestPipeline:
     def test_tent_out_of_reach(self):
         # slope exactly 2: no certificate applies, nothing refutes
         assert is_transitive_pipeline(tent()).status == "inconclusive"
+
+    @pytest.mark.parametrize("field", ["refute_steps", "leo_max_level", "leo_steps"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_budget_counts_below_one_refused(self, field, value):
+        with pytest.raises(ParameterError):
+            PipelineBudget(**{field: value})
+
+    @pytest.mark.parametrize("levels", [(0,), (1, 2, -1)])
+    def test_budget_levels_below_one_refused(self, levels):
+        with pytest.raises(ParameterError):
+            PipelineBudget(refute_levels=levels)
+
+    def test_budgets_that_used_to_pass(self):
+        # the first certified a chain map and crashed on the square map; the
+        # second certified sawtooth(3) with a negative step count
+        with pytest.raises(ParameterError):
+            PipelineBudget(refute_steps=0, leo_steps=0)
+        with pytest.raises(ParameterError):
+            PipelineBudget(refute_levels=(), refute_steps=-3)
+        least = PipelineBudget(refute_levels=(), refute_steps=1, leo_max_level=1, leo_steps=1)
+        assert is_transitive_pipeline(square_map(), least).status == "inconclusive"
+        assert is_transitive_pipeline(constant_half(), least).is_refuted
 
     def test_deterministic(self):
         budget = PipelineBudget(refute_levels=(1, 2), refute_steps=40)
