@@ -24,20 +24,32 @@ full sweep would have fit, contradicting maximality of the sweep count.
 With expansion >= 20 the sweep count is at least 18, so both band edges
 are attained and the map is onto the band.
 
-Every full sweep covers the band's height at the box's slope, so it
-moves x by the same step, width / expansion, and the full-sweep legs
-differ only by whole steps.  The builder uses that: the extrema's
-abscissae are one arithmetic progression of integers over one
-denominator, and so are the intercepts of the legs that start at an
-extremum, split into the up legs and the down legs.  Each such number
-is one normalisation of an exact integer fraction, so it equals the
-rational the per-leg walk would compute.
+The layout is integer work over one scaling per box.  Write the
+expansion as en / ed, let V be the least common multiple of the
+denominators of the edge values and the band, and h the band height
+over V.  Over V the edge values and the band are integers, so the sweep
+count is one floor division per parity class and the remainder an
+integer over ed * V.  Over U = 2 * ed * V half the remainder is an
+integer too, and with it the overshoot, every turning value and the
+variation c used up to each turning point: c grows by integer steps,
+and the budget expansion * height is 2 * en * h over U.  The slope is
+constant, so the turning point at variation c sits at
+lo + width * c / (2 * en * h): all abscissae are integers over one
+denominator.  The sweeps, the tail and the remainder, split over the
+overshoot's two legs, use the budget exactly, so the last c is
+2 * en * h and the last vertex is the window's right edge exactly.
+A leg of slope s from (x, y) has s * (x - lo) = c / U, so its
+intercept y - s * x is (y * U - c) / U - s * lo when it rises and
+(y * U + c) / U + s * lo when it falls: integers over one denominator
+too.  Each abscissa and intercept is one exact integer fraction
+brought to lowest terms once, so it is the very rational the per-leg
+walk, which divides each leg's variation by the slope, computes.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ParameterError
 from .exact import (
@@ -105,50 +117,64 @@ def _max_legs(expansion: Q) -> int:
     return _floor(expansion) + 3
 
 
-def _sweeps(p: BoxParams) -> tuple[list[Q], int]:
-    """``box_values(p)`` and its full extremum count k.
+def _turns(p: BoxParams) -> tuple[list[Q], list[int], list[int], int, int]:
+    """The box's turning points on integers: ``(values, yu, cu, u, k)``.
 
-    Entries 1..k of the list are the extrema, alternating between top and
-    bottom; after them come the optional overshoot and the right value,
-    the latter dropped when it equals the last extremum.
+    ``values`` is ``box_values(p)`` and k its full extremum count: entries
+    1..k are the extrema, alternating between top and bottom; after them
+    come the optional overshoot and the right value, the latter dropped
+    when it equals the last extremum.  ``yu[j]`` is values[j] and
+    ``cu[j]`` the variation used up to turning point j, both as integers
+    over the box's scaling u, so ``cu[-1]`` is the whole budget.
     """
-    h = p.height
-    budget = p.expansion * h
-    first_top = p.left_value < p.top
-    d_first = (p.top - p.left_value) if first_top else (p.left_value - p.bottom)
+    l, r, b, t = p.left_value, p.right_value, p.bottom, p.top
+    en, ed = p.expansion.numerator, p.expansion.denominator
+    v = lcm(l.denominator, r.denominator, b.denominator, t.denominator)
+    L, R, B, T = (x.numerator * (v // x.denominator) for x in (l, r, b, t))
+    h = T - B
+    if L < T:  # the first extremum is the top
+        d, odd, even, pair = T - L, T, B, (t, b)
+    else:
+        d, odd, even, pair = L - B, B, T, (b, t)
 
-    def extremum(i: int) -> Q:
-        odd = i % 2 == 1
-        return p.top if odd == first_top else p.bottom
-
-    # Largest k with d_first + (k-1)*h + |right - extremum(k)| <= budget,
-    # solved per parity class (variation steps by 2h inside a class).
-    best_k = 0
-    for parity in (0, 1):
-        tail = abs(p.right_value - (p.top if (parity == 1) == first_top else p.bottom))
-        bound = _floor((budget - d_first - tail) / h) + 1
-        k = bound if bound % 2 == parity else bound - 1
-        if k >= 1 and k > best_k:
-            best_k = k
-    k = best_k
+    # Largest k with d + (k-1)*h + |R - extremum(k)| <= en*h/ed, solved per
+    # parity class (variation steps by 2h inside a class).
+    k = 0
+    for parity, ext in ((1, odd), (0, even)):
+        bound = (en * h - ed * (d + abs(R - ext))) // (ed * h) + 1
+        if bound % 2 != parity:
+            bound -= 1
+        if bound > k:
+            k = bound
     if k < 18:  # expansion >= 20 guarantees this; a failure is a bug here
         raise AssertionError(f"sweep count {k} impossibly small")
-    last = extremum(k)
-    remainder = budget - (d_first + (k - 1) * h + abs(p.right_value - last))
+    last = odd if k % 2 else even
+    remainder = en * h - ed * (d + (k - 1) * h + abs(R - last))  # over ed * v
 
     # The first extremum is the band edge the left value is not at, the
     # extrema alternate, and the overshoot lies strictly inside the band,
-    # so the one possible repeat is a right value equal to the last extremum.
-    values = [p.left_value] + [extremum(i) for i in range(1, k + 1)]
-    if remainder > 0:
-        if last == p.top:  # final leg descends: dip below right_value
-            values.append(p.right_value - remainder / 2)
-        else:
-            values.append(p.right_value + remainder / 2)
-        values.append(p.right_value)
-    elif p.right_value != last:
-        values.append(p.right_value)
-    return values, k
+    # so the one possible repeat is a right value equal to the last
+    # extremum.  Over u = 2 * ed * v half the remainder is an integer.
+    s = 2 * ed
+    full, right, end = s * h, s * R, s * last
+    values = [l, *(pair * (k // 2 + 1))[:k]]
+    yu = [s * L, *((s * odd, s * even) * (k // 2 + 1))[:k]]
+    cu = [0, *range(s * d, s * d + k * full, full)]
+    c = cu[-1]
+    if remainder:
+        # after the top the final leg dips below the right value, after
+        # the bottom it rises above it
+        over = right - remainder if last == T else right + remainder
+        values += (Q(over, s * v), r)
+        yu += (over, right)
+        c += abs(over - end)
+        cu += (c, c + remainder)
+    elif right != end:
+        values.append(r)
+        yu.append(right)
+        cu.append(c + abs(right - end))
+    assert cu[-1] == 2 * en * h  # the increments sum to the exact budget
+    return values, yu, cu, s * v, k
 
 
 def box_values(p: BoxParams) -> list[Q]:
@@ -159,45 +185,46 @@ def box_values(p: BoxParams) -> list[Q]:
     sweeps between top and bottom, each of variation height; only the
     first leg and the one or two legs after the last extremum are partial.
     """
-    return _sweeps(p)[0]
+    return _turns(p)[0]
 
 
 def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
     """Graph vertices of the box map on the window, exact abscissae.
 
-    Every full sweep moves x by the same step, width / expansion (a
-    height's worth of variation at slope expansion * height / width).
-    So extremum i (1 <= i <= k) sits at x1 + (i - 1) * step, x1 the end
-    of the first leg.  With D the least common multiple of the
-    denominators of x1 and step, x1 = X1 / D and step = S / D, and the
-    extremum is the integer fraction (X1 + (i - 1) * S) / D brought to
-    lowest terms: exactly the sum the per-leg walk would form.  Only the
-    first leg and the partial legs after the last extremum divide by
-    the slope, and they must end exactly on the window's right edge.
+    The vertex that has used the variation c of the budget B sits at
+    lo + width * c / B.  Over the box's one scaling c and B are integers
+    (see the module docstring), so every abscissa is one integer fraction
+    over one denominator, and the last, c = B, is the right edge itself.
     """
-    return _layout(window, p)[0]
+    xs, values, _, _ = _legs(window, p)
+    return list(zip(xs, values))
 
 
-def _layout(window: Interval, p: BoxParams) -> tuple[list[tuple[Q, Q]], Q]:
-    """``box_vertices(window, p)`` and the slope expansion * height / width."""
+def _legs(window: Interval, p: BoxParams) -> tuple[list[Q], list[Q], list[Q], tuple[Q, Q]]:
+    """``(xs, values, c0s, slopes)``: the box's vertices on the window, the
+    intercept of the leg from each vertex but the last, and the slopes of
+    the first two legs, +-expansion * height / width, which the later legs
+    repeat in turn.  Each rational is one integer fraction built once."""
     if window.is_degenerate():
         raise ParameterError("box window must be nondegenerate")
-    values, k = _sweeps(p)
-    slope = p.expansion * p.height / window.width
-    step = window.width / p.expansion
-    x = window.lo + abs(values[1] - values[0]) / slope
-    # extremum i at x1 + (i - 1) * step, both written over one denominator d
-    dx, ds = x.denominator, step.denominator
-    d = dx // gcd(dx, ds) * ds
-    first, s = x.numerator * (d // dx), step.numerator * (d // ds)
-    verts = [(window.lo, values[0]), (x, values[1])]
-    verts += [(Q(n, d), v) for n, v in zip(range(first + s, first + k * s, s), values[2 : k + 1])]
-    x = verts[-1][0]
-    for a, b in zip(values[k:], values[k + 1 :]):
-        x = x + abs(b - a) / slope
-        verts.append((x, b))
-    assert verts[-1][0] == window.hi  # increments sum to the exact budget
-    return verts, slope
+    values, yu, cu, u, _ = _turns(p)
+    lo, hi = window.lo, window.hi
+    dl, dh = lo.denominator, hi.denominator
+    dw = dl // gcd(dl, dh) * dh
+    a = lo.numerator * (dw // dl)
+    w = hi.numerator * (dw // dh) - a  # lo = a / dw, width = w / dw
+    total = cu[-1]
+    xs = [lo, *[Q(a * total + w * c, dw * total) for c in cu[1:-1]], hi]
+    # the leg of slope +-up from vertex j has intercept
+    # values[j] -+ up * xs[j] = (yu[j] -+ cu[j]) / u -+ up * lo,
+    # and up * lo = total * a / (u * w)
+    shift, d = total * a, u * w
+    c0s = [
+        Q((y - c) * w - shift, d) if y < y1 else Q((y + c) * w + shift, d)
+        for y, y1, c in zip(yu, yu[1:], cu)
+    ]
+    up = Q(total * dw, d)
+    return xs, values, c0s, (up, -up) if yu[0] < yu[1] else (-up, up)
 
 
 def build_box_map(p: BoxParams) -> CurveMap:
@@ -411,77 +438,34 @@ def concat_box_maps(boxes: list[tuple[Interval, BoxParams]]) -> CurveMap:
     junction can join two collinear legs, and only there are slopes
     compared.
 
-    A leg that starts at extremum i (1 <= i <= k) starts at
-    x1 + (i - 1) * step, and slope * step is the band height h.  So an up
-    leg from the bottom has intercept (bottom - slope * x1) - (i - 1) * h
-    and a down leg from the top (top + slope * x1) + (i - 1) * h: two
-    progressions of integers over one denominator per box, each term
-    brought to lowest terms once.  The first leg, the leg from the
-    remainder overshoot and a merge across a junction take
-    y0 - slope * x0 as it stands.
+    Every leg's abscissae and intercept come from the box's integer
+    layout (see the module docstring), the first leg and the tail legs
+    as well as the full sweeps; a merge across a junction keeps the
+    widened piece's intercept.
     """
     chain = BoxChain(tuple(boxes))
     _check_size(chain.boxes)
     new, put = object.__new__, object.__setattr__
-
-    def add_leg(x0, y0, x1, c0, slope):
-        lows.append(x0)
-        values.append(y0)
-        domain = new(Interval)
-        put(domain, "lo", x0)
-        put(domain, "hi", x1)
-        piece = new(Piece)
-        put(piece, "domain", domain)
-        put(piece, "c0", c0)
-        put(piece, "c1", slope)
-        put(piece, "c2", ZERO)
-        pieces.append(piece)
-
     pieces: list[Piece] = []
     lows: list[Q] = []
     values: list[Q] = []
     for w, p in chain.boxes:
-        verts, up = _layout(w, p)
-        down = -up
-        (x0, y0), (x1, y1) = verts[0], verts[1]
-        rising = y0 < y1
-        slope = up if rising else down
-        if pieces and pieces[-1].c1 == slope:
+        xs, ys, c0s, slopes = _legs(w, p)
+        if pieces and pieces[-1].c1 == slopes[0]:
             # collinear across the junction: widen the last piece
-            c0 = pieces.pop().c0
-            x0, y0 = lows.pop(), values.pop()
-        else:
-            c0 = y0 - slope * x0
-        add_leg(x0, y0, x1, c0, slope)
-
-        # legs 2.. start at the extrema, except a last leg from the
-        # remainder overshoot, which lies strictly inside the band
-        n = len(verts) - 1
-        if p.bottom != verts[n - 1][1] != p.top:
-            n -= 1
-        from_bottom = p.bottom - up * x1
-        from_top = p.top + up * x1
-        h = p.height
-        db, dt, dh = from_bottom.denominator, from_top.denominator, h.denominator
-        d = db // gcd(db, dt) * dt
-        d = d // gcd(d, dh) * dh
-        # numerators over d of the next up leg's and down leg's intercepts
-        ups, downs = from_bottom.numerator * (d // db), from_top.numerator * (d // dt)
-        hn = h.numerator * (d // dh)
-        for i in range(1, n):
-            x0, y0 = verts[i]
-            rising = not rising
-            if rising:
-                slope, c0 = up, Q(ups, d)
-            else:
-                slope, c0 = down, Q(downs, d)
-            ups -= hn
-            downs += hn
-            add_leg(x0, y0, verts[i + 1][0], c0, slope)
-        if n < len(verts) - 1:
-            x0, y0 = verts[n]
-            slope = down if rising else up
-            add_leg(x0, y0, verts[n + 1][0], y0 - slope * x0, slope)
+            xs[0], ys[0], c0s[0] = lows.pop(), values.pop(), pieces.pop().c0
+        lows += xs[:-1]
+        values += ys[:-1]
+        for i in range(len(xs) - 1):
+            domain = new(Interval)
+            put(domain, "lo", xs[i])
+            put(domain, "hi", xs[i + 1])
+            piece = new(Piece)
+            put(piece, "domain", domain)
+            put(piece, "c0", c0s[i])
+            put(piece, "c1", slopes[i % 2])
+            put(piece, "c2", ZERO)
+            pieces.append(piece)
     values.append(chain.boxes[-1][1].right_value)
     return _frozen(
         CurveMap,

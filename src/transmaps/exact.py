@@ -160,30 +160,17 @@ class IntervalSet:
                 merged.append(iv)
         return IntervalSet(tuple(merged))
 
-    @staticmethod
-    def single(lo, hi) -> "IntervalSet":
-        return IntervalSet((Interval(as_scalar(lo), as_scalar(hi)),))
-
     def is_empty(self) -> bool:
         return not self.components
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(self.components + other.components)
-
     def intersects_interval(self, iv: Interval) -> bool:
         return any(c.intersect(iv) is not None for c in self.components)
-
-    def contains_point(self, x) -> bool:
-        return any(c.contains(x) for c in self.components)
 
     def contains_set(self, other: "IntervalSet") -> bool:
         return all(
             any(c.contains_interval(o) for c in self.components)
             for o in other.components
         )
-
-    def measure(self) -> Q:
-        return sum((c.width for c in self.components), ZERO)
 
     def __str__(self) -> str:
         return " u ".join(str(c) for c in self.components) or "(empty)"

@@ -229,7 +229,7 @@ class TestPieceCap:
         # the patch makes a missing cap fail at once instead of building
         # millions of vertices
         half = Interval(ZERO, Q(1, 2)), Interval(Q(1, 2), ONE)
-        with mock.patch.object(boxmap, "_sweeps", side_effect=AssertionError):
+        with mock.patch.object(boxmap, "_turns", side_effect=AssertionError):
             with pytest.raises(ParameterError, match="above the cap"):
                 build_box_map(BoxParams(ZERO, ONE, ZERO, ONE, Q(2_000_000)))
             # each box alone is under the cap, the two together are not

@@ -5,10 +5,9 @@ each construction path.  ``range_on``, ``sup_distance``,
 ``total_variation`` and ``render_svg`` read piece-end values from it; the
 earlier bodies, which evaluated every piece end, are kept here as
 oracles, and so is an evaluating record check for ``box_chain_certify``.
-``concat_box_maps`` builds its pieces straight from the box vertices, with
-the intercepts of the legs from the extrema as integers over one
-denominator per box, and is checked against ``pl_from_vertices`` on the
-same vertices.
+``concat_box_maps`` builds its pieces straight from each box's integer
+layout, every abscissa and intercept one integer fraction, and is checked
+against ``pl_from_vertices`` on the vertices of the per-leg walk.
 """
 import random
 from unittest import mock
@@ -31,7 +30,6 @@ from transmaps.exact import (
     sup_distance,
     total_variation,
 )
-from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
 from transmaps.homotopy import apply_homotopy, box_data
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
@@ -46,6 +44,7 @@ from transmaps.spaces import (
 from transmaps.transitivity import Verdict, box_chain_certify, chain_certified
 
 from test_exact import vertex_lists
+from test_output_arithmetic import extension_chain
 from test_spaces import STOCK_SEEDS
 from test_transitivity import (
     COLLINEAR_JUNCTION,
@@ -320,17 +319,9 @@ def assert_direct_build_matches(boxes):
     for p in g.pieces:
         scalars += (p.domain.lo, p.domain.hi, p.c0, p.c1, p.c2)
     for w, p in boxes:
-        verts, slope = boxmap._layout(w, p)
-        scalars += [v for vertex in verts for v in vertex] + [slope]
+        xs, ys, c0s, slopes = boxmap._legs(w, p)
+        scalars += [*xs, *ys, *c0s, *slopes]
     assert all(type(v) is Q for v in scalars)
-
-
-def extension_chain(f0, f1, x, u):
-    """The evaluate_chain chain at boundary point x, the fraction u of the
-    way from t0 to 1: every box a convex combination of a step-t0 box and
-    its apex box, so its numbers carry large denominators."""
-    ext = simplex_extend(segment_boundary(f0, f1), SimplexSpec(1), Q(2))
-    return ext.evaluate_chain(x, ext.t0 + u * (ONE - ext.t0))
 
 
 # expansion 41/2 on [1/3, 1]: x1 = 209/574 and step 4/123, so their
@@ -360,8 +351,8 @@ def test_box_layouts_are_computed_once():
     # vertices, so the distance and the certificate lay out none, and the
     # certificate takes the built chain without validating it again
     boxes = list(box_data(sawtooth(3), Q(1, 8), Q(41, 2)).items())
-    layout = mock.Mock(wraps=boxmap._layout)
-    with mock.patch.object(boxmap, "_layout", layout):
+    layout = mock.Mock(wraps=boxmap._legs)
+    with mock.patch.object(boxmap, "_legs", layout):
         g = concat_box_maps(boxes)
         assert layout.call_args_list == [mock.call(w, p) for w, p in boxes]
         layout.reset_mock()

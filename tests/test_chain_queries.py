@@ -128,7 +128,7 @@ def special_points(g):
     of f can meet the chain."""
     lattice, edges, legs, tails = [], [], [], []
     for w, p in g._chain.boxes:
-        verts, k = box_vertices(w, p), boxmap._sweeps(p)[1]
+        verts, k = box_vertices(w, p), boxmap._turns(p)[4]
         xs = [x for x, _ in verts]
         edges += [xs[0], xs[-1]]
         lattice += xs[1 : k + 1]
@@ -279,7 +279,7 @@ def test_head_and_tail_pairs_cover_every_kind_of_box():
             assert_reads_head_and_tail(f, g)
             mf, mg = merged_edges(f), merged_edges(g)
             for (w, p), (_, q) in zip(f._chain.boxes, g._chain.boxes):
-                kp, kq = boxmap._sweeps(p)[1], boxmap._sweeps(q)[1]
+                kp, kq = boxmap._turns(p)[4], boxmap._turns(q)[4]
                 over = [len(box_vertices(w, r)) == k + 3 for r, k in ((p, kp), (q, kq))]
                 (_, _, _, yf), (_, _, _, yg) = head_and_tail([(w, p), (w, q)])
                 seen.add(("merged", (w.lo in mf) + (w.lo in mg)))

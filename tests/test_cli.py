@@ -135,7 +135,7 @@ def test_box_chains_past_the_piece_cap_exit_1(capsys, tmp_path):
     # the patch makes a missing cap fail at once instead of building
     # millions of vertices
     path = write_map(tmp_path, ladder_map(5), "a.json")
-    with mock.patch.object(boxmap, "_sweeps", side_effect=AssertionError):
+    with mock.patch.object(boxmap, "_turns", side_effect=AssertionError):
         for args in (
             ("boxmap", "--params", "0,1,0,1,2000000"),
             ("homotopy", "--map", path, "--t", "1/8", "--gamma", "2000000"),

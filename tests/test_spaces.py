@@ -538,8 +538,8 @@ class TestPerturbation:
         assert rec.refute_level == 8
         assert rec.verdict.witness == IntervalSet((rec.core,))
         # the refuter at the core's grid level finds a smaller invariant region
-        assert invariant_region_refute(h, 8, 200).witness == IntervalSet.single(
-            Q(127, 256), Q(1, 2)
+        assert invariant_region_refute(h, 8, 200).witness == IntervalSet(
+            (iv(Q(127, 256), Q(1, 2)),)
         )
         assert rec.ball_window == iv("507/1024", "517/1024")
         assert rec.ball_radius == Q(1, 2048)
@@ -673,5 +673,5 @@ class TestNonconvexity:
         assert is_transitive_pipeline(g).is_certified
         v = is_transitive_pipeline(mid)
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(Q(1, 4), Q(3, 4))
+        assert v.witness == IntervalSet((iv(Q(1, 4), Q(3, 4)),))
         assert ball_refute(mid, Q(1, 8), 2) == (iv("0", "3/4"), Q(1, 8))

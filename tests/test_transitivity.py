@@ -57,6 +57,8 @@ from transmaps.transitivity import (
     reach_image,
 )
 
+from test_output_arithmetic import box_vertices_per_leg
+
 
 def identity_map():
     return pl_from_vertices([(ZERO, ZERO), (ONE, ONE)])
@@ -86,10 +88,15 @@ def iv(a, b):
     return Interval(Q(a), Q(b))
 
 
+def one_set(a, b):
+    """The interval set of the one component [a, b]."""
+    return IntervalSet((iv(a, b),))
+
+
 class TestVerdict:
     def test_constructors(self):
         assert Verdict.certified().is_certified
-        w = IntervalSet.single(ZERO, Q(1, 2))
+        w = one_set(ZERO, Q(1, 2))
         v = Verdict.refuted(identity_map(), w)
         assert v.is_refuted and v.witness == w
         assert Verdict.inconclusive(7).budget == 7
@@ -97,10 +104,10 @@ class TestVerdict:
     def test_refuted_checks_its_witness(self):
         # [0, 3/100] is not invariant under sawtooth(3): f(3/100) = 9/100
         with pytest.raises(ParameterError):
-            Verdict.refuted(sawtooth(3), IntervalSet.single(ZERO, Q(3, 100)))
+            Verdict.refuted(sawtooth(3), one_set(ZERO, Q(3, 100)))
 
     def test_witness_only_when_refuted(self):
-        w = IntervalSet.single(ZERO, Q(1, 2))
+        w = one_set(ZERO, Q(1, 2))
         with pytest.raises(ParameterError):
             Verdict("certified", witness=w)
         with pytest.raises(ParameterError):
@@ -119,7 +126,7 @@ class TestVerdict:
 
     def test_refuted_only_through_its_check(self):
         # an exactly invariant witness still needs Verdict.refuted(f, w)
-        w = IntervalSet.single(ZERO, Q(1, 2))
+        w = one_set(ZERO, Q(1, 2))
         with pytest.raises(ParameterError):
             Verdict("refuted", witness=w)
         assert Verdict.refuted(identity_map(), w) == Verdict.refuted(identity_map(), w)
@@ -226,12 +233,12 @@ class TestInvariantRegionRefute:
     def test_identity_level1(self):
         v = invariant_region_refute(identity_map(), 1, 50)
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(ZERO, Q(1, 2))
+        assert v.witness == one_set(ZERO, Q(1, 2))
 
     def test_square_level2(self):
         v = invariant_region_refute(square_map(), 2, 50)
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(ZERO, Q(1, 4))
+        assert v.witness == one_set(ZERO, Q(1, 4))
 
     def test_transitive_maps_unrefuted(self):
         for f in (saw(3), tent()):
@@ -248,7 +255,7 @@ class TestInvariantRegionRefute:
         if v.is_refuted:
             c = v.witness
             assert c != FULL_SET and not c.is_empty()
-            assert c.measure() > ZERO
+            assert sum(x.width for x in c.components) > ZERO
             assert c.contains_set(image_set(f, c))
 
 
@@ -340,7 +347,7 @@ def reference_leo_certify(f, grid_level, n_max):
         raise PreconditionError("grid too coarse")
     cells = 1 << grid_level
     for k in range(cells):
-        s = IntervalSet.single(Q(k, cells), Q(k + 1, cells))
+        s = one_set(Q(k, cells), Q(k + 1, cells))
         for _ in range(n_max):
             if s == FULL_SET:
                 break
@@ -382,16 +389,23 @@ def reference_invariant_region_refute(f, grid_level, n_max):
         cell = Interval(Q(k, cells), Q(k + 1, cells))
         seeds.append((range_on(f, cell).width, k, cell))
     seeds.sort(key=lambda item: (item[0], item[1]))
+
+    def with_image(c):
+        """c and its image, rounded outward to the grid."""
+        return reference_round_outward(
+            IntervalSet.from_intervals(c.components + image_set(f, c).components), grid_level
+        )
+
     for _, _, cell in seeds:
         c = IntervalSet((cell,))
         for _ in range(n_max):
-            grown = reference_round_outward(c.union(image_set(f, c)), grid_level)
+            grown = with_image(c)
             if grown == c:
                 break
             c = grown
             if c == FULL_SET:
                 break
-        if c != FULL_SET and c == reference_round_outward(c.union(image_set(f, c)), grid_level):
+        if c != FULL_SET and c == with_image(c):
             return Verdict.refuted(f, c)
     return Verdict.inconclusive(n_max)
 
@@ -596,17 +610,17 @@ class TestGridEdgeCases:
         # so a later seed that holds its three nodes must still run
         f = BUDGET_STOPPED_SEED
         assert reference_invariant_region_refute(f, 2, 1) == Verdict.refuted(
-            f, IntervalSet.single(0, Q(3, 4))
+            f, one_set(0, Q(3, 4))
         )
         assert invariant_region_refute(f, 2, 1) == reference_invariant_region_refute(f, 2, 1)
         # with a larger budget the first seed closes at [0, 3/4] itself
-        assert invariant_region_refute(f, 2, 2).witness == IntervalSet.single(0, Q(3, 4))
+        assert invariant_region_refute(f, 2, 2).witness == one_set(0, Q(3, 4))
 
     def test_a_shared_point_prunes_no_seed(self):
         # only a seed's open cell says that its whole reach is held
         f = SHARED_POINT
         assert invariant_region_refute(f, 2, 200) == Verdict.refuted(
-            f, IntervalSet.single(0, Q(3, 4))
+            f, one_set(0, Q(3, 4))
         )
         assert reference_invariant_region_refute(f, 2, 200) == invariant_region_refute(f, 2, 200)
 
@@ -617,7 +631,7 @@ class TestGridEdgeCases:
         f, level = PHASE_SAWTOOTH, 4
         assert images(f, iv("5/16", "3/8"), 3)[-1] == FULL_SET
         second = images(f, iv("7/16", "1/2"), 2)[-1]
-        assert second == IntervalSet.single(Q(5, 16), Q(19, 32))
+        assert second == one_set(Q(5, 16), Q(19, 32))
         iterated = []
 
         def recording(g, s):
@@ -689,14 +703,14 @@ class TestBoxChainCertify:
         assert box_chain_certify(g).status == "inconclusive"
         v = is_transitive_pipeline(g)
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(ZERO, Q(1, 2))
+        assert v.witness == one_set(ZERO, Q(1, 2))
 
     def test_no_record_inconclusive(self):
         assert box_chain_certify(tent()).status == "inconclusive"
 
     def test_certified_chain_spreads(self):
         g = two_box_chain(covering=True)
-        s = IntervalSet.single(Q(3, 8), Q(7, 16))
+        s = one_set(Q(3, 8), Q(7, 16))
         for _ in range(8):
             if s == FULL_SET:
                 break
@@ -792,9 +806,11 @@ def valid_chains(draw, like=None):
 
 
 def chain_vertices(boxes):
+    """The chain's vertices from the per-leg walk, independent of the
+    builder's integer layout."""
     verts = []
     for window, params in boxes:
-        vs = box_vertices(window, params)
+        vs = box_vertices_per_leg(window, params)
         verts.extend(vs if not verts else vs[1:])
     return verts
 
@@ -1163,17 +1179,17 @@ class TestPipeline:
     def test_identity_refuted(self):
         v = is_transitive_pipeline(identity_map())
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(ZERO, Q(1, 2))
+        assert v.witness == one_set(ZERO, Q(1, 2))
 
     def test_square_refuted(self):
         v = is_transitive_pipeline(square_map())
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(ZERO, Q(1, 2))
+        assert v.witness == one_set(ZERO, Q(1, 2))
 
     def test_constant_refuted_without_search(self):
         v = is_transitive_pipeline(constant_half())
         assert v.is_refuted
-        assert v.witness == IntervalSet.single(Q(1, 4), Q(3, 4))
+        assert v.witness == one_set(Q(1, 4), Q(3, 4))
 
     def test_sawtooth_certified(self):
         assert is_transitive_pipeline(saw(3)).is_certified
@@ -1223,11 +1239,11 @@ class TestPipeline:
         v = is_transitive_pipeline(f, budget)
         if v.is_refuted:
             c = v.witness
-            assert c != FULL_SET and c.measure() > ZERO
+            assert c != FULL_SET and sum(x.width for x in c.components) > ZERO
             assert c.contains_set(image_set(f, c))
         elif v.is_certified:
             # spot-check: a small cell's forward images reach everywhere
-            s = IntervalSet.single(Q(3, 8), Q(7, 16))
+            s = one_set(Q(3, 8), Q(7, 16))
             for _ in range(60):
                 if s == FULL_SET:
                     break
