@@ -18,12 +18,17 @@ rational interval occur at rational points (endpoints or the vertex), so
 every predicate is decided by rational comparison, never by sampling.
 ``range_on`` computes a map's range over one interval; it bisects on the
 piece lows, so a query reads only the pieces the interval meets, and
-``image_set`` is one ``range_on`` per component.  A caller that needs
-the range on every window of a partition of [0, 1] (the grid stages of
-``transitivity``, ``homotopy.box_data`` and ``FamilyBoxBounds.all_bands``)
-calls ``_partition_ranges`` instead, which walks the breakpoints and the
-window edges together once and also gives f at every edge.  Both read a
-window through ``_window_range``, the one rule for an exact range.
+``image_set`` is one ``range_on`` per component.  ``range_on`` reads
+its window through ``_window_range``, the one-window rule for an exact
+range.  A caller that needs the range on every window of a partition of
+[0, 1] (the grid stages of ``transitivity``, ``homotopy.box_data`` and
+``FamilyBoxBounds.all_bands``) calls ``_partition_ranges`` instead, with
+the window edges as integer numerators over the one denominator the
+partition already has: 2^level for a dyadic grid, the step's denominator
+for ``homotopy.partition``.  It walks the pieces once, places each
+breakpoint among the edges by integer cross-multiplication, writes f at
+an edge inside a piece as one rational, and compares values only in the
+windows that hold a breakpoint or a parabola vertex; see its docstring.
 
 Construction validates once.  The public constructors (``Interval``,
 ``Piece``, ``CurveMap``) check everything, because their input
@@ -39,7 +44,8 @@ it has anyway: ``CurveMap`` from its continuity check, ``pl_from_vertices``
 from the vertex list, ``boxmap.concat_box_maps`` from the box vertices.
 The routines that walk pieces read piece-end values from it instead of
 evaluating the piece there: ``range_on`` and ``_partition_ranges`` (only
-window ends inside a piece and parabola vertices are evaluated),
+window ends inside a piece and parabola vertices are evaluated,
+``_partition_ranges`` from integers),
 ``sup_distance`` (a refinement point takes its value from the map whose
 breakpoint it is), ``total_variation`` and ``svg.render_svg`` (a plot
 starts at f(0) and appends each piece's right end, after a parabola's
@@ -388,24 +394,124 @@ def range_on(f: CurveMap, j: Interval) -> Interval:
     return _window_range(f, i, j.lo, ya, j.hi)[0]
 
 
-def _partition_ranges(f: CurveMap, edges: Sequence) -> tuple[list[Q], list[Interval]]:
-    """f at every edge and the exact range of f on every window between
-    consecutive edges, for strictly increasing edges in [0, 1].
+def _partition_ranges(
+    f: CurveMap, edges: Sequence[int], d: int
+) -> tuple[list[Q], list[Interval]]:
+    """f at every edge E / d and the exact range of f on every window
+    between consecutive edges, for integer numerators
+    0 = E_0 < E_1 < ... < E_n = d over one denominator d > 0.
 
-    One walk takes f's breakpoints and the edges together: each window
-    starts in the piece where the last one ended, so a whole partition
-    costs O(pieces + windows).
+    Every caller has such a denominator: 2^level for a dyadic grid and
+    the step's denominator for the windows of ``homotopy.partition``.
+    One walk over f's pieces places each breakpoint p / q among the
+    edges by integers: p / q < E / d exactly when floor(p * d / q) < E,
+    and p / q is the edge E exactly when q divides p * d with quotient E.
+    An edge that is a breakpoint takes its value from ``_values``.  An
+    edge E inside an affine piece a / b + (c / e) x takes the one rational
+    (a * e * d + c * b * E) / (b * e * d), and inside a parabola its
+    quadratic counterpart over b * e * h * d^2, c2 = g / h; each is one
+    normalisation where ``Piece.value_at(E / d)`` makes several.
+
+    A window inside one affine piece has the range (f(a), f(b)) when the
+    slope's numerator c is at least 0 and (f(b), f(a)) otherwise, since
+    an affine piece is monotone: no value is compared.  A window inside
+    one parabola compares its two end values once.  Only a window that
+    holds a breakpoint or a parabola vertex strictly inside compares
+    those table or vertex values with its end values, as
+    ``_window_range`` does for one window.  A whole partition costs
+    O(pieces + windows), and the integers are built per call: nothing is
+    cached on the map.
     """
-    a = edges[0]
-    i = f._piece_index(a)
-    ya = f._values[i] if f._lows[i] == a else f.pieces[i].value_at(a)
-    ys, ranges = [ya], []
-    for b in edges[1:]:
-        r, ya, i = _window_range(f, i, a, ya, b)
-        ranges.append(r)
-        ys.append(ya)
-        a = b
+    pieces, values = f.pieces, f._values
+    last = len(pieces) - 1
+    ys = [values[0]]
+    ranges: list[Interval] = []
+    # the open window, from edge len(ranges): the hull of the values read
+    # in it so far, and whether a breakpoint lies strictly inside it
+    lo = hi = values[0]
+    held = False
+    for k, p in enumerate(pieces):
+        s = len(ranges)
+        if k < last:
+            x = p.domain.hi
+            fl, rem = divmod(x.numerator * d, x.denominator)
+            # the edges strictly inside piece k are edges[s + 1:stop]
+            if rem:
+                stop, ends = bisect.bisect_right(edges, fl, s + 1), False
+            else:
+                stop = bisect.bisect_left(edges, fl, s + 1)
+                ends = edges[stop] == fl
+        else:
+            stop, ends = len(edges) - 1, True
+        a, b = p.c0.numerator, p.c0.denominator
+        c, e = p.c1.numerator, p.c1.denominator
+        if p.c2:
+            g, h = p.c2.numerator, p.c2.denominator
+            den = b * e * h * d * d
+            n0, n1, n2 = a * e * h * d * d, c * b * h * d, g * b * e
+            ys += [Q(n0 + E * (n1 + E * n2), den) for E in edges[s + 1 : stop]]
+        else:
+            den = b * e * d
+            n0, n1 = a * e * d, c * b
+            ys += [Q(n0 + n1 * E, den) for E in edges[s + 1 : stop]]
+        if ends:
+            ys.append(values[k + 1])
+        top = len(ys) - 1  # the last edge read; windows s .. top - 1 close
+        first = s
+        if held and top > s:
+            # the open window holds a breakpoint and closes inside piece k
+            lo, hi = _hull(lo, hi, ys[s + 1])
+            ranges.append(_frozen(Interval, lo=lo, hi=hi))
+            first = s + 1
+        seg = ys[first : top + 1]
+        if p.c2:
+            ranges += [
+                _frozen(Interval, lo=y0, hi=y1) if y0 <= y1 else _frozen(Interval, lo=y1, hi=y0)
+                for y0, y1 in zip(seg, seg[1:])
+            ]
+        elif c >= 0:
+            ranges += [_frozen(Interval, lo=y0, hi=y1) for y0, y1 in zip(seg, seg[1:])]
+        else:
+            ranges += [_frozen(Interval, lo=y1, hi=y0) for y0, y1 in zip(seg, seg[1:])]
+        if ends:
+            lo = hi = values[k + 1]
+            held = False
+        else:
+            # piece k ends strictly inside the open window
+            y = values[k + 1]
+            if held and top == s:
+                lo, hi = _hull(lo, hi, y)
+            else:
+                # the open window starts at edge top, in piece k
+                v = ys[top]
+                if p.c2:
+                    lo, hi = (v, y) if v <= y else (y, v)
+                else:
+                    lo, hi = (v, y) if c >= 0 else (y, v)
+            held = True
+        vx = p.vertex()
+        if vx is not None:
+            fl, rem = divmod(vx.numerator * d, vx.denominator)
+            w = bisect.bisect_right(edges, fl, s, top + 1) - 1
+            if rem or edges[w] != fl:
+                # the vertex lies strictly inside window w
+                y = p.value_at(vx)
+                if w < len(ranges):
+                    r = ranges[w]
+                    wlo, whi = _hull(r.lo, r.hi, y)
+                    ranges[w] = _frozen(Interval, lo=wlo, hi=whi)
+                else:
+                    lo, hi = _hull(lo, hi, y)
     return ys, ranges
+
+
+def _hull(lo: Q, hi: Q, y: Q) -> tuple[Q, Q]:
+    """The ends of the closed hull of [lo, hi] and y, for lo <= hi."""
+    if y < lo:
+        return y, hi
+    if y > hi:
+        return lo, y
+    return lo, hi
 
 
 def _window_range(f: CurveMap, i: int, a, ya: Q, b) -> tuple[Interval, Q, int]:

@@ -7,11 +7,11 @@ fill every window with a box map onto its band.  At ``t = 0`` the
 deformation is the identity on maps; for small ``t`` the output tracks
 ``f`` closely because the bands are built from ``f``'s local behaviour.
 The window ranges of a map, and its values at the window edges, come
-from one ordered walk over its breakpoints and the edges
-(``exact._partition_ranges``), and ``_window_band`` alone turns ranges
-into a band, both for one map (``box_data``) and jointly for a family
-(``FamilyBoxBounds``).  ``uniform_modulus`` reads one ``exact.range_on``
-per candidate window.
+from one walk over its pieces with the edges as integers over the
+step's denominator (``exact._partition_ranges``), and ``_window_band``
+alone turns ranges into a band, both for one map (``box_data``) and
+jointly for a family (``FamilyBoxBounds``).  ``uniform_modulus`` reads
+one ``exact.range_on`` per candidate window.
 
 The companions quantify that closeness:
 
@@ -97,9 +97,11 @@ def _partition(t: Q) -> PartitionData:
     return PartitionData(t, s, windows)
 
 
-def _edges(grid: PartitionData) -> list[Q]:
-    """The window edges of a grid: 0, t, 2t, ..., count*t, 1."""
-    return [w.lo for w in grid.windows] + [ONE]
+def _edges(grid: PartitionData) -> tuple[list[int], int]:
+    """The window edges 0, t, 2t, ..., count*t, 1 of a grid as integer
+    numerators over the one denominator of t, with that denominator."""
+    n, d = int(grid.t.numerator), int(grid.t.denominator)
+    return [*range(0, grid.count * n + 1, n), d], d
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def _window_band(ranges: Sequence[Interval], width: Q) -> tuple[Q, Interval]:
 def box_data(f: CurveMap, t, gamma) -> BoxData:
     gamma = as_scalar(gamma)
     grid = partition(t)
-    ys, ranges = _partition_ranges(f, _edges(grid))
+    ys, ranges = _partition_ranges(f, *_edges(grid))
     alphas: list[Q] = []
     boxes: list[BoxParams] = []
     for k, w in enumerate(grid.windows):
@@ -262,8 +264,8 @@ class FamilyBoxBounds:
 
     def all_bands(self, t) -> list[Interval]:
         grid = partition(t)
-        edges = _edges(grid)
-        per_map = [_partition_ranges(f, edges)[1] for f in self.maps]
+        edges, d = _edges(grid)
+        per_map = [_partition_ranges(f, edges, d)[1] for f in self.maps]
         return [
             _window_band(ranges, w.width)[1]
             for w, ranges in zip(grid.windows, zip(*per_map))

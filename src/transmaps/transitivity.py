@@ -30,16 +30,20 @@ Three certificate/refuter mechanisms plus a combining pipeline:
 * ``invariant_region_refute`` / ``ball_refute`` -- search for invariant
   windows, the latter robust under a sup-metric perturbation radius.
 
-The grid stages read f once per grid level, through ``_cell_ranges``:
-one ordered walk over f's breakpoints and the grid points gives f at
-every grid point and its exact range on every dyadic cell
-(``exact._partition_ranges``).  The rest is integer and set work that
-reproduces the exact queries it replaces.  The range of a union of
-adjacent closed cells is the hull of their ranges, so ``ball_refute``
-keeps a running hull.  Rounding a union outward to the grid is the union
-of the roundings, so ``invariant_region_refute`` is breadth-first
-reachability on the grid points and open cells; a seed that holds a
-seed already known to reach every node stops there.  ``leo_certify``
+The grid stages read f through ``_cell_ranges``: one walk over f's
+pieces, with the grid points as integers over 2^level, gives f at every
+grid point and its exact range on every dyadic cell
+(``exact._partition_ranges``).  ``is_transitive_pipeline`` reads f once
+for all of them, at its finest refute level, and derives each coarser
+grid by pairing sibling cells (``_coarsen``): every other point and
+value, and the hull of the two ranges, which is exact because two
+adjacent closed cells share an endpoint.  The rest is integer and set
+work that reproduces the exact queries it replaces.  The range of a
+union of adjacent closed cells is the hull of their ranges, so
+``ball_refute`` keeps a running hull.  Rounding a union outward to the
+grid is the union of the roundings, so ``invariant_region_refute`` is
+breadth-first reachability on the grid points and open cells; a seed
+that holds a seed already known to reach every node stops there.  ``leo_certify``
 propagates every settled depth back over "the range of cell i holds
 cell j whole" and iterates exact images only for the cells no settled
 depth reaches.  The cells form the set-oriented outer approximation of
@@ -192,18 +196,31 @@ def _check_grid_level(grid_level: int) -> None:
         raise ParameterError(f"grid level {grid_level} above the cap {_MAX_GRID_LEVEL}")
 
 
-def _cell_ranges(
-    f: CurveMap, grid_level: int
-) -> tuple[list[Q], list[Q], list[Interval]]:
-    """The grid points k/2^level, k = 0..2^level, f at each of them, and
-    the exact range of f on each closed cell between consecutive points,
-    from one ordered walk over f's breakpoints and the grid
+def _cell_ranges(f: CurveMap, grid_level: int) -> tuple[list[Q], list[Interval]]:
+    """f at each grid point k/2^level, k = 0..2^level, and the exact range
+    of f on each closed cell between consecutive points, from one walk
+    over f's pieces with the grid points as integers over 2^level
     (``exact._partition_ranges``), for a level ``_check_grid_level``
     passed."""
     cells = 1 << grid_level
-    xs = [Q(k, cells) for k in range(cells + 1)]
-    ys, ranges = _partition_ranges(f, xs)
-    return xs, ys, ranges
+    return _partition_ranges(f, range(cells + 1), cells)
+
+
+def _coarsen(ys: list[Q], ranges: list[Interval]) -> tuple[list[Q], list[Interval]]:
+    """The grid one level coarser than the grid (ys, ranges) of
+    ``_cell_ranges``: every other point and value, and the hull of the
+    ranges of each pair of sibling cells.  Two adjacent closed cells share
+    an endpoint, so the range of their union is the hull of their ranges,
+    and this is exactly ``_cell_ranges`` one level coarser."""
+    hulls = [
+        _frozen(
+            Interval,
+            lo=a.lo if a.lo <= b.lo else b.lo,
+            hi=a.hi if a.hi >= b.hi else b.hi,
+        )
+        for a, b in zip(ranges[0::2], ranges[1::2])
+    ]
+    return ys[0::2], hulls
 
 
 def _floor_index(x: Q, cells: int) -> int:
@@ -253,7 +270,12 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
         raise PreconditionError(
             f"grid too coarse: need 2^(1-level) <= {gap}, level {grid_level}"
         )
-    _, _, ranges = _cell_ranges(f, grid_level)
+    return _leo_on_grid(f, _cell_ranges(f, grid_level)[1], n_max)
+
+
+def _leo_on_grid(f: CurveMap, ranges: list[Interval], n_max: int) -> Verdict:
+    """``leo_certify`` on the cell ranges of a grid whose level passed its
+    checks."""
     cells = len(ranges)
     depths: list = [None] * cells
     # the cells whose range holds a cell whole, in a segment tree
@@ -360,11 +382,16 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     _check_grid_level(grid_level)
     if n_max < 1:
         raise ParameterError("need a positive iteration budget")
-    xs, ys, ranges = _cell_ranges(f, grid_level)
+    return _refute_on_grid(f, *_cell_ranges(f, grid_level), n_max)
+
+
+def _refute_on_grid(f: CurveMap, ys: list[Q], ranges: list[Interval], n_max: int) -> Verdict:
+    """``invariant_region_refute`` on the grid (ys, ranges) of
+    ``_cell_ranges``."""
     cells = len(ranges)
 
     def node_run(u: int) -> tuple[int, int]:
-        # node u is the point or cell from xs[u // 2] to xs[(u + 1) // 2]
+        # node u is the point or cell from grid point u // 2 to (u + 1) // 2
         if u % 2:
             lo, hi = ranges[u // 2].lo, ranges[u // 2].hi
         else:
@@ -379,7 +406,9 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
         reached = _reach(runs, node_run, full, k, layers)
         if reached is not None:
             witness = IntervalSet.from_intervals(
-                Interval(xs[u // 2], xs[(u + 1) // 2]) for u, flag in enumerate(reached) if flag
+                Interval(Q(u // 2, cells), Q((u + 1) // 2, cells))
+                for u, flag in enumerate(reached)
+                if flag
             )
             return Verdict.refuted(f, witness)
     return Verdict.inconclusive(n_max)
@@ -462,8 +491,13 @@ def ball_refute(
     if rho <= ZERO:
         raise ParameterError("perturbation radius must be positive")
     _check_grid_level(grid_level)
-    xs, _, ranges = _cell_ranges(f, grid_level)
+    return _ball_on_grid(_cell_ranges(f, grid_level)[1], rho)
+
+
+def _ball_on_grid(ranges: list[Interval], rho: Q) -> Optional[tuple[Interval, Q]]:
+    """``ball_refute`` on the cell ranges of a grid, for rho > 0."""
     cells = len(ranges)
+    xs = [Q(k, cells) for k in range(cells + 1)]
     best: Optional[tuple[Interval, Q]] = None
     for i in range(cells):
         lo, hi = ONE, ZERO
@@ -747,8 +781,9 @@ class PipelineBudget:
     """The pipeline's search budget: the invariant-region grid levels
     tried and the growth steps each may take, and the finest grid level
     and the iteration count of the grid certificate.  A level or a count
-    below 1 raises ParameterError when the budget is built, before any
-    stage runs on it."""
+    below 1, and a grid level above ``_MAX_GRID_LEVEL``, raise
+    ParameterError when the budget is built, before any stage runs on
+    it, so whether a budget is admissible does not depend on the map."""
 
     refute_levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     refute_steps: int = 200
@@ -762,6 +797,8 @@ class PipelineBudget:
         for level in self.refute_levels:
             if level < 1:
                 raise ParameterError(f"refute level {level} is below 1")
+        for level in (*self.refute_levels, self.leo_max_level):
+            _check_grid_level(level)
 
 
 def _non_surjective_witness(f: CurveMap) -> Optional[IntervalSet]:
@@ -791,6 +828,14 @@ def is_transitive_pipeline(
     a sink component fill [0, 1]), so the first two stages commute; the
     record certificate goes first because it answers a chain map without
     reading its range, and a map without a chain at once.
+
+    The grid stages share one read of f: the grid at the finest refute
+    level comes from ``_cell_ranges``, and each coarser level from the
+    one above it by ``_coarsen``, exactly.  The grid certificate runs on
+    that grid when its level is at most the finest refute level, and
+    reads its own grid otherwise.  So no grid finer than the finest
+    level of the budget's stages is read, though a map that a coarser
+    level refutes has been read at the finest refute level.
     """
     verdict = box_chain_certify(f)
     if verdict.is_certified:
@@ -800,8 +845,11 @@ def is_transitive_pipeline(
     if witness is not None:
         return Verdict.refuted(f, witness)
 
+    top = max(budget.refute_levels, default=0)
+    # ladder[i] is the grid at level top - i
+    ladder = [_cell_ranges(f, top)] if top else []
     for level in budget.refute_levels:
-        verdict = invariant_region_refute(f, level, budget.refute_steps)
+        verdict = _refute_on_grid(f, *_ladder_grid(ladder, top - level), budget.refute_steps)
         if verdict.is_refuted:
             return verdict
 
@@ -811,5 +859,18 @@ def is_transitive_pipeline(
         while Q(2, 1 << level) > gap:
             level += 1
         if level <= budget.leo_max_level:
-            return leo_certify(f, level, budget.leo_steps)
+            if level <= top:
+                ranges = _ladder_grid(ladder, top - level)[1]
+            else:
+                ranges = _cell_ranges(f, level)[1]
+            return _leo_on_grid(f, ranges, budget.leo_steps)
     return Verdict.inconclusive(budget.refute_steps)
+
+
+def _ladder_grid(ladder: list, depth: int) -> tuple[list[Q], list[Interval]]:
+    """The grid ``depth`` levels coarser than ``ladder[0]``, coarsening
+    the last grid of ``ladder`` and keeping each new one until it is
+    there."""
+    while len(ladder) <= depth:
+        ladder.append(_coarsen(*ladder[-1]))
+    return ladder[depth]

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from transmaps import transitivity
+from transmaps import exact, transitivity
 from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
 from transmaps.corpus import (
     perturb_pl,
@@ -260,11 +260,14 @@ class TestInvariantRegionRefute:
 
 
 def test_grid_levels_above_the_cap_are_refused():
-    # Q is patched so a missing cap fails at the first grid point instead
-    # of building 2^40 of them, and so leo_certify fails if it computes
+    # Q is patched where the grid stages and the range kernel build
+    # rationals, so a missing cap fails at the first grid value instead
+    # of reading 2^40 of them, and so leo_certify fails if it computes
     # with the level, as in its coarseness check, before the cap refuses it
     f = saw(3)
-    with mock.patch.object(transitivity, "Q", side_effect=AssertionError):
+    with mock.patch.object(transitivity, "Q", side_effect=AssertionError), mock.patch.object(
+        exact, "Q", side_effect=AssertionError
+    ):
         for level in (21, 40):
             with pytest.raises(ParameterError):
                 invariant_region_refute(f, level, 10)
@@ -1212,6 +1215,16 @@ class TestPipeline:
     def test_budget_levels_below_one_refused(self, levels):
         with pytest.raises(ParameterError):
             PipelineBudget(refute_levels=levels)
+
+    @pytest.mark.parametrize(
+        "fields", [{"refute_levels": (1, 25)}, {"refute_levels": (21,)}, {"leo_max_level": 40}]
+    )
+    def test_budget_levels_above_the_cap_refused(self, fields):
+        # (1, 25) used to refute the identity at level 1 and raise on
+        # ladder_map(5) at level 25: the budget is now refused for every map
+        with pytest.raises(ParameterError, match="above the cap 20"):
+            PipelineBudget(**fields)
+        assert PipelineBudget(refute_levels=(1, 20), leo_max_level=20).refute_levels == (1, 20)
 
     def test_budgets_that_used_to_pass(self):
         # the first certified a chain map and crashed on the square map; the
