@@ -45,8 +45,8 @@ def main() -> int:
         start = time.monotonic()
         ext = simplex_extend(segment_boundary(f0, f1), SimplexSpec(1), eps)
         diam = sup_distance(f0, f1)
-        # below the step the tiling must stay dyadic; a fractional height
-        # leaves a degenerate final window the certifier will not pass
+        # below the step, t0 halved; any height there is certified too: a
+        # step that does not divide 1 only leaves a shorter final window
         heights = [ext.t0 * Q(1, 1 << k) for k in range(5)]
         heights += [ext.t0 + (ONE - ext.t0) * Q(j, args.probes) for j in range(1, args.probes + 1)]
         certified = sum(

@@ -67,7 +67,6 @@ __all__ = [
     "BoxParams",
     "MIN_EXPANSION",
     "box_values",
-    "box_vertices",
     "build_box_map",
     "BoxChain",
     "concat_box_maps",
@@ -188,25 +187,17 @@ def box_values(p: BoxParams) -> list[Q]:
     return _turns(p)[0]
 
 
-def box_vertices(window: Interval, p: BoxParams) -> list[tuple[Q, Q]]:
-    """Graph vertices of the box map on the window, exact abscissae.
+def _legs(window: Interval, p: BoxParams) -> tuple[list[Q], list[Q], list[Q], tuple[Q, Q]]:
+    """``(xs, values, c0s, slopes)``: the box's vertices on the window, the
+    intercept of the leg from each vertex but the last, and the slopes of
+    the first two legs, +-expansion * height / width, which the later legs
+    repeat in turn.  Each rational is one integer fraction built once.
 
     The vertex that has used the variation c of the budget B sits at
     lo + width * c / B.  Over the box's one scaling c and B are integers
     (see the module docstring), so every abscissa is one integer fraction
     over one denominator, and the last, c = B, is the right edge itself.
-    """
-    xs, values, _, _ = _legs(window, p)
-    return list(zip(xs, values))
-
-
-def _legs(window: Interval, p: BoxParams) -> tuple[list[Q], list[Q], list[Q], tuple[Q, Q]]:
-    """``(xs, values, c0s, slopes)``: the box's vertices on the window, the
-    intercept of the leg from each vertex but the last, and the slopes of
-    the first two legs, +-expansion * height / width, which the later legs
-    repeat in turn.  Each rational is one integer fraction built once."""
-    if window.is_degenerate():
-        raise ParameterError("box window must be nondegenerate")
+    The window is nondegenerate, as ``BoxChain`` checks."""
     values, yu, cu, u, _ = _turns(p)
     lo, hi = window.lo, window.hi
     dl, dh = lo.denominator, hi.denominator
@@ -233,8 +224,8 @@ def build_box_map(p: BoxParams) -> CurveMap:
     every other concatenation, its chain is its trusted ``_chain``.
 
     The package's map type is a self-map of [0, 1], so a box on a proper
-    subwindow exists only as a vertex list (``box_vertices``) and
-    participates in concatenations.
+    subwindow exists only as one box of a chain, laid out by ``_legs``
+    when ``concat_box_maps`` builds the chain's map.
     """
     return concat_box_maps([(FULL, p)])
 
@@ -242,7 +233,8 @@ def build_box_map(p: BoxParams) -> CurveMap:
 @dataclass(frozen=True)
 class BoxChain:
     """A concatenation of box maps as its parameters only, validated once
-    here: the windows tile [0, 1] and adjacent boxes agree at junctions.
+    here: the windows are nondegenerate and tile [0, 1], and adjacent
+    boxes agree at junctions.
 
     The map ``concat_box_maps`` builds is its chain by construction and
     holds it as its trusted ``_chain``, which ``sup_distance`` and
@@ -260,6 +252,8 @@ class BoxChain:
         windows = [w for w, _ in self.boxes]
         if windows[0].lo != ZERO or windows[-1].hi != ONE:
             raise ParameterError("box windows do not tile [0,1]")
+        if any(w.is_degenerate() for w in windows):
+            raise ParameterError("box window must be nondegenerate")
         for (wa, pa), (wb, pb) in zip(self.boxes, self.boxes[1:]):
             if wa.hi != wb.lo:
                 raise ParameterError("box windows do not tile [0,1]")

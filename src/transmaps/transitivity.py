@@ -19,10 +19,10 @@ Three certificate/refuter mechanisms plus a combining pipeline:
   "box i reaches the boxes whose windows its band contains" fill [0, 1],
   since every box reaches a sink component and a sink component reaches
   only itself; one Tarjan pass over the window runs finds the sinks.
-  Both tests run on integers, exactly: the window edges are written
-  over one denominator, so a box's window run is two bisects of integer
-  lists; a sink's cover is one sweep over its bands in order of integer
-  keys of their ends; and the slope floor is a cross-multiplication.
+  Both tests run on integers, exactly: the window cuts and the band ends
+  get integer keys in their exact order, so a box's window run is two
+  bisects of integer lists and a sink's cover is one sweep over its
+  bands in key order; the slope floor is a cross-multiplication per box.
   Nothing builds a map, so the certificate scales to chains with
   thousands of laps where grid iteration would not.  ``box_chain_certify``
   applies it to a map built by ``boxmap.concat_box_maps``, which is its
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 from .boxmap import BoxChain, BoxParams, box_values
@@ -75,14 +74,12 @@ from .rational import ONE, Q, ZERO, _MAX_BITS, as_scalar
 
 __all__ = [
     "Verdict",
-    "reach_check",
     "reach_image",
     "leo_certify",
     "invariant_region_refute",
     "ball_refute",
     "box_chain_certify",
     "chain_certified",
-    "coverage_closure_full",
     "PipelineBudget",
     "is_transitive_pipeline",
     "min_abs_slope",
@@ -146,12 +143,13 @@ def _check_witness(f: CurveMap, c: IntervalSet) -> None:
 
 
 def reach_image(f: CurveMap, u: Interval, v: Interval, n: int) -> IntervalSet:
-    """The n-th forward image of u, exactly, after every argument check
-    ``reach_check`` makes, v's included.  An image equal to the one before
-    it is the image at every later step, so the iteration stops there.
-    An endpoint's denominator, in [0, 1] no shorter than its numerator,
-    of more than ``rational._MAX_BITS`` bits raises ParameterError at
-    once: on a curved map the bit count can double at every step."""
+    """The n-th forward image of u, exactly, for the caller to meet with
+    the target v.  Raises ParameterError when n is below 1, when u or v
+    is degenerate, and, at once, when an image endpoint's denominator,
+    in [0, 1] no shorter than its numerator, has more than
+    ``rational._MAX_BITS`` bits: on a curved map the bit count can
+    double at every step.  An image equal to the one before it is the
+    image at every later step, so the iteration stops there."""
     if n < 1:
         raise ParameterError("need at least one iteration")
     if u.is_degenerate() or v.is_degenerate():
@@ -167,11 +165,6 @@ def reach_image(f: CurveMap, u: Interval, v: Interval, n: int) -> IntervalSet:
             raise ParameterError(f"image {step} endpoint of {bits} bits above the cap {_MAX_BITS}")
         s = image
     return s
-
-
-def reach_check(f: CurveMap, u: Interval, v: Interval, n: int) -> bool:
-    """Whether the n-th forward image of u meets v, exactly."""
-    return reach_image(f, u, v, n).intersects_interval(v)
 
 
 def min_abs_slope(f: CurveMap) -> Q:
@@ -560,14 +553,14 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
        whole band.  Expansion at least 20 gives every box at least 18
        full sweeps, so M <= 3 (one box's final pair plus the next box's
        first leg) and M is only computed when the floor is at most 5.
-       Whether every slope exceeds 5 is decided on integers.  With the
-       window edges written over one denominator D, the window as
-       [L / D, H / D], the band as [b / q, t / s] and the expansion as
-       u / v, a box's slope is
-       (u / v) * ((t * q - b * s) / (q * s)) / ((H - L) / D).
-       Every denominator is positive, so the slope exceeds 5 exactly
-       when u * (t * q - b * s) * D > 5 * v * q * s * (H - L).  Only
-       when some box fails that are the exact floor and M computed.
+       Whether every slope exceeds 5 is decided on integers, box by
+       box.  With the window as [l / ld, h / hd], the band as
+       [b / bd, t / td] and the expansion as en / ed, a box's slope is
+       (en / ed) * ((t * bd - b * td) / (td * bd))
+       / ((h * ld - l * hd) / (ld * hd)).  Every denominator is
+       positive, so the slope exceeds 5 exactly when
+       en * (t * bd - b * td) * ld * hd > 5 * ed * td * bd * (h * ld - l * hd).
+       Only when some box fails that are the exact floor and M computed.
     2. coverage: from every box, repeatedly adding the bands of all boxes
        whose windows a collected band covers must reach all of [0, 1].
        Once an image contains band J, later images contain every band
@@ -576,27 +569,25 @@ def chain_certified(items: Sequence[tuple[Interval, BoxParams]]) -> bool:
        reaches the boxes whose windows its band contains", and a box in
        a sink component collects exactly its component, so the test is
        that each sink component's bands fill [0, 1]; see
-       ``coverage_closure_full`` for how that is decided exactly on
-       integers.
+       ``_sink_coverage`` for how that is decided exactly on integers.
     """
     return _chain_certificate(BoxChain(tuple(items)).boxes)
 
 
 def _chain_certificate(boxes: Sequence[tuple[Interval, BoxParams]]) -> bool:
     """``chain_certified`` on the boxes of a chain already validated."""
-    lows, highs, d = _window_edges([w for w, _ in boxes])
-    for (_, p), lo, hi in zip(boxes, lows, highs):
-        e, b, t = p.expansion, p.bottom, p.top
-        bd, td = b.denominator, t.denominator
-        if e.numerator * (t.numerator * bd - b.numerator * td) * d <= (
-            5 * e.denominator * td * bd * (hi - lo)
+    for w, p in boxes:
+        e, b, t, lo, hi = p.expansion, p.bottom, p.top, w.lo, w.hi
+        bd, td, ld, hd = b.denominator, t.denominator, lo.denominator, hi.denominator
+        if e.numerator * (t.numerator * bd - b.numerator * td) * ld * hd <= (
+            5 * e.denominator * td * bd * (hi.numerator * ld - lo.numerator * hd)
         ):
             # a slope of at most 5 puts the floor at most 5, so M decides
-            floor = min(q.expansion * q.height / w.width for w, q in boxes)
+            floor = min(q.expansion * q.height / v.width for v, q in boxes)
             if floor <= _longest_partial_run(boxes) + 2:
                 return False
             break
-    return _sink_coverage(lows, highs, d, [(p.bottom, p.top) for _, p in boxes])
+    return _sink_coverage([w for w, _ in boxes], [(p.bottom, p.top) for _, p in boxes])
 
 
 def box_chain_certify(f: CurveMap) -> Verdict:
@@ -612,46 +603,6 @@ def box_chain_certify(f: CurveMap) -> Verdict:
     if chain is None or not _chain_certificate(chain.boxes):
         return Verdict.inconclusive(0)
     return Verdict.certified()
-
-
-def _window_edges(windows: Sequence[Interval]) -> tuple[list[int], list[int], int]:
-    """The window lows and highs as integers L and H over one
-    denominator d, the least common multiple of theirs, with the low
-    L / d and the high H / d.  Raises ParameterError when a low or a high
-    decreases from one window to the next."""
-    n = len(windows)
-    edges = [w.lo for w in windows] + [w.hi for w in windows]
-    d = lcm(*(x.denominator for x in edges))
-    edges = [x.numerator * (d // x.denominator) for x in edges]
-    lows, highs = edges[:n], edges[n:]
-    if any(a > b for a, b in zip(lows, lows[1:])) or any(
-        a > b for a, b in zip(highs, highs[1:])
-    ):
-        raise ParameterError("window lows and highs must not decrease")
-    return lows, highs, d
-
-
-def _window_runs(
-    lows: list[int], highs: list[int], d: int, bands: Sequence[tuple[Q, Q]]
-) -> tuple[list[int], list[int]]:
-    """Per band (bottom, top), the index run [a, z) of the windows it
-    contains, as the list of the a and the list of the z, for the window
-    edges ``_window_edges`` gives.
-
-    A window low L / d is at least the bottom p / q (q > 0) exactly when
-    L >= p * d / q, and since L is an integer, exactly when
-    L >= ceil(p * d / q); a high H / d is at most the top r / s exactly
-    when H <= floor(r * d / s).  So the windows whose low is at least
-    the bottom are those from the first low at least that ceiling, and
-    the windows whose high is at most the top are those before the first
-    high above that floor: one bisect each on a list of integers.  Lows
-    and highs both non-decreasing make the contained indices a suffix of
-    the first condition intersected with a prefix of the second, so
-    always contiguous.
-    """
-    starts = [bisect_left(lows, -(-b.numerator * d // b.denominator)) for b, _ in bands]
-    ends = [bisect_right(highs, t.numerator * d // t.denominator) for _, t in bands]
-    return starts, ends
 
 
 def _order_keys(xs: Sequence[Q]) -> tuple[list[int], int]:
@@ -685,10 +636,9 @@ def _covers(bands, one: int) -> bool:
     return reach >= one
 
 
-def coverage_closure_full(
-    windows: Sequence[Interval], bands: Sequence[Interval]
-) -> bool:
-    """Whether the band-coverage closure from every box fills [0, 1].
+def _sink_coverage(windows: Sequence[Interval], bands: Sequence[tuple[Q, Q]]) -> bool:
+    """Whether the band-coverage closure from every box fills [0, 1], for
+    windows that tile [0, 1] and the bands as (bottom, top) pairs.
 
     Box i reaches the boxes whose windows its band contains; a start is
     good when the bands of every box it reaches union to all of [0, 1].
@@ -698,38 +648,33 @@ def coverage_closure_full(
     all starts are good exactly when the bands of every sink component
     fill [0, 1].
 
-    Every decision is on integers and exact.  The window edges are
-    written over one denominator, the least common multiple of theirs,
-    so each band end meets them through one ceiling or floor division
-    and a bisect (``_window_runs``).  The band ends get integer keys in
-    their exact order (``_order_keys``), and a sink component's bands
-    cover [0, 1] exactly when one sweep over them in order of their
-    bottoms never finds a bottom past the reach (``_covers``).  Windows
-    whose lows or highs decrease raise ParameterError: the runs would
-    not be the windows a band contains.
+    Every decision is on integers and exact.  One ``_order_keys`` call
+    over the n + 1 window cuts and the 2n band ends orders all of them
+    exactly, equal values with equal keys.  The window lows are the
+    cuts but the last and the highs the cuts but the first, both
+    increasing, so the windows a band contains, those with a low at
+    least its bottom and a high at most its top, are the run from
+    ``bisect_left`` of the bottom's key in the low keys to
+    ``bisect_right`` of the top's key in the high keys.  A sink
+    component's bands cover [0, 1] exactly when one sweep over them in
+    order of their bottoms never finds a bottom past the reach
+    (``_covers``).
 
-    One iterative Tarjan pass over the window runs finds the components
-    in O(n + E), E the total run length.  An edge to a node whose
-    component is already closed leaves the current component; an edge to
-    a visited node with no component yet stays inside it, since such a
-    node is still on the stack.
+    One iterative Tarjan pass (Tarjan, SIAM J. Comput. 1, 1972) over the
+    window runs finds the components in O(n + E), E the total run
+    length.  An edge to a node whose component is already closed leaves
+    the current component; an edge to a visited node with no component
+    yet stays inside it, since such a node is still on the stack.  A
+    node walks its run past the visited nodes in one inner loop and
+    descends into the first unvisited one.
     """
-    if not windows or len(windows) != len(bands):
-        raise ParameterError("need equally many windows and bands")
-    return _sink_coverage(*_window_edges(windows), [(b.lo, b.hi) for b in bands])
-
-
-def _sink_coverage(
-    lows: list[int], highs: list[int], d: int, bands: Sequence[tuple[Q, Q]]
-) -> bool:
-    """``coverage_closure_full`` for the window edges ``_window_edges``
-    gives and the bands as (bottom, top) pairs.  A node walks its run
-    past the visited nodes in one inner loop and descends into the first
-    unvisited one."""
-    n = len(lows)
-    nxt, ends = _window_runs(lows, highs, d, bands)
-    keys, one = _order_keys([x for band in bands for x in band])
-    bottoms, tops = keys[0::2], keys[1::2]
+    n = len(windows)
+    cuts = [w.lo for w in windows] + [windows[-1].hi]
+    keys, one = _order_keys(cuts + [x for band in bands for x in band])
+    lows, highs = keys[:n], keys[1 : n + 1]
+    bottoms, tops = keys[n + 1 :: 2], keys[n + 2 :: 2]
+    nxt = [bisect_left(lows, b) for b in bottoms]
+    ends = [bisect_right(highs, t) for t in tops]
     index = [-1] * n
     low = [0] * n
     closed = [False] * n

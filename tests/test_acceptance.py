@@ -63,7 +63,7 @@ from transmaps.transitivity import (
     box_chain_certify,
     is_transitive_pipeline,
     min_abs_slope,
-    reach_check,
+    reach_image,
 )
 
 GAMMA = Q(20)
@@ -433,7 +433,7 @@ def test_criterion_11_reach_against_sampling(report):
         lo = Q(rng.randrange(0, 56), 64)
         v = Interval(lo, lo + Q(rng.randrange(1, 8), 64))
         n = rng.randrange(1, 3)
-        exact = reach_check(f, u, v, n)
+        exact = reach_image(f, u, v, n).intersects_interval(v)
         hit = False
         for k in range(points):
             x = u.lo + u.width * Q(k, points - 1)

@@ -15,7 +15,6 @@ from transmaps.boxmap import (
     BoxChain,
     BoxParams,
     box_values,
-    box_vertices,
     build_box_map,
     concat_box_maps,
 )
@@ -30,6 +29,8 @@ from transmaps.exact import (
     total_variation,
 )
 from transmaps.rational import ONE, Q, ZERO
+
+from test_output_arithmetic import box_vertices_per_leg
 
 
 class TestParamGuards:
@@ -153,10 +154,10 @@ def test_vertices_on_subwindow_scale(seed):
     rng = random.Random(seed)
     p = random_params(rng)
     window = Interval(Q(1, 4), Q(3, 8))
-    verts = box_vertices(window, p)
+    xs, ys, _, _ = boxmap._legs(window, p)
+    verts = list(zip(xs, ys))
     assert verts[0] == (window.lo, p.left_value)
     assert verts[-1] == (window.hi, p.right_value)
-    xs = [x for x, _ in verts]
     assert all(a < b for a, b in zip(xs, xs[1:]))
     slope = p.expansion * p.height / window.width
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
@@ -169,7 +170,7 @@ def test_build_box_map_matches_the_vertex_build(seed):
     # the one-box chain against the vertex-list build it replaced
     p = random_params(random.Random(seed))
     f = build_box_map(p)
-    want = pl_from_vertices(box_vertices(FULL, p))
+    want = pl_from_vertices(box_vertices_per_leg(FULL, p))
     assert (f.pieces, f._values) == (want.pieces, want._values)
     assert f.provenance is None
     assert f._chain == BoxChain(((FULL, p),))

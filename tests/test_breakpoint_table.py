@@ -17,7 +17,7 @@ from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from transmaps import boxmap, svg, transitivity
-from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
+from transmaps.boxmap import BoxChain, BoxParams, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError, PreconditionError
 from transmaps.exact import (
@@ -44,7 +44,7 @@ from transmaps.spaces import (
 from transmaps.transitivity import Verdict, box_chain_certify, chain_certified
 
 from test_exact import vertex_lists
-from test_output_arithmetic import extension_chain
+from test_output_arithmetic import box_vertices_per_leg, extension_chain
 from test_spaces import STOCK_SEEDS
 from test_transitivity import (
     COLLINEAR_JUNCTION,
@@ -195,7 +195,7 @@ def reproduces_evaluated(f, chain):
     pieces = f.pieces
     i = 0
     for window, params in chain.boxes:
-        for x, y in box_vertices(window, params):
+        for x, y in box_vertices_per_leg(window, params):
             piece = pieces[i]
             if x > piece.domain.hi or piece.value_at(x) != y:
                 return False
@@ -442,7 +442,7 @@ def test_stale_vertex_merged_away_is_caught():
     # the evaluated rebuild takes the true chain and refuses a valid chain
     # whose junction value is moved
     f = concat_box_maps(list(COLLINEAR_JUNCTION))
-    x, y = box_vertices(*COLLINEAR_JUNCTION[0])[-1]
+    x, y = box_vertices_per_leg(*COLLINEAR_JUNCTION[0])[-1]
     assert x not in f.breakpoints
     (w1, p1), (w2, p2) = COLLINEAR_JUNCTION
     moved = y + Q(1, 64)

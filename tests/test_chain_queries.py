@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmaps import boxmap, transitivity
-from transmaps.boxmap import BoxParams, box_vertices, concat_box_maps
+from transmaps.boxmap import BoxParams, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map
 from transmaps.exact import (
     FULL,
@@ -48,6 +48,7 @@ from transmaps.transitivity import (
     min_breakpoint_gap,
 )
 
+from test_output_arithmetic import box_vertices_per_leg
 from test_transitivity import COLLINEAR_JUNCTION, SIXTEENTHS, valid_chains
 
 
@@ -128,7 +129,7 @@ def special_points(g):
     of f can meet the chain."""
     lattice, edges, legs, tails = [], [], [], []
     for w, p in g._chain.boxes:
-        verts, k = box_vertices(w, p), boxmap._turns(p)[4]
+        verts, k = box_vertices_per_leg(w, p), boxmap._turns(p)[4]
         xs = [x for x, _ in verts]
         edges += [xs[0], xs[-1]]
         lattice += xs[1 : k + 1]
@@ -219,7 +220,7 @@ def head_and_tail(boxes):
     second-to-last vertex strictly below the window's right edge."""
     out = []
     for w, p in boxes:
-        xs = [x for x, _ in box_vertices(w, p)]
+        xs = [x for x, _ in box_vertices_per_leg(w, p)]
         out.append((w, w.width / p.expansion, xs[1], xs[-3]))
     return out
 
@@ -280,7 +281,7 @@ def test_head_and_tail_pairs_cover_every_kind_of_box():
             mf, mg = merged_edges(f), merged_edges(g)
             for (w, p), (_, q) in zip(f._chain.boxes, g._chain.boxes):
                 kp, kq = boxmap._turns(p)[4], boxmap._turns(q)[4]
-                over = [len(box_vertices(w, r)) == k + 3 for r, k in ((p, kp), (q, kq))]
+                over = [len(box_vertices_per_leg(w, r)) == k + 3 for r, k in ((p, kp), (q, kq))]
                 (_, _, _, yf), (_, _, _, yg) = head_and_tail([(w, p), (w, q)])
                 seen.add(("merged", (w.lo in mf) + (w.lo in mg)))
                 seen.add(("parity differs", kp % 2 != kq % 2))
@@ -335,7 +336,7 @@ def test_distance_from_lines_through_every_extremum():
     # unique peak at each kind of place in turn
     for boxes in (COLLINEAR_JUNCTION, box_data(sawtooth(3), Q(1, 3), Q(41, 2)).items()):
         g = concat_box_maps(list(boxes))
-        for x, y in {v for w, p in g._chain.boxes for v in box_vertices(w, p)}:
+        for x, y in {v for w, p in g._chain.boxes for v in box_vertices_per_leg(w, p)}:
             for slope in (Q(-1, 2), Q(-1, 16), ZERO, Q(1, 16), Q(1, 2)):
                 c0 = y - slope * x
                 pts = [(ZERO, c0), (ONE, c0 + slope)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transmaps.boxmap import box_vertices, concat_box_maps
+from transmaps.boxmap import concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map, random_surjective_pl
 from transmaps.errors import DomainError
 from transmaps.exact import (
@@ -36,6 +36,8 @@ from transmaps.spaces import ladder_map, nowhere_dense_perturbation, phase_sawto
 
 def tent() -> CurveMap:
     return pl_from_vertices([(0, 0), (Q(1, 2), 1), (1, 0)])
+
+from test_output_arithmetic import box_vertices_per_leg
 
 
 def square() -> CurveMap:
@@ -404,7 +406,7 @@ def test_concat_box_maps_matches_validated_pieces(t, gamma):
         items = list(box_data(f, t, gamma).items())
         verts = []
         for window, p in items:
-            vs = box_vertices(window, p)
+            vs = box_vertices_per_leg(window, p)
             verts.extend(vs[1:] if verts else vs)
         g = concat_box_maps(items)
         assert g.pieces == pl_from_vertices_oracle(verts).pieces

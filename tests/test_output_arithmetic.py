@@ -1,8 +1,9 @@
 """Box layouts, SVG coordinates and scalar text against the bodies they replaced.
 
-The box layout (``box_values``, ``box_vertices`` and the pieces
-``concat_box_maps`` builds) is integer work over one scaling per box;
-``svg._px``/``_py`` format a coordinate from one integer division;
+The box layout (``box_values``, the vertices ``boxmap._legs`` lays out
+and the pieces ``concat_box_maps`` builds) is integer work over one
+scaling per box; ``svg._px``/``_py`` format a coordinate from one
+integer division;
 ``scalar_str`` prints a rational of the scalar type without copying it.
 The earlier bodies, which computed the sweeps in rationals and walked
 every leg with a division, formatted the float of a rational product and
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transmaps import boxmap, svg
-from transmaps.boxmap import BoxParams, box_values, box_vertices, concat_box_maps
+from transmaps.boxmap import BoxParams, box_values, concat_box_maps
 from transmaps.corpus import random_curve_map
 from transmaps.exact import FULL, Interval, pl_from_vertices
 from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
@@ -75,7 +76,8 @@ def sweeps_deduped(p):
 
 
 def box_vertices_per_leg(window, p):
-    """The earlier ``box_vertices``: one division by the slope per leg."""
+    """The box's vertices as the earlier layout walked them: one division
+    by the slope per leg."""
     values = box_values_deduped(p)
     slope = p.expansion * p.height / window.width
     verts = [(window.lo, values[0])]
@@ -244,8 +246,8 @@ def assert_layout_matches(boxes):
         values, k = sweeps_deduped(p)
         assert box_values(p) == values and boxmap._turns(p)[4] == k
         per_leg = box_vertices_per_leg(w, p)
-        assert box_vertices(w, p) == per_leg
         xs, ys, c0s, slopes = boxmap._legs(w, p)
+        assert list(zip(xs, ys)) == per_leg
         assert slopes[0] == (1 if ys[0] < ys[1] else -1) * p.expansion * p.height / w.width
         assert slopes[1] == -slopes[0]
         assert c0s == [y - s * x for (x, y), s in zip(per_leg[:-1], slopes * len(per_leg))]

@@ -34,6 +34,11 @@ REMOVED = (
     "_stretch_gap",
     "_piece_range",
     "PLMap",
+    "coverage_closure_full",
+    "_window_edges",
+    "_window_runs",
+    "box_vertices",
+    "reach_check",
 )
 
 # exported names the benchmark harness imports

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from transmaps import exact, transitivity
-from transmaps.boxmap import BoxChain, BoxParams, box_vertices, concat_box_maps
+from transmaps.boxmap import BoxChain, BoxParams, concat_box_maps
 from transmaps.corpus import (
     perturb_pl,
     random_curve_map,
@@ -43,17 +43,14 @@ from transmaps.transitivity import (
     _covers,
     _longest_partial_run,
     _order_keys,
-    _window_edges,
-    _window_runs,
+    _sink_coverage,
     box_chain_certify,
     chain_certified,
-    coverage_closure_full,
     invariant_region_refute,
     is_transitive_pipeline,
     leo_certify,
     min_abs_slope,
     min_breakpoint_gap,
-    reach_check,
     reach_image,
 )
 
@@ -132,25 +129,30 @@ class TestVerdict:
         assert Verdict.refuted(identity_map(), w) == Verdict.refuted(identity_map(), w)
 
 
+def reaches(f, u, v, n):
+    """Whether f^n(u) meets v, as the ``reach`` command answers it."""
+    return reach_image(f, u, v, n).intersects_interval(v)
+
+
 class TestReachCheck:
     def test_tent_frozen(self):
         f = tent()
-        assert reach_check(f, iv(0, "1/4"), iv("3/8", "1/2"), 1)
-        assert not reach_check(f, iv(0, "1/4"), iv("3/5", "7/10"), 1)
-        assert reach_check(f, iv(0, "1/4"), iv("3/5", "7/10"), 2)
+        assert reaches(f, iv(0, "1/4"), iv("3/8", "1/2"), 1)
+        assert not reaches(f, iv(0, "1/4"), iv("3/5", "7/10"), 1)
+        assert reaches(f, iv(0, "1/4"), iv("3/5", "7/10"), 2)
 
     def test_identity_never_moves(self):
         f = identity_map()
         for n in (1, 3, 9):
-            assert not reach_check(f, iv(0, "1/4"), iv("1/2", "3/4"), n)
-            assert reach_check(f, iv(0, "1/4"), iv("1/8", "3/8"), n)
+            assert not reaches(f, iv(0, "1/4"), iv("1/2", "3/4"), n)
+            assert reaches(f, iv(0, "1/4"), iv("1/8", "3/8"), n)
 
     def test_guards(self):
         f = tent()
         with pytest.raises(ParameterError):
-            reach_check(f, iv(0, "1/4"), iv("1/2", 1), 0)
+            reaches(f, iv(0, "1/4"), iv("1/2", 1), 0)
         with pytest.raises(ParameterError):
-            reach_check(f, iv("1/4", "1/4"), iv("1/2", 1), 1)
+            reaches(f, iv("1/4", "1/4"), iv("1/2", 1), 1)
 
     def test_fixed_image_stops_iterating(self):
         # f([0, 1/3]) = [0, 1] and f([0, 1]) = [0, 1]: fixed after one step
@@ -194,7 +196,7 @@ class TestReachCheck:
         for _ in range(n):
             x = f.value_at(x)
         if v.contains(x):
-            assert reach_check(f, u, v, n)
+            assert reaches(f, u, v, n)
 
 
 class TestLeoCertify:
@@ -735,7 +737,7 @@ def reference_box_chain_certify(f):
     per_box = []
     all_verts = []
     for window, params in chain.boxes:
-        verts = box_vertices(window, params)
+        verts = box_vertices_per_leg(window, params)
         per_box.append(verts)
         all_verts.extend(verts if not all_verts else verts[1:])
     if not f.is_pl or pl_from_vertices(all_verts).pieces != f.pieces:
@@ -757,7 +759,7 @@ def reference_box_chain_certify(f):
         return Verdict.inconclusive(0)
     windows = [w for w, _ in chain.boxes]
     bands = [Interval(p.bottom, p.top) for _, p in chain.boxes]
-    if not coverage_closure_full(windows, bands):
+    if not per_start_closure(windows, bands):
         return Verdict.inconclusive(0)
     return Verdict.certified()
 
@@ -765,7 +767,7 @@ def reference_box_chain_certify(f):
 def reference_partial_run(boxes):
     run = longest = 0
     for window, params in boxes:
-        verts = box_vertices(window, params)
+        verts = box_vertices_per_leg(window, params)
         for (_, y0), (_, y1) in zip(verts, verts[1:]):
             run = 0 if abs(y1 - y0) == params.height else run + 1
             longest = max(longest, run)
@@ -878,6 +880,18 @@ class TestChainCertificate:
         for w, p in box_data(f, Q(k, 64), Q(gamma)).items():
             assert p.expansion * p.height / w.width >= gamma >= 20
 
+    def test_zero_width_window_is_refused(self):
+        # the chain validation refuses it before the certificate runs, as
+        # the map build does
+        items = [
+            (Interval(ZERO, ZERO), BoxParams(ZERO, Q(1, 2), ZERO, ONE, Q(20))),
+            (FULL, BoxParams(Q(1, 2), Q(1, 2), ZERO, ONE, Q(20))),
+        ]
+        with pytest.raises(ParameterError, match="nondegenerate"):
+            chain_certified(items)
+        with pytest.raises(ParameterError, match="nondegenerate"):
+            concat_box_maps(items)
+
     def test_extension_chains_keep_slopes_of_twenty(self):
         saw3 = sawtooth(3)
         ext = simplex_extend(segment_boundary(saw3, one_minus(saw3)), SimplexSpec(1), 2)
@@ -944,9 +958,31 @@ def kernel_covers(bands):
     return _covers(list(zip(keys[0::2], keys[1::2])), one)
 
 
+def kernel_closure(windows, bands):
+    return _sink_coverage(windows, [(b.lo, b.hi) for b in bands])
+
+
 def kernel_runs(windows, bands):
-    starts, ends = _window_runs(*_window_edges(windows), [(b.lo, b.hi) for b in bands])
-    return list(zip(starts, ends))
+    """Per band, the window run ``_sink_coverage`` computes: what its two
+    bisects return when the band is given to every box."""
+    n, runs = len(windows), []
+    for band in bands:
+        seen = []
+
+        def recording(bisect):
+            def recorded(*args):
+                seen.append(bisect(*args))
+                return seen[-1]
+
+            return recorded
+
+        with mock.patch.object(transitivity, "bisect_left", recording(bisect_left)), mock.patch.object(
+            transitivity, "bisect_right", recording(bisect_right)
+        ):
+            kernel_closure(windows, [band] * n)
+        assert len(seen) == 2 * n
+        runs.append((seen[0], seen[n]))
+    return runs
 
 
 GRID = st.integers(0, 64).map(lambda k: Q(k, 64))
@@ -1048,30 +1084,44 @@ LEAVING_COMPONENT = boxes_at(
 )
 
 
+def wide_chain(seed, n=24, bits=1000):
+    """n boxes whose window cuts have distinct random denominators of
+    ``bits`` bits, junction values on a 1/16 grid, and each band running
+    from the cut at or below its junction values to the cut at or above
+    them, so band ends fall exactly on window edges."""
+    rng = random.Random(seed)
+    cuts = set()
+    while len(cuts) < n - 1:
+        d = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        cuts.add(Q(rng.randrange(1, d), d))
+    xs = [ZERO, *sorted(cuts), ONE]
+    ys = [Q(rng.randint(0, 16), 16) for _ in range(n + 1)]
+    boxes = []
+    for i in range(n):
+        lo, hi = sorted(ys[i : i + 2])
+        lo, hi = xs[min(bisect_right(xs, lo), n) - 1], xs[max(bisect_left(xs, hi), 1)]
+        boxes.append((Interval(xs[i], xs[i + 1]), BoxParams(ys[i], ys[i + 1], lo, hi, Q(20))))
+    return tuple(boxes)
+
+
 class TestCoverageClosure:
     def test_two_sinks_one_covering(self):
         windows, bands = closure_input(TWO_SINKS)
         assert not per_start_closure(windows, bands)
-        assert not coverage_closure_full(windows, bands)
+        assert not kernel_closure(windows, bands)
         assert not chain_certified(TWO_SINKS)
 
     def test_component_that_leaves_need_not_cover(self):
         windows, bands = closure_input(LEAVING_COMPONENT)
         assert per_start_closure(windows, bands)
-        assert coverage_closure_full(windows, bands)
+        assert kernel_closure(windows, bands)
         assert chain_certified(LEAVING_COMPONENT)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ParameterError):
-            coverage_closure_full([FULL], [])
-        with pytest.raises(ParameterError):
-            coverage_closure_full([], [])
 
     @given(windows_and_bands())
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_per_start_search(self, case):
         windows, bands = case
-        assert coverage_closure_full(windows, bands) == per_start_closure(windows, bands)
+        assert kernel_closure(windows, bands) == per_start_closure(windows, bands)
 
     @given(st.integers(0, 10_000), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
@@ -1079,7 +1129,7 @@ class TestCoverageClosure:
         rng = random.Random(seed)
         f = random_curve_map(rng) if seed % 2 else random_pl_map(rng)
         windows, bands = closure_input(box_data(f, Q(k, 64), Q(20)).items())
-        assert coverage_closure_full(windows, bands) == per_start_closure(windows, bands)
+        assert kernel_closure(windows, bands) == per_start_closure(windows, bands)
 
     def test_extension_chains(self):
         saw3 = sawtooth(3)
@@ -1087,17 +1137,8 @@ class TestCoverageClosure:
         for x in (ZERO, ONE):
             for t in (ext.t0, Q(1, 2), ONE):
                 windows, bands = closure_input(ext.evaluate_chain(x, t))
-                assert coverage_closure_full(windows, bands)
+                assert kernel_closure(windows, bands)
                 assert per_start_closure(windows, bands)
-
-    def test_refuses_decreasing_windows(self):
-        with pytest.raises(ParameterError):
-            coverage_closure_full([iv("1/2", 1), iv(0, "1/2")], [FULL, FULL])
-        with pytest.raises(ParameterError):
-            coverage_closure_full([iv(0, 1), iv("1/4", "1/2")], [FULL, FULL])
-        # lows and highs that only repeat still give exact runs
-        assert coverage_closure_full([FULL, FULL], [FULL, FULL])
-        assert not coverage_closure_full([FULL, FULL], [FULL, iv(0, "1/2")])
 
 
 class TestIntegerKernel:
@@ -1150,8 +1191,21 @@ class TestIntegerKernel:
         assert not kernel_covers(gap) and not reference_covers(gap)
         assert not kernel_covers([iv("1/2", 1)])
         # each half's band holds the other's window: one sink, covered
-        assert coverage_closure_full(halves, halves[::-1])
+        assert kernel_closure(halves, halves[::-1])
         assert per_start_closure(halves, halves[::-1])
+
+    def test_windows_of_distinct_thousand_bit_denominators(self):
+        # band ends fall exactly on cuts of distinct 1000-bit
+        # denominators; the keys grow with the longest denominator, not
+        # with the number of distinct ones
+        verdicts = []
+        for seed in range(6):
+            boxes = wide_chain(seed)
+            windows, bands = closure_input(boxes)
+            assert kernel_closure(windows, bands) == per_start_closure(windows, bands)
+            verdicts.append(chain_certified(boxes))
+            assert verdicts[-1] == reference_chain_certified(boxes)
+        assert verdicts == [True, True, True, False, False, False]
 
     @given(valid_chains())
     @settings(max_examples=200, deadline=None)
