@@ -167,8 +167,10 @@ def _reach_document(f: CurveMap, args) -> dict:
             raise ParameterError(f"method 'reach' needs --{name}")
     if args.n is None:
         raise ParameterError("method 'reach' needs --n")
+    if args.n >= 1 and args.v.is_degenerate():  # reach_image refuses n < 1 itself
+        raise ParameterError("need nondegenerate intervals")
     parameters = {"method": "reach", "u": args.u, "v": args.v, "n": args.n}
-    image = reach_image(f, args.u, args.v, args.n)
+    image = reach_image(f, args.u, args.n)
     return reach_to_document(image.intersects_interval(args.v), image, parameters)
 
 

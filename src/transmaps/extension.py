@@ -228,6 +228,12 @@ class ExtensionResult:
         target; band growth is monotone whenever the base bands sit
         inside the hull bands.
 
+        The move is on integers.  With u = (t - t0) / (1 - t0) = a / b,
+        a field r of the base box moves toward the same field s of its
+        target as the one fraction ((b - a) * r.num * s.den + a * s.num *
+        r.den) / (b * r.den * s.den).  At t = t0, u = 0, and the step-t0
+        chain itself comes back.
+
         The boxes above t0 skip ``BoxParams`` validation.  Each is the
         convex combination (1 - u) * base + u * target of two validated
         boxes with the same expansion, and the admissible set is cut out
@@ -242,16 +248,25 @@ class ExtensionResult:
             raise DomainError(f"box chains exist at heights in (0,1], not {t}")
         if t < self.t0:
             return tuple(box_data(self._checked(x), t, MIN_EXPANSION).items())
+        if t == self.t0:
+            return self._base(x)
         u = (t - self.t0) / (ONE - self.t0)
+        a, b = u.numerator, u.denominator
+        c = b - a
+
+        def move(r, s):
+            rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+            return Q(c * rn * sd + a * sn * rd, b * rd * sd)
+
         return tuple(
             (
                 w,
                 _frozen(
                     BoxParams,
-                    left_value=p.left_value + u * (q.left_value - p.left_value),
-                    right_value=p.right_value + u * (q.right_value - p.right_value),
-                    bottom=p.bottom + u * (q.bottom - p.bottom),
-                    top=p.top + u * (q.top - p.top),
+                    left_value=move(p.left_value, q.left_value),
+                    right_value=move(p.right_value, q.right_value),
+                    bottom=move(p.bottom, q.bottom),
+                    top=move(p.top, q.top),
                     expansion=p.expansion,
                 ),
             )

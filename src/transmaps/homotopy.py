@@ -8,10 +8,12 @@ deformation is the identity on maps; for small ``t`` the output tracks
 ``f`` closely because the bands are built from ``f``'s local behaviour.
 The window ranges of a map, and its values at the window edges, come
 from one walk over its pieces with the edges as integers over the
-step's denominator (``exact._partition_ranges``), and ``_window_band``
-alone turns ranges into a band, both for one map (``box_data``) and
-jointly for a family (``FamilyBoxBounds``).  ``uniform_modulus`` reads
-one ``exact.range_on`` per candidate window.
+step's denominator (``exact._partition_ranges``).  ``_band`` alone
+turns ranges into a band, on integers, both for one map (``box_data``)
+and jointly for a family (``FamilyBoxBounds``): each band end is one
+fraction over the denominators of a range end and of alpha, and no
+denominator is shared across windows.  ``uniform_modulus`` reads one
+``exact.range_on`` per candidate window.
 
 The companions quantify that closeness:
 
@@ -33,9 +35,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .boxmap import BoxParams, concat_box_maps
+from .boxmap import MIN_EXPANSION, BoxParams, concat_box_maps
 from .errors import DomainError, ParameterError, PreconditionError
-from .exact import CurveMap, Interval, _MAX_PIECES, _partition_ranges, range_on, sup_distance
+from .exact import (
+    CurveMap,
+    Interval,
+    _MAX_PIECES,
+    _frozen,
+    _partition_ranges,
+    range_on,
+    sup_distance,
+)
 from .rational import ONE, Q, ZERO, as_scalar, largest_dyadic_where
 
 __all__ = [
@@ -109,47 +119,76 @@ class BoxData:
     """Per-window box parameters for one (f, t, gamma) deformation."""
 
     grid: PartitionData
-    alphas: tuple[Q, ...]
     boxes: tuple[BoxParams, ...]
-
-    @property
-    def bands(self) -> tuple[Interval, ...]:
-        return tuple(Interval(b.bottom, b.top) for b in self.boxes)
 
     def items(self) -> list[tuple[Interval, BoxParams]]:
         return list(zip(self.grid.windows, self.boxes))
 
 
-def _window_band(ranges: Sequence[Interval], width: Q) -> tuple[Q, Interval]:
-    """(alpha, band) for one window from the value ranges of one or more
-    maps on it: alpha is the window width or the tallest range, whichever
-    is larger, and the band is the ranges' hull widened by 4*alpha on
-    each side, clipped to [0, 1]."""
-    alpha = max(width, max(r.width for r in ranges))
-    lo = min(r.lo for r in ranges) - 4 * alpha
-    hi = max(r.hi for r in ranges) + 4 * alpha
-    return alpha, Interval(max(ZERO, lo), min(ONE, hi))
+def _band(lo: Q, hi: Q, ranges: Sequence[Interval], w: int, d: int) -> tuple[Q, Q]:
+    """(bottom, top) of the band of a window of width w / d, from the value
+    ranges of one or more maps on it and their hull [lo, hi]: the hull
+    widened by 4 * alpha on each side and clipped to [0, 1], where alpha
+    is the window width or the tallest range, whichever is larger.
+
+    All on integers.  A range [l / ld, h / hd] is (h*ld - l*hd) / (ld*hd)
+    tall, and alpha = an / ad is decided by one cross-multiplication per
+    range, unreduced.  Then each band end is one fraction:
+    (l*ad - 4*an*ld) / (ld*ad) for lo = l / ld and (h*ad + 4*an*hd) /
+    (hd*ad) for hi = h / hd.  With one range and alpha its height they
+    reduce to (5*l*hd - 4*h*ld) / (ld*hd) and (5*h*ld - 4*l*hd) / (ld*hd),
+    and with alpha the width to (l*d - 4*w*ld) / (ld*d) and
+    (h*d + 4*w*hd) / (hd*d).  The clips go by sign: the bottom is 0 when
+    its numerator is at most 0, and the top is 1 when its numerator is
+    at least its denominator.  The denominators are a range end's and
+    alpha's only; a common denominator across windows would be the lcm
+    of one denominator per piece of each map.
+    """
+    an, ad = w, d
+    for r in ranges:
+        l, ld, h, hd = r.lo.numerator, r.lo.denominator, r.hi.numerator, r.hi.denominator
+        n, m = h * ld - l * hd, ld * hd
+        if n * ad > an * m:
+            an, ad = n, m
+    l, ld, h, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    bn, bd = l * ad - 4 * an * ld, ld * ad
+    tn, td = h * ad + 4 * an * hd, hd * ad
+    return Q(bn, bd) if bn > 0 else ZERO, Q(tn, td) if tn < td else ONE
 
 
 def box_data(f: CurveMap, t, gamma) -> BoxData:
+    """The box of every window of step t: f's values at the window's
+    edges, the band ``_band`` builds from f's range on it, and the
+    expansion gamma.
+
+    gamma >= 20 is checked once per call, before any box is built, and
+    the boxes skip ``BoxParams`` validation, since each is admissible by
+    construction.  f's exact range on a window holds f's values at both
+    of its edges, and the band holds the range.  alpha is at least the
+    window width, which is positive, so the band is nondegenerate, and
+    f's values lie in [0, 1], so the clips keep 0 <= bottom < top <= 1.
+    Every field is an exact scalar already.
+    """
     gamma = as_scalar(gamma)
     grid = partition(t)
-    ys, ranges = _partition_ranges(f, *_edges(grid))
-    alphas: list[Q] = []
-    boxes: list[BoxParams] = []
-    for k, w in enumerate(grid.windows):
-        alpha, band = _window_band([ranges[k]], w.width)
-        alphas.append(alpha)
+    if gamma < MIN_EXPANSION:
+        raise ParameterError(f"expansion {gamma} < {MIN_EXPANSION}")
+    edges, d = _edges(grid)
+    ys, ranges = _partition_ranges(f, edges, d)
+    boxes = []
+    for k, r in enumerate(ranges):
+        bottom, top = _band(r.lo, r.hi, (r,), edges[k + 1] - edges[k], d)
         boxes.append(
-            BoxParams(
+            _frozen(
+                BoxParams,
                 left_value=ys[k],
                 right_value=ys[k + 1],
-                bottom=band.lo,
-                top=band.hi,
+                bottom=bottom,
+                top=top,
                 expansion=gamma,
             )
         )
-    return BoxData(grid, tuple(alphas), tuple(boxes))
+    return BoxData(grid, tuple(boxes))
 
 
 def apply_homotopy(f: CurveMap, t, gamma) -> CurveMap:
@@ -266,10 +305,11 @@ class FamilyBoxBounds:
         grid = partition(t)
         edges, d = _edges(grid)
         per_map = [_partition_ranges(f, edges, d)[1] for f in self.maps]
-        return [
-            _window_band(ranges, w.width)[1]
-            for w, ranges in zip(grid.windows, zip(*per_map))
-        ]
+        bands = []
+        for k, ranges in enumerate(zip(*per_map)):
+            lo, hi = min(r.lo for r in ranges), max(r.hi for r in ranges)
+            bands.append(Interval(*_band(lo, hi, ranges, edges[k + 1] - edges[k], d)))
+        return bands
 
 
 def family_box_bounds(maps: Sequence[CurveMap], epsilon) -> FamilyBoxBounds:

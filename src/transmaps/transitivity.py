@@ -142,17 +142,17 @@ def _check_witness(f: CurveMap, c: IntervalSet) -> None:
         raise ParameterError("witness is not invariant")
 
 
-def reach_image(f: CurveMap, u: Interval, v: Interval, n: int) -> IntervalSet:
+def reach_image(f: CurveMap, u: Interval, n: int) -> IntervalSet:
     """The n-th forward image of u, exactly, for the caller to meet with
-    the target v.  Raises ParameterError when n is below 1, when u or v
-    is degenerate, and, at once, when an image endpoint's denominator,
+    a target.  Raises ParameterError when n is below 1, when u is
+    degenerate, and, at once, when an image endpoint's denominator,
     in [0, 1] no shorter than its numerator, has more than
     ``rational._MAX_BITS`` bits: on a curved map the bit count can
     double at every step.  An image equal to the one before it is the
     image at every later step, so the iteration stops there."""
     if n < 1:
         raise ParameterError("need at least one iteration")
-    if u.is_degenerate() or v.is_degenerate():
+    if u.is_degenerate():
         raise ParameterError("need nondegenerate intervals")
     s = IntervalSet((u,))
     for step in range(1, n + 1):

@@ -8,10 +8,15 @@ the legs; the piece-walking bodies are kept here as oracles, and
 ``range_on`` reads the pieces of every map.  A map equal to a chain map but built another
 way, from its pieces or from its document, has no ``_chain``; it keeps
 the piece walk, and the certificate gives it no verdict.
+
+The two routines that produce chains, ``box_data`` and
+``ExtensionResult.evaluate_chain``, work on integers and skip the
+per-box validation; their rational bodies are kept here as oracles too.
 """
 import bisect
 import copy
 import dataclasses
+import functools
 import random
 from unittest import mock
 
@@ -19,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transmaps import boxmap, transitivity
+from transmaps import boxmap, homotopy, transitivity
 from transmaps.boxmap import BoxParams, concat_box_maps
 from transmaps.corpus import random_curve_map, random_pl_map
+from transmaps.errors import DomainError, ParameterError
 from transmaps.exact import (
     FULL,
     CurveMap,
@@ -29,14 +35,21 @@ from transmaps.exact import (
     IntervalSet,
     Piece,
     _frozen,
+    _partition_ranges,
     pl_from_vertices,
     range_on,
     sup_distance,
 )
-from transmaps.homotopy import apply_homotopy, box_data
+from transmaps.extension import SimplexSpec, segment_boundary, simplex_extend
+from transmaps.homotopy import apply_homotopy, box_data, partition
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
-from transmaps.spaces import PerturbationRecord, nowhere_dense_perturbation, sawtooth
+from transmaps.spaces import (
+    PerturbationRecord,
+    identity_map,
+    nowhere_dense_perturbation,
+    sawtooth,
+)
 from transmaps.transitivity import (
     PipelineBudget,
     Verdict,
@@ -378,6 +391,117 @@ def test_range_matches_the_piece_read(chain, seed):
     rng = random.Random(seed)
     for j in query_windows(rng, g):
         assert range_on(g, j) == range_on_pieces(g, j), j
+
+
+# -- chains produced on integers --------------------------------------------------
+
+
+def box_data_rational(f, t, gamma):
+    """The rational ``box_data``: each window's range widened by 4 * alpha
+    in rational arithmetic, alpha = max(width, range height), clipped to
+    [0, 1], and every box validated by ``BoxParams``."""
+    grid = partition(t)
+    ys, ranges = _partition_ranges(f, *homotopy._edges(grid))
+    out = []
+    for k, (w, r) in enumerate(zip(grid.windows, ranges)):
+        alpha = max(w.width, r.width)
+        band = Interval(max(ZERO, r.lo - 4 * alpha), min(ONE, r.hi + 4 * alpha))
+        out.append((w, BoxParams(ys[k], ys[k + 1], band.lo, band.hi, gamma)))
+    return out
+
+
+def assert_admissible(items):
+    """Every box passes the validation its producer skipped, and every
+    field is of the scalar type."""
+    for _, p in items:
+        assert BoxParams(*dataclasses.astuple(p)) == p
+        assert all(type(x) is Q for x in dataclasses.astuple(p))
+
+
+BAND_STEPS = st.sampled_from(
+    [ONE, Q(1, 2), Q(1, 7), Q(3, 7), Q(1, 13), Q(5, 13), Q(1, 81), Q(1, 100), Q(3, 127), Q(1, 256)]
+)
+BAND_GAMMAS = st.sampled_from([Q(20), Q(41, 2), Q(25), Q(83, 2)])
+EDGE_VALUES = st.sampled_from([ZERO, ONE, Q(1, 2), Q(1, 7), Q(6, 7), Q(1, 64), Q(63, 64)])
+
+
+@st.composite
+def band_maps(draw):
+    """Random curved and PL maps, maps whose values touch 0 and 1 (both
+    clips), constants (alpha the width), slope-1 laps (alpha the width
+    and the height at once) and the sawtooth."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["curve", "pl", "edges", "constant", "slope1", "saw"]))
+    if kind == "curve":
+        return random_curve_map(rng)
+    if kind == "pl":
+        return random_pl_map(rng)
+    if kind == "edges":
+        xs = sorted({ZERO, ONE, *(Q(rng.randint(1, 62), 63) for _ in range(rng.randint(1, 5)))})
+        return pl_from_vertices([(x, draw(EDGE_VALUES)) for x in xs])
+    if kind == "constant":
+        # 4/13 and 9/13 put a band end exactly on 0 or 1 at step 1/13
+        c = draw(st.sampled_from([ZERO, ONE, Q(1, 2), Q(4, 13), Q(9, 13)]))
+        return pl_from_vertices([(ZERO, c), (ONE, c)])
+    if kind == "slope1":
+        return pl_from_vertices([(ZERO, Q(1, 2)), (Q(1, 2), ONE), (ONE, Q(1, 2))])
+    return sawtooth(rng.randint(2, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_maps(), BAND_STEPS, BAND_GAMMAS)
+def test_box_data_matches_the_rational_oracle(f, t, gamma):
+    got = box_data(f, t, gamma).items()
+    assert got == box_data_rational(f, t, gamma)
+    assert_admissible(got)
+
+
+def test_box_data_meets_both_clips_and_ties():
+    # at step 1/13 a constant 4/13 puts the bottom exactly on 0 and 9/13
+    # the top exactly on 1; the identity at step 1/7 has alpha both the
+    # width and the height, and its middle band clips at both ends
+    for c, band in ((Q(4, 13), (ZERO, Q(8, 13))), (Q(9, 13), (Q(5, 13), ONE))):
+        f = pl_from_vertices([(ZERO, c), (ONE, c)])
+        items = box_data(f, Q(1, 13), Q(41, 2)).items()
+        assert items == box_data_rational(f, Q(1, 13), Q(41, 2))
+        assert {(p.bottom, p.top) for _, p in items} == {band}
+    items = box_data(identity_map(), Q(1, 7), 20).items()
+    assert items == box_data_rational(identity_map(), Q(1, 7), 20)
+    assert [(p.bottom, p.top) for _, p in items[::3]] == [(ZERO, Q(5, 7)), (ZERO, ONE), (Q(2, 7), ONE)]
+
+
+def test_box_data_refuses_a_low_expansion_once():
+    f = sawtooth(3)
+    with mock.patch.object(homotopy, "_partition_ranges", side_effect=AssertionError):
+        with pytest.raises(ParameterError, match=r"^expansion 39/2 < 20$"):
+            box_data(f, Q(1, 7), Q(39, 2))
+    with pytest.raises(DomainError):  # a bad step is refused before the expansion
+        box_data(f, ZERO, Q(39, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def moved_extension(seed):
+    """A segment extension between a random map and a random map or the
+    sawtooth; a loose epsilon keeps t0 coarse and each chain short."""
+    rng = random.Random(seed)
+    f0 = random_curve_map(rng) if seed % 2 else random_pl_map(rng)
+    f1 = sawtooth(3) if seed % 3 else random_pl_map(rng)
+    return simplex_extend(segment_boundary(f0, f1), SimplexSpec(1), Q(4)), (f0, f1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([ZERO, ONE]), st.integers(0, 7))
+def test_moved_chains_match_the_mix(seed, x, k):
+    ext, maps = moved_extension(seed)
+    t0 = ext.t0
+    t = t0 + (ONE - t0) * Q(k, 7)
+    base = box_data(maps[int(x)], t0, 20).items()
+    got = ext.evaluate_chain(x, t)
+    targets = list(zip(ext.windows, ext._targets))
+    assert list(got) == mix(base, targets, (t - t0) / (ONE - t0))
+    assert_admissible(got)
+    if k == 0:
+        assert list(got) == base and got is ext.evaluate_chain(x, t0)
 
 
 # -- the trust rule --------------------------------------------------------------

@@ -260,6 +260,25 @@ def test_certify_reach(capsys, tmp_path):
     assert code == 1 and "--u" in err
 
 
+@pytest.mark.parametrize(
+    "u, v, n, message",
+    [
+        ("0,1/8", "1/2,1/2", "2", "need nondegenerate intervals"),
+        ("1/8,1/8", "1/2,1", "2", "need nondegenerate intervals"),
+        ("0,1/8", "1/2,1/2", "0", "need at least one iteration"),
+        ("1/8,1/8", "1/2,1/2", "-1", "need at least one iteration"),
+    ],
+)
+def test_reach_refuses_degenerate_intervals_after_the_count(capsys, tmp_path, u, v, n, message):
+    # the image does not depend on v, so the command refuses a degenerate
+    # v itself, and a count below 1 still comes first
+    path = write_map(tmp_path, sawtooth(3), "saw3.json")
+    code, out, err = run_cli(
+        capsys, "certify", "--map", path, "--method", "reach", "--u", u, "--v", v, "--n", n,
+    )
+    assert (code, out, err) == (1, "", f"transmaps: error: {message}\n")
+
+
 def test_reach_is_not_a_verdict(capsys, tmp_path):
     # sawtooth(3) is transitive, and f([0, 1/100]) = [0, 3/100] is not
     # invariant, so "refuted" with that witness would be false

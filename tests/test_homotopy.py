@@ -170,9 +170,10 @@ def test_box_data_matches_window_sweep(seed):
     f = random_curve_map(rng)
     grid = partition(Q(rng.randint(1, 16), rng.choice((16, 48, 64))))
     data = box_data(f, grid.t, 20)
-    want = reference_bands([f], grid)
-    assert data.alphas == tuple(alpha for alpha, _ in want)
-    assert data.bands == tuple(band for _, band in want)
+    assert box_bands(data) == [band for _, band in reference_bands([f], grid)]
+    assert [(b.left_value, b.right_value) for b in data.boxes] == [
+        (evaluate(f, w.lo), evaluate(f, w.hi)) for w in grid.windows
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,16 +188,23 @@ def test_family_bands_match_window_sweep(seed):
     assert bands == [band for _, band in reference_bands(maps, grid)]
 
 
+def box_bands(data):
+    return [Interval(b.bottom, b.top) for b in data.boxes]
+
+
 class TestBoxData:
     def test_identity_full_step(self):
         data = box_data(identity(), 1, 20)
-        assert data.alphas == (ONE,)
+        assert reference_bands([identity()], data.grid) == [(ONE, FULL)]
+        assert box_bands(data) == [FULL]
         b = data.boxes[0]
         assert (b.left_value, b.right_value, b.bottom, b.top) == (ZERO, ONE, ZERO, ONE)
 
     def test_constant_half_step(self):
         data = box_data(constant(Q(1, 2)), Q(1, 2), 20)
-        assert data.alphas == (Q(1, 2), Q(1, 2))
+        want = reference_bands([constant(Q(1, 2))], data.grid)
+        assert [alpha for alpha, _ in want] == [Q(1, 2), Q(1, 2)]
+        assert box_bands(data) == [band for _, band in want]
         for b in data.boxes:
             assert (b.left_value, b.right_value, b.bottom, b.top) == (
                 Q(1, 2),
@@ -243,8 +251,8 @@ def test_window_fits_inside_band(seed):
     t = Q(rng.randint(1, 16), 16)
     gamma = Q(rng.choice([20, 25, 100]))
     data = box_data(f, t, gamma)
-    for w, band in zip(data.grid.windows, data.bands):
-        assert w.width <= band.width
+    for w, b in data.items():
+        assert w.width <= b.height
 
 
 @settings(max_examples=25, deadline=None)

@@ -131,7 +131,7 @@ class TestVerdict:
 
 def reaches(f, u, v, n):
     """Whether f^n(u) meets v, as the ``reach`` command answers it."""
-    return reach_image(f, u, v, n).intersects_interval(v)
+    return reach_image(f, u, n).intersects_interval(v)
 
 
 class TestReachCheck:
@@ -158,7 +158,7 @@ class TestReachCheck:
         # f([0, 1/3]) = [0, 1] and f([0, 1]) = [0, 1]: fixed after one step
         calls = mock.Mock(wraps=transitivity.image_set)
         with mock.patch.object(transitivity, "image_set", calls):
-            image = reach_image(saw(3), iv(0, "1/3"), iv("1/2", 1), 1000)
+            image = reach_image(saw(3), iv(0, "1/3"), 1000)
         assert image == FULL_SET
         assert calls.call_count <= 3
 
@@ -166,12 +166,12 @@ class TestReachCheck:
         # the square map doubles an endpoint's bit count at every step:
         # 8,193 bits at n = 12, 16,385 at n = 13
         u, v = iv("1/4", "1/2"), iv("3/4", 1)
-        image = reach_image(square_map(), u, v, 12)
+        image = reach_image(square_map(), u, 12)
         assert max(int(c.lo.denominator).bit_length() for c in image.components) == 8193
         calls = mock.Mock(wraps=transitivity.image_set)
         with mock.patch.object(transitivity, "image_set", calls):
             with pytest.raises(ParameterError, match="image 13 .* above the cap"):
-                reach_image(square_map(), u, v, 30)
+                reach_image(square_map(), u, 30)
         assert calls.call_count == 13
 
     @given(st.integers(0, 10_000), st.integers(1, 6))
@@ -183,7 +183,7 @@ class TestReachCheck:
         s = IntervalSet((u,))
         for _ in range(n):
             s = image_set(f, s)
-        assert reach_image(f, u, iv("1/2", "5/8"), n) == s
+        assert reach_image(f, u, n) == s
 
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
