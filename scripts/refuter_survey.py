@@ -52,7 +52,7 @@ def main() -> int:
         start = time.monotonic()
         verdict, settled = None, None
         for level in range(1, args.max_level + 1):
-            budget = PipelineBudget(refute_levels=tuple(range(1, level + 1)))
+            budget = PipelineBudget(refute_max_level=level)
             verdict = is_transitive_pipeline(f, budget)
             if verdict.status != "inconclusive":
                 settled = level

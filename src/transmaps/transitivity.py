@@ -33,11 +33,11 @@ Three certificate/refuter mechanisms plus a combining pipeline:
 The grid stages read f through ``_cell_ranges``: one walk over f's
 pieces, with the grid points as integers over 2^level, gives f at every
 grid point and its exact range on every dyadic cell
-(``exact._partition_ranges``).  ``is_transitive_pipeline`` reads f once
-for all of them, at its finest refute level, and derives each coarser
-grid by pairing sibling cells (``_coarsen``): every other point and
-value, and the hull of the two ranges, which is exact because two
-adjacent closed cells share an endpoint.  The rest is integer and set
+(``exact._partition_ranges``).  ``is_transitive_pipeline`` reads f once,
+at its budget's depth L, and derives each of levels L - 1 .. 1 by pairing
+sibling cells (``_coarsen``): every other point and value, and the hull
+of the two ranges, which is exact because two adjacent closed cells
+share an endpoint.  The rest is integer and set
 work that reproduces the exact queries it replaces.  The range of a
 union of adjacent closed cells is the hull of their ranges, so
 ``ball_refute`` keeps a running hull.  Rounding a union outward to the
@@ -259,11 +259,19 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     if floor <= 2:
         raise PreconditionError(f"slope floor {floor} is not > 2")
     gap = min_breakpoint_gap(f)
-    if Q(2, 1 << grid_level) > gap:
+    if grid_level < _leo_level(gap):
         raise PreconditionError(
             f"grid too coarse: need 2^(1-level) <= {gap}, level {grid_level}"
         )
     return _leo_on_grid(f, _cell_ranges(f, grid_level)[1], n_max)
+
+
+def _leo_level(gap: Q) -> int:
+    """The grid certificate's level rule: the least level with
+    2^(1 - level) <= gap = p / q, two cells to the narrowest lap, so the
+    least with 2^level >= ceil(2q / p); at least 1, as gap <= 1."""
+    p, q = int(gap.numerator), int(gap.denominator)
+    return (-(-2 * q // p) - 1).bit_length()
 
 
 def _leo_on_grid(f: CurveMap, ranges: list[Interval], n_max: int) -> Verdict:
@@ -723,14 +731,15 @@ def _sink_coverage(windows: Sequence[Interval], bands: Sequence[tuple[Q, Q]]) ->
 
 @dataclass(frozen=True)
 class PipelineBudget:
-    """The pipeline's search budget: the invariant-region grid levels
-    tried and the growth steps each may take, and the finest grid level
-    and the iteration count of the grid certificate.  A level or a count
-    below 1, and a grid level above ``_MAX_GRID_LEVEL``, raise
+    """The pipeline's search budget: the depth L of the invariant-region
+    search, which tries every grid level 1 .. L (none when L is 0), and
+    the growth steps each level may take; the finest grid level and the
+    iteration count of the grid certificate.  A depth below 0, a level or
+    a count below 1, and a grid level above ``_MAX_GRID_LEVEL`` raise
     ParameterError when the budget is built, before any stage runs on
     it, so whether a budget is admissible does not depend on the map."""
 
-    refute_levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+    refute_max_level: int = 6
     refute_steps: int = 200
     leo_max_level: int = 12
     leo_steps: int = 400
@@ -739,11 +748,14 @@ class PipelineBudget:
         for name in ("refute_steps", "leo_max_level", "leo_steps"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} {getattr(self, name)} is below 1")
-        for level in self.refute_levels:
-            if level < 1:
-                raise ParameterError(f"refute level {level} is below 1")
-        for level in (*self.refute_levels, self.leo_max_level):
-            _check_grid_level(level)
+        if self.refute_max_level < 0:
+            raise ParameterError(f"refute_max_level {self.refute_max_level} is below 0")
+        _check_grid_level(max(self.refute_max_level, self.leo_max_level))
+
+    @property
+    def refute_levels(self) -> tuple[int, ...]:
+        """The invariant-region grid levels, 1 .. refute_max_level."""
+        return tuple(range(1, self.refute_max_level + 1))
 
 
 def _non_surjective_witness(f: CurveMap) -> Optional[IntervalSet]:
@@ -774,13 +786,14 @@ def is_transitive_pipeline(
     record certificate goes first because it answers a chain map without
     reading its range, and a map without a chain at once.
 
-    The grid stages share one read of f: the grid at the finest refute
-    level comes from ``_cell_ranges``, and each coarser level from the
-    one above it by ``_coarsen``, exactly.  The grid certificate runs on
-    that grid when its level is at most the finest refute level, and
-    reads its own grid otherwise.  So no grid finer than the finest
-    level of the budget's stages is read, though a map that a coarser
-    level refutes has been read at the finest refute level.
+    The grid stages share one read of f: the grid at the budget's depth
+    L comes from ``_cell_ranges``, levels L - 1 .. 1 from it by
+    ``_coarsen``, exactly, and the search tries levels 1 .. L.  The grid
+    certificate runs at ``_leo_level`` on that list when the level is at
+    most L, and reads its own grid otherwise.  A map that a coarser level
+    refutes has been read at level L.  A depth-L budget decides whenever
+    one trying any levels up to L would: it tries each on the same exact
+    grid, and certified and refuted exclude each other.
     """
     verdict = box_chain_certify(f)
     if verdict.is_certified:
@@ -790,32 +803,19 @@ def is_transitive_pipeline(
     if witness is not None:
         return Verdict.refuted(f, witness)
 
-    top = max(budget.refute_levels, default=0)
-    # ladder[i] is the grid at level top - i
-    ladder = [_cell_ranges(f, top)] if top else []
-    for level in budget.refute_levels:
-        verdict = _refute_on_grid(f, *_ladder_grid(ladder, top - level), budget.refute_steps)
+    top = budget.refute_max_level
+    grids = [_cell_ranges(f, top)] if top else []
+    while len(grids) < top:
+        grids.insert(0, _coarsen(*grids[0]))
+    # grids[level - 1] is the grid at that level
+    for ys, ranges in grids:
+        verdict = _refute_on_grid(f, ys, ranges, budget.refute_steps)
         if verdict.is_refuted:
             return verdict
 
     if f.is_pl and min_abs_slope(f) > 2:
-        gap = min_breakpoint_gap(f)
-        level = 1
-        while Q(2, 1 << level) > gap:
-            level += 1
+        level = _leo_level(min_breakpoint_gap(f))
         if level <= budget.leo_max_level:
-            if level <= top:
-                ranges = _ladder_grid(ladder, top - level)[1]
-            else:
-                ranges = _cell_ranges(f, level)[1]
+            ranges = grids[level - 1][1] if level <= top else _cell_ranges(f, level)[1]
             return _leo_on_grid(f, ranges, budget.leo_steps)
     return Verdict.inconclusive(budget.refute_steps)
-
-
-def _ladder_grid(ladder: list, depth: int) -> tuple[list[Q], list[Interval]]:
-    """The grid ``depth`` levels coarser than ``ladder[0]``, coarsening
-    the last grid of ``ladder`` and keeping each new one until it is
-    there."""
-    while len(ladder) <= depth:
-        ladder.append(_coarsen(*ladder[-1]))
-    return ladder[depth]

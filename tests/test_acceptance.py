@@ -352,7 +352,7 @@ def test_criterion_10_nowhere_dense_perturbations(report):
         rec = h.provenance
         ok = ok and sup_distance(g, h) < eps
         ok = ok and is_surjective(h)
-        budget = PipelineBudget(refute_levels=tuple(range(1, rec.refute_level + 1)))
+        budget = PipelineBudget(refute_max_level=rec.refute_level)
         ok = ok and is_transitive_pipeline(h, budget).is_refuted
         if rec.ball_window is not None:
             # the recorded slack is the raw gap between the window's image

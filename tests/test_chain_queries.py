@@ -559,9 +559,10 @@ def test_only_a_perturbation_carries_a_record():
 # -- the pipeline asks the chain before the range ------------------------------
 
 
-def reference_pipeline(f, budget=PipelineBudget()):
+def reference_pipeline(f, budget=PipelineBudget(), levels=None):
     """The pipeline in its earlier order, by public calls: surjectivity
-    first, then the chain certificate, the refute levels and leo."""
+    first, then the chain certificate, the refute levels and leo.  The
+    refute levels are ``levels``, in the order given, or the budget's."""
     r = range_on(f, FULL)
     if r != FULL:
         if r.is_degenerate():
@@ -570,7 +571,7 @@ def reference_pipeline(f, budget=PipelineBudget()):
     verdict = box_chain_certify(f)
     if verdict.is_certified:
         return verdict
-    for level in budget.refute_levels:
+    for level in budget.refute_levels if levels is None else levels:
         verdict = invariant_region_refute(f, level, budget.refute_steps)
         if verdict.is_refuted:
             return verdict

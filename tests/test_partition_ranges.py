@@ -296,12 +296,12 @@ def test_coarsened_grid_is_the_grid_one_level_coarser(f, level):
 
 @st.composite
 def pipeline_budgets(draw):
-    """Budgets whose refute levels are unsorted, repeated or sparse, and
-    whose grid-certificate level is below, at or above the finest one."""
-    levels = tuple(draw(st.lists(st.integers(1, 7), max_size=4)))
+    """Budgets of every refute depth 0 .. 7, whose grid-certificate level
+    is below, at or above the finest refute level."""
+    depth = draw(st.integers(0, 7))
     leo = draw(st.integers(1, 12))
     steps = draw(st.sampled_from((1, 3, 40, 200)))
-    return PipelineBudget(refute_levels=levels, refute_steps=steps, leo_max_level=leo, leo_steps=400)
+    return PipelineBudget(refute_max_level=depth, refute_steps=steps, leo_max_level=leo, leo_steps=400)
 
 
 @st.composite
@@ -319,12 +319,12 @@ def non_chain_maps(draw):
 
 
 PIPELINE_BUDGETS = (
-    PipelineBudget(refute_levels=(3, 1)),
-    PipelineBudget(refute_levels=(6,)),
-    PipelineBudget(refute_levels=(2, 2, 5)),
-    PipelineBudget(refute_levels=(2, 2, 5), leo_max_level=3),
-    PipelineBudget(refute_levels=(7, 4, 7), leo_max_level=9),
-    PipelineBudget(refute_levels=(), leo_max_level=9),
+    PipelineBudget(refute_max_level=3),
+    PipelineBudget(refute_max_level=6),
+    PipelineBudget(refute_max_level=5),
+    PipelineBudget(refute_max_level=5, leo_max_level=3),
+    PipelineBudget(refute_max_level=7, leo_max_level=9),
+    PipelineBudget(refute_max_level=0, leo_max_level=9),
 )
 
 
@@ -332,11 +332,11 @@ PIPELINE_BUDGETS = (
 # examples run it on a grid coarsened from the finest refute level (below
 # it and at it) and on a grid of its own (above it)
 @given(non_chain_maps(), st.one_of(st.sampled_from(PIPELINE_BUDGETS), pipeline_budgets()))
-@example(sawtooth(3), PipelineBudget(refute_levels=(6,)))
-@example(sawtooth(3), PipelineBudget(refute_levels=(3, 1)))
-@example(ladder_map(5), PipelineBudget(refute_levels=(3, 1)))
-@example(ladder_map(5), PipelineBudget(refute_levels=(7, 4, 7), leo_max_level=9))
-@example(square_map(), PipelineBudget(refute_levels=(2, 2, 5)))
+@example(sawtooth(3), PipelineBudget(refute_max_level=6))
+@example(sawtooth(3), PipelineBudget(refute_max_level=3))
+@example(ladder_map(5), PipelineBudget(refute_max_level=3))
+@example(ladder_map(5), PipelineBudget(refute_max_level=7, leo_max_level=9))
+@example(square_map(), PipelineBudget(refute_max_level=5))
 @settings(max_examples=80, deadline=None)
 def test_pipeline_matches_its_stages_called_one_by_one(f, budget):
     assert f._chain is None
@@ -348,16 +348,43 @@ def test_pipeline_matches_its_stages_called_one_by_one(f, budget):
 @pytest.mark.parametrize("budget", PIPELINE_BUDGETS)
 def test_the_pipeline_reads_one_grid(budget, monkeypatch):
     # no refute level refutes ladder_map(5), and leo certifies it on the
-    # grid at level 6: the refute stages and leo read f once between them
-    # when 6 is at most the finest refute level, and leo reads its own
-    # grid otherwise
-    reads = []
-    read = transitivity._cell_ranges
+    # grid at level 6: the refute stages and leo read f once between them,
+    # at the depth, when 6 is at most the depth, and leo reads its own
+    # grid otherwise; either way leo runs on the 2^6 cells of level 6
+    reads, leo_cells = [], []
+    read, leo_on_grid = transitivity._cell_ranges, transitivity._leo_on_grid
     monkeypatch.setattr(
         transitivity, "_cell_ranges", lambda f, level: reads.append(level) or read(f, level)
     )
+    monkeypatch.setattr(
+        transitivity,
+        "_leo_on_grid",
+        lambda f, ranges, n: leo_cells.append(len(ranges)) or leo_on_grid(f, ranges, n),
+    )
     verdict = is_transitive_pipeline(ladder_map(5), budget)
-    top = max(budget.refute_levels, default=0)
+    top = budget.refute_max_level
     leo = 6 <= budget.leo_max_level
     assert verdict.is_certified == leo
     assert reads == [top] * bool(top) + [6] * (leo and 6 > top)
+    assert leo_cells == [64] * leo
+
+
+@given(
+    non_chain_maps(),
+    st.lists(st.integers(1, 7), unique=True, max_size=7),
+    st.sampled_from((1, 3, 40, 200)),
+    st.integers(1, 12),
+)
+@example(identity_map(), [7, 1], 200, 12)
+@example(ladder_map(5), [3], 200, 6)
+@settings(max_examples=40, deadline=None)
+def test_a_depth_decides_whatever_its_level_sets_decide(f, levels, steps, leo):
+    # a depth-L budget tries every level of any set S with max(S) = L on
+    # the same exact grid, and certified and refuted exclude each other,
+    # so it decides whenever the stages over S, in S's order, decide
+    depth = max(levels, default=0)
+    budget = PipelineBudget(refute_max_level=depth, refute_steps=steps, leo_max_level=leo)
+    got = is_transitive_pipeline(f, budget)
+    want = reference_pipeline(f, budget, levels)
+    if want.status != "inconclusive":
+        assert got.status == want.status

@@ -11,6 +11,7 @@ import pytest
 
 import transmaps
 from transmaps.extension import ExtensionResult
+from transmaps.transitivity import PipelineBudget
 
 # importing __main__ would run the command line
 MODULES = sorted(
@@ -39,6 +40,7 @@ REMOVED = (
     "_window_runs",
     "box_vertices",
     "reach_check",
+    "_ladder_grid",
 )
 
 # exported names the benchmark harness imports
@@ -86,3 +88,10 @@ def test_extension_result_keeps_no_hand_reuse_api():
     # first use, so neither the split nor the stored targets come back
     for name in ("base_items", "lerp_items", "target_boxes", "apex_map"):
         assert not hasattr(ExtensionResult, name)
+
+
+def test_the_default_budget_the_benchmark_harness_reads():
+    # the harness runs the pipeline's stages one by one from these fields
+    budget = PipelineBudget()
+    assert budget.refute_levels == (1, 2, 3, 4, 5, 6)
+    assert (budget.refute_steps, budget.leo_max_level, budget.leo_steps) == (200, 12, 400)

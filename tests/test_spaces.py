@@ -202,7 +202,7 @@ def reference_perturbation(g, epsilon):
                 int(core.hi.denominator).bit_length() - 1,
             )
             if dist < epsilon and is_surjective(h) and level >= 1:
-                verdict = is_transitive_pipeline(h, PipelineBudget(refute_levels=(level,)))
+                verdict = invariant_region_refute(h, level, PipelineBudget().refute_steps)
                 if verdict.is_refuted:
                     bw, br, bs = _reference_ball(h, core, delta)
                     record = PerturbationRecord(

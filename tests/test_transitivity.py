@@ -672,6 +672,20 @@ class TestGridEdgeCases:
         assert leo_certify(f, level, PipelineBudget().leo_steps).is_certified
         assert len(iterated) <= 8
 
+    @given(st.integers(1, 10**12), st.integers(0, 10**12))
+    @example(1, 24)
+    @example(1, 0)
+    @example(2**40, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_leo_level_is_the_least_fitting_level(self, p, extra):
+        # the least level with 2^(1 - level) <= gap, as a loop would find
+        # it; ladder_map(5)'s gap 1/25 gives 6
+        gap = Q(p, p + extra)
+        level = transitivity._leo_level(gap)
+        assert type(level) is int and level >= 1
+        assert Q(2, 1 << level) <= gap
+        assert level == 1 or Q(2, 1 << (level - 1)) > gap
+
     def test_leo_partly_covered_cell_gives_no_depth(self):
         # a wrong depth from a cell an image only partly covers certifies
         # this map at level 5 with budget 4
@@ -1265,20 +1279,29 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             PipelineBudget(**{field: value})
 
-    @pytest.mark.parametrize("levels", [(0,), (1, 2, -1)])
+    @pytest.mark.parametrize("levels", [-1, -3])
     def test_budget_levels_below_one_refused(self, levels):
-        with pytest.raises(ParameterError):
-            PipelineBudget(refute_levels=levels)
+        # a depth below 0 is refused; depth 0 tries no refute level
+        with pytest.raises(ParameterError, match="below 0"):
+            PipelineBudget(refute_max_level=levels)
+        assert PipelineBudget(refute_max_level=0).refute_levels == ()
 
     @pytest.mark.parametrize(
-        "fields", [{"refute_levels": (1, 25)}, {"refute_levels": (21,)}, {"leo_max_level": 40}]
+        "fields", [{"refute_max_level": 25}, {"refute_max_level": 21}, {"leo_max_level": 40}]
     )
     def test_budget_levels_above_the_cap_refused(self, fields):
-        # (1, 25) used to refute the identity at level 1 and raise on
+        # a depth of 25 used to refute the identity at level 1 and raise on
         # ladder_map(5) at level 25: the budget is now refused for every map
         with pytest.raises(ParameterError, match="above the cap 20"):
             PipelineBudget(**fields)
-        assert PipelineBudget(refute_levels=(1, 20), leo_max_level=20).refute_levels == (1, 20)
+        budget = PipelineBudget(refute_max_level=20, leo_max_level=20)
+        assert budget.refute_levels == tuple(range(1, 21))
+
+    def test_budget_takes_a_depth_not_a_level_set(self):
+        # the levels are 1 .. refute_max_level, read-only
+        with pytest.raises(TypeError):
+            PipelineBudget(refute_levels=(1, 16))
+        assert PipelineBudget().refute_levels == (1, 2, 3, 4, 5, 6)
 
     def test_budgets_that_used_to_pass(self):
         # the first certified a chain map and crashed on the square map; the
@@ -1286,13 +1309,13 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             PipelineBudget(refute_steps=0, leo_steps=0)
         with pytest.raises(ParameterError):
-            PipelineBudget(refute_levels=(), refute_steps=-3)
-        least = PipelineBudget(refute_levels=(), refute_steps=1, leo_max_level=1, leo_steps=1)
+            PipelineBudget(refute_max_level=0, refute_steps=-3)
+        least = PipelineBudget(refute_max_level=0, refute_steps=1, leo_max_level=1, leo_steps=1)
         assert is_transitive_pipeline(square_map(), least).status == "inconclusive"
         assert is_transitive_pipeline(constant_half(), least).is_refuted
 
     def test_deterministic(self):
-        budget = PipelineBudget(refute_levels=(1, 2), refute_steps=40)
+        budget = PipelineBudget(refute_max_level=2, refute_steps=40)
         rng = random.Random(5)
         f = random_surjective_pl(rng)
         assert is_transitive_pipeline(f, budget) == is_transitive_pipeline(f, budget)
@@ -1302,7 +1325,7 @@ class TestPipeline:
     def test_soundness_on_corpus(self, seed):
         rng = random.Random(seed)
         f = random_surjective_pl(rng)
-        budget = PipelineBudget(refute_levels=(1, 2, 3), refute_steps=60, leo_steps=60)
+        budget = PipelineBudget(refute_max_level=3, refute_steps=60, leo_steps=60)
         v = is_transitive_pipeline(f, budget)
         if v.is_refuted:
             c = v.witness
