@@ -1279,7 +1279,7 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             PipelineBudget(**{field: value})
 
-    @pytest.mark.parametrize("levels", [-1, -3])
+    @pytest.mark.parametrize("levels", [-1, -3], ids=["levels0", "levels1"])
     def test_budget_levels_below_one_refused(self, levels):
         # a depth below 0 is refused; depth 0 tries no refute level
         with pytest.raises(ParameterError, match="below 0"):
