@@ -339,7 +339,7 @@ def simplex_extend(phi: BoundaryMap, simplex: SimplexSpec, epsilon) -> Extension
     t0 = bounds.t0
     hull = tuple(bounds.all_bands(t0))
     assert max(h.width for h in hull) < d_hat + beta
-    return ExtensionResult(
+    result = ExtensionResult(
         boundary=phi,
         simplex=simplex,
         epsilon=epsilon,
@@ -350,6 +350,10 @@ def simplex_extend(phi: BoundaryMap, simplex: SimplexSpec, epsilon) -> Extension
         hull_bands=hull,
         junction_targets=_junction_targets(hull),
     )
+    # t0 and every probe map's oscillation over width t0 are below beta / 9,
+    # the audit's own test, so the probe maps are audited already
+    result._audited.update(zip(phi.probes, phi.probe_maps))
+    return result
 
 
 # -- finite complexes ---------------------------------------------------------

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .boxmap import BoxChain, BoxParams, box_values
 from .errors import ParameterError, PreconditionError
@@ -180,13 +180,31 @@ def min_breakpoint_gap(f: CurveMap) -> Q:
 _MAX_GRID_LEVEL = _MAX_PIECES.bit_length() - 1  # finer grids hold more cells
 
 
+def _check_int(value, name: str) -> None:
+    """Refuse a level or count that is not an int; a bool is refused too,
+    so True does not run as 1, and a fractional count cannot outlast every
+    integer step."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} {value!r} is not an int")
+
+
 def _check_grid_level(grid_level: int) -> None:
-    """Refuse a grid level outside 1.._MAX_GRID_LEVEL; every grid stage
-    calls this before it computes anything with the level."""
+    """Refuse a grid level that is not an int or lies outside
+    1.._MAX_GRID_LEVEL; every grid stage calls this before it computes
+    anything with the level."""
+    _check_int(grid_level, "grid level")
     if grid_level < 1:
         raise ParameterError("grid level must be positive")
     if grid_level > _MAX_GRID_LEVEL:
         raise ParameterError(f"grid level {grid_level} above the cap {_MAX_GRID_LEVEL}")
+
+
+def _check_steps(n_max: int) -> None:
+    """Refuse an iteration budget that is not a positive int; the grid
+    stages call this before they read any grid."""
+    _check_int(n_max, "iteration budget")
+    if n_max < 1:
+        raise ParameterError("need a positive iteration budget")
 
 
 def _cell_ranges(f: CurveMap, grid_level: int) -> tuple[list[Q], list[Interval]]:
@@ -251,8 +269,7 @@ def leo_certify(f: CurveMap, grid_level: int, n_max: int) -> Verdict:
     verdict is the one full iteration of every cell gives.
     """
     _check_grid_level(grid_level)
-    if n_max < 1:
-        raise ParameterError("need a positive iteration budget")
+    _check_steps(n_max)
     if not f.is_pl:
         raise PreconditionError("certificate requires a piecewise-linear map")
     floor = min_abs_slope(f)
@@ -381,8 +398,7 @@ def invariant_region_refute(f: CurveMap, grid_level: int, n_max: int) -> Verdict
     isolated point.
     """
     _check_grid_level(grid_level)
-    if n_max < 1:
-        raise ParameterError("need a positive iteration budget")
+    _check_steps(n_max)
     return _refute_on_grid(f, *_cell_ranges(f, grid_level), n_max)
 
 
@@ -731,26 +747,24 @@ def _sink_coverage(windows: Sequence[Interval], bands: Sequence[tuple[Q, Q]]) ->
 
 @dataclass(frozen=True)
 class PipelineBudget:
-    """The pipeline's search budget: the depth L of the invariant-region
-    search, which tries every grid level 1 .. L (none when L is 0), and
-    the growth steps each level may take; the finest grid level and the
-    iteration count of the grid certificate.  A depth below 0, a level or
-    a count below 1, and a grid level above ``_MAX_GRID_LEVEL`` raise
-    ParameterError when the budget is built, before any stage runs on
-    it, so whether a budget is admissible does not depend on the map."""
+    """The pipeline's search budget, one depth L: the invariant-region
+    search tries every grid level 1 .. L (none when L is 0).  The growth
+    steps per refute level, the grid certificate's finest level and its
+    iteration count are fixed; a caller who wants others calls the stage
+    itself.  A depth that is not an int in 0 .. ``_MAX_GRID_LEVEL`` raises
+    ParameterError when the budget is built, for every map alike."""
 
     refute_max_level: int = 6
-    refute_steps: int = 200
-    leo_max_level: int = 12
-    leo_steps: int = 400
+    refute_steps: ClassVar[int] = 200
+    leo_max_level: ClassVar[int] = 12
+    leo_steps: ClassVar[int] = 400
 
     def __post_init__(self):
-        for name in ("refute_steps", "leo_max_level", "leo_steps"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} {getattr(self, name)} is below 1")
+        _check_int(self.refute_max_level, "refute_max_level")
         if self.refute_max_level < 0:
             raise ParameterError(f"refute_max_level {self.refute_max_level} is below 0")
-        _check_grid_level(max(self.refute_max_level, self.leo_max_level))
+        if self.refute_max_level:
+            _check_grid_level(self.refute_max_level)
 
     @property
     def refute_levels(self) -> tuple[int, ...]:
@@ -776,9 +790,12 @@ def is_transitive_pipeline(
     """Combine the certificates and refuters soundly.
 
     Order: the construction-record certificate, non-surjectivity
-    (instant refutation), invariant-region search at escalating grid
-    levels, then the grid certificate for steep piecewise-linear maps
-    whose lap widths admit an affordable grid.  Certified and Refuted
+    (instant refutation), invariant-region search at grid levels 1 .. L
+    for the budget's depth L, ``refute_steps`` growth steps each, then
+    the grid certificate, with ``leo_steps`` iterations, for steep
+    piecewise-linear maps whose narrowest lap admits a grid level of at
+    most ``leo_max_level``.  A map none of them decides is inconclusive
+    with budget ``refute_steps``.  Certified and Refuted
     cannot both occur: certificates prove every open region spreads
     everywhere, refuters exhibit a region that never leaves itself.  A
     certified chain is onto (each box attains its band, and the bands of

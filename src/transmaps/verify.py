@@ -131,8 +131,10 @@ def _check_extension_diameter() -> bool:
 
 
 def _check_extension_apex() -> bool:
+    # both boundary points' chains at t = 1 are the apex's own chain
     ext = _reflection_extension()
-    return ext.evaluate(ZERO, ONE).pieces == ext.evaluate(ONE, ONE).pieces
+    apex = ext.apex()._chain.boxes
+    return ext.evaluate_chain(ZERO, ONE) == ext.evaluate_chain(ONE, ONE) == apex
 
 
 def _check_extension_chains() -> bool:
@@ -186,11 +188,14 @@ def _check_square_ball() -> bool:
 
 
 def _check_square_slack() -> bool:
-    j = Interval(ZERO, Q(1, 3))
-    return (
-        range_on(square_map(), j) == Interval(ZERO, Q(1, 9))
-        and j.hi - (Q(1, 9) + Q(1, 100)) == Q(191, 900)
-    )
+    # the window starts at 0, so its slack is on the right side only
+    rho = Q(1, 100)
+    found = ball_refute(square_map(), rho, 6)
+    if found is None:
+        return False
+    window, margin = found
+    top = range_on(square_map(), window).hi
+    return window.lo == ZERO and margin == window.hi - (top + rho)
 
 
 def _check_ladder_distances() -> bool:

@@ -17,7 +17,8 @@ from transmaps import boxmap, homotopy, spaces, transitivity
 from transmaps.boxmap import BoxParams, build_box_map
 from transmaps.cli import main
 from transmaps.errors import ParameterError
-from transmaps.extension import simplex_extend
+from transmaps.exact import Interval
+from transmaps.extension import ExtensionResult, simplex_extend
 from transmaps.rational import ONE, Q, ZERO
 from transmaps.serialize import map_from_document, map_to_document
 from transmaps.spaces import identity_map, ladder_map, sawtooth, square_map
@@ -346,7 +347,7 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("boxfit", "separation", "examples"):
+    for suite in SUITES:
         code, out, _ = run_cli(capsys, "verify", suite)
         assert code == 0, out
         assert out.endswith("result: pass\n")
@@ -359,6 +360,29 @@ def test_verify_reports_every_check_in_name_order():
     names = [line.split(":")[0] for line in lines[1:-1]]
     assert names == sorted(SUITES["examples"])
     assert all(line.endswith(": pass") for line in lines[1:])
+
+
+def test_apex_shared_fails_when_the_t1_chains_stay_at_the_base(monkeypatch):
+    # both boundary points' chains at t = 1 must be the apex's own chain;
+    # an evaluate_chain that returns the step-t0 chain there fails the check
+    assert transmaps.verify._check_extension_apex()
+    move = ExtensionResult.evaluate_chain
+
+    def stuck(self, x, t):
+        return self._base(x) if t == ONE else move(self, x, t)
+
+    monkeypatch.setattr(ExtensionResult, "evaluate_chain", stuck)
+    assert not transmaps.verify._check_extension_apex()
+
+
+def test_square_slack_reads_the_margin_ball_refute_reports(monkeypatch):
+    # the check recomputes the slack of the window ball_refute reports
+    assert transmaps.verify._check_square_slack()
+    window, margin = transitivity.ball_refute(square_map(), Q(1, 100), 6)
+    assert (window, margin) == (Interval(ZERO, Q(1, 2)), Q(6, 25))
+    for wrong in ((window, margin + Q(1, 900)), (window, Q(191, 900)), None):
+        monkeypatch.setattr(transmaps.verify, "ball_refute", lambda f, rho, level: wrong)
+        assert not transmaps.verify._check_square_slack()
 
 
 def _raise_key_error():

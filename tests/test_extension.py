@@ -9,10 +9,13 @@ phase-rotation triangle (face step 1/1024, the loop coordinate 5/2
 landing on phase 5/9); and for the two-missing-edges complex (steps
 1/1024 and 1/4096 at tolerances 1/8 and 1/16).
 """
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from transmaps import extension
 from transmaps.boxmap import BoxParams, concat_box_maps
 from transmaps.errors import (
     CertificateError,
@@ -209,6 +212,35 @@ def test_off_probe_oscillation_is_caught_at_evaluation():
         ext.evaluate_chain(Q(1, 4), HALF)
     # the apex never looks at the boundary map, so it stays reachable
     assert ext.evaluate(Q(1, 4), ONE).pieces == ext.apex().pieces
+
+
+def test_probe_maps_come_audited_by_the_step(ext1, ext2, monkeypatch):
+    # t0 keeps t0 and every probe map's oscillation over width t0 below
+    # budget / 9, the audit's own test, so a chain at a probe reads neither
+    # the evaluator nor uniform_modulus; a point off the probes still does
+    for ext in (ext1, ext2):
+        for f in ext.boundary.probe_maps:
+            assert 9 * max(ext.t0, uniform_modulus(f, ext.t0)) < ext.displacement_budget
+    table = {ZERO: SAW3, ONE: REF3, Q(1, 4): sawtooth(200)}
+    evaluated, measured = [], []
+    modulus = extension.uniform_modulus
+    monkeypatch.setattr(
+        extension, "uniform_modulus", lambda f, t: measured.append(t) or modulus(f, t)
+    )
+    phi = BoundaryMap(lambda x: evaluated.append(x) or table[x], lambda d: d, (ZERO, ONE))
+    ext = simplex_extend(phi, SimplexSpec(1), HALF)
+    evaluated.clear()
+    heights = (ext.t0 / 2, ext.t0, HALF, ONE)
+    chains = [ext.evaluate_chain(x, t) for x in (ZERO, ONE) for t in heights]
+    assert evaluated == [] and measured == []
+    # the same extension without the probes audited gives the same chains
+    unseeded = dataclasses.replace(ext)
+    assert chains == [unseeded.evaluate_chain(x, t) for x in (ZERO, ONE) for t in heights]
+    assert evaluated == [ZERO, ONE] and len(measured) == 2
+    assert unseeded.apex().pieces == ext.apex().pieces
+    with pytest.raises(CertificateError):
+        ext.evaluate_chain(Q(1, 4), HALF)
+    assert evaluated == [ZERO, ONE, Q(1, 4)] and len(measured) == 3
 
 
 def test_constant_family_extends_as_itself():

@@ -294,14 +294,10 @@ def test_coarsened_grid_is_the_grid_one_level_coarser(f, level):
     assert all(type(r.lo) is Q and type(r.hi) is Q for r in ranges)
 
 
-@st.composite
-def pipeline_budgets(draw):
-    """Budgets of every refute depth 0 .. 7, whose grid-certificate level
-    is below, at or above the finest refute level."""
-    depth = draw(st.integers(0, 7))
-    leo = draw(st.integers(1, 12))
-    steps = draw(st.sampled_from((1, 3, 40, 200)))
-    return PipelineBudget(refute_max_level=depth, refute_steps=steps, leo_max_level=leo, leo_steps=400)
+# budgets of every refute depth 0 .. 7; the step counts and leo's level
+# cap are constants, so leo's level falls below, at or above the finest
+# refute level as the map's narrowest lap decides
+pipeline_budgets = st.builds(PipelineBudget, st.integers(0, 7))
 
 
 @st.composite
@@ -318,25 +314,26 @@ def non_chain_maps(draw):
     return map_from_document(map_to_document(g))
 
 
-PIPELINE_BUDGETS = (
-    PipelineBudget(refute_max_level=3),
-    PipelineBudget(refute_max_level=6),
-    PipelineBudget(refute_max_level=5),
-    PipelineBudget(refute_max_level=5, leo_max_level=3),
-    PipelineBudget(refute_max_level=7, leo_max_level=9),
-    PipelineBudget(refute_max_level=0, leo_max_level=9),
+PIPELINE_BUDGETS = tuple(PipelineBudget(refute_max_level=L) for L in (3, 6, 5, 1, 7, 0))
+
+# 336 pieces whose narrowest lap needs leo level 14, above the cap 12: the
+# pipeline skips leo, and no refute level up to 7 refutes it
+ABOVE_LEO_CAP = map_from_document(
+    map_to_document(apply_homotopy(sawtooth(3), Q(1, 16), Q(20)))
 )
 
 
 # leo certifies sawtooth(3) at level 3 and ladder_map(5) at level 6: the
 # examples run it on a grid coarsened from the finest refute level (below
-# it and at it) and on a grid of its own (above it)
-@given(non_chain_maps(), st.one_of(st.sampled_from(PIPELINE_BUDGETS), pipeline_budgets()))
+# it and at it) and on a grid of its own (above it), and skip it on a map
+# whose level is above the cap
+@given(non_chain_maps(), st.one_of(st.sampled_from(PIPELINE_BUDGETS), pipeline_budgets))
 @example(sawtooth(3), PipelineBudget(refute_max_level=6))
 @example(sawtooth(3), PipelineBudget(refute_max_level=3))
 @example(ladder_map(5), PipelineBudget(refute_max_level=3))
-@example(ladder_map(5), PipelineBudget(refute_max_level=7, leo_max_level=9))
+@example(ladder_map(5), PipelineBudget(refute_max_level=7))
 @example(square_map(), PipelineBudget(refute_max_level=5))
+@example(ABOVE_LEO_CAP, PipelineBudget())
 @settings(max_examples=80, deadline=None)
 def test_pipeline_matches_its_stages_called_one_by_one(f, budget):
     assert f._chain is None
@@ -350,7 +347,8 @@ def test_the_pipeline_reads_one_grid(budget, monkeypatch):
     # no refute level refutes ladder_map(5), and leo certifies it on the
     # grid at level 6: the refute stages and leo read f once between them,
     # at the depth, when 6 is at most the depth, and leo reads its own
-    # grid otherwise; either way leo runs on the 2^6 cells of level 6
+    # grid otherwise; either way leo runs on the 2^6 cells of level 6.
+    # ABOVE_LEO_CAP needs level 14, so leo neither reads nor runs on it
     reads, leo_cells = [], []
     read, leo_on_grid = transitivity._cell_ranges, transitivity._leo_on_grid
     monkeypatch.setattr(
@@ -361,29 +359,28 @@ def test_the_pipeline_reads_one_grid(budget, monkeypatch):
         "_leo_on_grid",
         lambda f, ranges, n: leo_cells.append(len(ranges)) or leo_on_grid(f, ranges, n),
     )
-    verdict = is_transitive_pipeline(ladder_map(5), budget)
     top = budget.refute_max_level
-    leo = 6 <= budget.leo_max_level
-    assert verdict.is_certified == leo
-    assert reads == [top] * bool(top) + [6] * (leo and 6 > top)
-    assert leo_cells == [64] * leo
+    for f, leo in ((ladder_map(5), True), (ABOVE_LEO_CAP, False)):
+        reads.clear()
+        leo_cells.clear()
+        verdict = is_transitive_pipeline(f, budget)
+        assert (verdict.status, verdict.budget) == (
+            ("certified", None) if leo else ("inconclusive", 200)
+        )
+        assert reads == [top] * bool(top) + [6] * (leo and 6 > top)
+        assert leo_cells == [64] * leo
 
 
-@given(
-    non_chain_maps(),
-    st.lists(st.integers(1, 7), unique=True, max_size=7),
-    st.sampled_from((1, 3, 40, 200)),
-    st.integers(1, 12),
-)
-@example(identity_map(), [7, 1], 200, 12)
-@example(ladder_map(5), [3], 200, 6)
+@given(non_chain_maps(), st.lists(st.integers(1, 7), unique=True, max_size=7))
+@example(identity_map(), [7, 1])
+@example(ladder_map(5), [3])
 @settings(max_examples=40, deadline=None)
-def test_a_depth_decides_whatever_its_level_sets_decide(f, levels, steps, leo):
+def test_a_depth_decides_whatever_its_level_sets_decide(f, levels):
     # a depth-L budget tries every level of any set S with max(S) = L on
     # the same exact grid, and certified and refuted exclude each other,
     # so it decides whenever the stages over S, in S's order, decide
     depth = max(levels, default=0)
-    budget = PipelineBudget(refute_max_level=depth, refute_steps=steps, leo_max_level=leo)
+    budget = PipelineBudget(refute_max_level=depth)
     got = is_transitive_pipeline(f, budget)
     want = reference_pipeline(f, budget, levels)
     if want.status != "inconclusive":

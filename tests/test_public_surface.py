@@ -91,7 +91,7 @@ def test_extension_result_keeps_no_hand_reuse_api():
 
 
 def test_the_default_budget_the_benchmark_harness_reads():
-    # the harness runs the pipeline's stages one by one from these fields
+    # the harness runs the pipeline's stages one by one from these values
     budget = PipelineBudget()
     assert budget.refute_levels == (1, 2, 3, 4, 5, 6)
     assert (budget.refute_steps, budget.leo_max_level, budget.leo_steps) == (200, 12, 400)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from bisect import bisect_left, bisect_right
@@ -67,6 +68,13 @@ def constant_half():
 
 def tent():
     return pl_from_vertices([(ZERO, ZERO), (Q(1, 2), ONE), (ONE, ZERO)])
+
+
+def steep_invariant_half():
+    # slopes +-4, and [0, 1/2] maps into itself: leo's preconditions hold,
+    # but no grid cell of the left half ever reaches [0, 1]
+    ys = (0, Q(1, 2), 0, Q(1, 2), 0, 1, Q(1, 2), 1, Q(1, 2))
+    return pl_from_vertices([(Q(k, 8), y) for k, y in enumerate(ys)])
 
 
 def saw(m):
@@ -1276,8 +1284,13 @@ class TestPipeline:
     @pytest.mark.parametrize("field", ["refute_steps", "leo_max_level", "leo_steps"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_budget_counts_below_one_refused(self, field, value):
-        with pytest.raises(ParameterError):
+        # the step counts and leo's level cap are constants, not fields: a
+        # budget that names one is refused whatever the value
+        with pytest.raises(TypeError):
             PipelineBudget(**{field: value})
+        constant = {"refute_steps": 200, "leo_max_level": 12, "leo_steps": 400}[field]
+        assert getattr(PipelineBudget, field) == getattr(PipelineBudget(), field) == constant
+        assert [f.name for f in dataclasses.fields(PipelineBudget)] == ["refute_max_level"]
 
     @pytest.mark.parametrize("levels", [-1, -3], ids=["levels0", "levels1"])
     def test_budget_levels_below_one_refused(self, levels):
@@ -1287,15 +1300,14 @@ class TestPipeline:
         assert PipelineBudget(refute_max_level=0).refute_levels == ()
 
     @pytest.mark.parametrize(
-        "fields", [{"refute_max_level": 25}, {"refute_max_level": 21}, {"leo_max_level": 40}]
+        "fields", [{"refute_max_level": 25}, {"refute_max_level": 21}, {"refute_max_level": 40}]
     )
     def test_budget_levels_above_the_cap_refused(self, fields):
         # a depth of 25 used to refute the identity at level 1 and raise on
         # ladder_map(5) at level 25: the budget is now refused for every map
         with pytest.raises(ParameterError, match="above the cap 20"):
             PipelineBudget(**fields)
-        budget = PipelineBudget(refute_max_level=20, leo_max_level=20)
-        assert budget.refute_levels == tuple(range(1, 21))
+        assert PipelineBudget(refute_max_level=20).refute_levels == tuple(range(1, 21))
 
     def test_budget_takes_a_depth_not_a_level_set(self):
         # the levels are 1 .. refute_max_level, read-only
@@ -1303,19 +1315,46 @@ class TestPipeline:
             PipelineBudget(refute_levels=(1, 16))
         assert PipelineBudget().refute_levels == (1, 2, 3, 4, 5, 6)
 
+    @pytest.mark.parametrize("bad", [Q(5, 2), 2.0, True], ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, bad: leo_certify(f, bad, 3),
+            lambda f, bad: leo_certify(f, 4, bad),
+            lambda f, bad: invariant_region_refute(f, bad, 3),
+            lambda f, bad: invariant_region_refute(f, 3, bad),
+            lambda f, bad: ball_refute(f, Q(1, 100), bad),
+            lambda f, bad: PipelineBudget(refute_max_level=bad),
+        ],
+        ids=["leo-level", "leo-steps", "refute-level", "refute-steps", "ball-level", "depth"],
+    )
+    def test_a_level_or_count_that_is_not_an_int_is_refused(self, call, bad):
+        # leo_certify(f, 4, 5/2) used to iterate forever on this map, True
+        # ran as level 1, and 2.0 failed with a bare TypeError; each is now
+        # refused before any grid is read
+        f = steep_invariant_half()
+        with mock.patch.object(transitivity, "_cell_ranges", side_effect=AssertionError):
+            with pytest.raises(ParameterError, match="is not an int"):
+                call(f, bad)
+
     def test_budgets_that_used_to_pass(self):
         # the first certified a chain map and crashed on the square map; the
-        # second certified sawtooth(3) with a negative step count
-        with pytest.raises(ParameterError):
+        # second certified sawtooth(3) with a negative step count; the third
+        # never returned on a steep map that a depth-1 budget refutes
+        with pytest.raises(TypeError):
             PipelineBudget(refute_steps=0, leo_steps=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             PipelineBudget(refute_max_level=0, refute_steps=-3)
-        least = PipelineBudget(refute_max_level=0, refute_steps=1, leo_max_level=1, leo_steps=1)
+        with pytest.raises(TypeError):
+            PipelineBudget(refute_max_level=0, leo_steps=2.5)
+        least = PipelineBudget(refute_max_level=0)
         assert is_transitive_pipeline(square_map(), least).status == "inconclusive"
         assert is_transitive_pipeline(constant_half(), least).is_refuted
+        depth_one = PipelineBudget(refute_max_level=1)
+        assert is_transitive_pipeline(steep_invariant_half(), depth_one).is_refuted
 
     def test_deterministic(self):
-        budget = PipelineBudget(refute_max_level=2, refute_steps=40)
+        budget = PipelineBudget(refute_max_level=2)
         rng = random.Random(5)
         f = random_surjective_pl(rng)
         assert is_transitive_pipeline(f, budget) == is_transitive_pipeline(f, budget)
@@ -1325,7 +1364,7 @@ class TestPipeline:
     def test_soundness_on_corpus(self, seed):
         rng = random.Random(seed)
         f = random_surjective_pl(rng)
-        budget = PipelineBudget(refute_max_level=3, refute_steps=60, leo_steps=60)
+        budget = PipelineBudget(refute_max_level=3)
         v = is_transitive_pipeline(f, budget)
         if v.is_refuted:
             c = v.witness
